@@ -569,12 +569,14 @@ def main(argv=None):
         elif args.command == "plate-force":
             cmd_plate_force(scenario, args.out)
         return EXIT_OK
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # first: a non-finite integrand is a QuadratureConvergenceError that
+    # is also a ValueError, and a numerical failure
     except QuadratureConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ScenarioError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from .materials import (
     polarizability,
 )
 from .potentials import (
+    _ROUNDING_FLOOR,
     DEFAULT_POTENTIAL_TOL,
     _du_nonresonant_dz,
     _du_resonant_dz_grid,
@@ -167,6 +168,9 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
     """
     geo = scenario.geometry
     a, b = scenario.z, scenario.z + scenario.d
+    # the slab edge z + d is rounded to eps (z + d); the force inherits
+    # that as a relative error (z + d) / d larger, unseen by quadrature
+    rounding = _ROUNDING_FLOOR * b / (b - a)
 
     def resonant_integrand(z_values):
         vals, _ = _du_resonant_dz_grid(scenario.atom, geo, z_values,
@@ -185,7 +189,8 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
                                  max_evaluations=max_evaluations,
                                  initial_intervals=panels)
         f_r = -scenario.eta * res_r.value
-        err_r = scenario.eta * res_r.abs_error_estimate
+        err_r = max(scenario.eta * res_r.abs_error_estimate,
+                    rounding * abs(f_r))
     else:
         f_r, err_r = 0.0, 0.0
 
@@ -201,8 +206,8 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
         res_nr = integrate_finite(nonresonant_integrand, a, b, tol=rel_tol,
                                   max_evaluations=max_evaluations)
         f_nr = -scenario.eta * res_nr.value
-        err_nr = scenario.eta * res_nr.abs_error_estimate \
-            + rel_tol * abs(f_nr)
+        err_nr = max(scenario.eta * res_nr.abs_error_estimate
+                     + rel_tol * abs(f_nr), rounding * abs(f_nr))
     else:
         f_nr, err_nr = 0.0, 0.0
 

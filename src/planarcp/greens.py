@@ -221,13 +221,6 @@ def _mirror_dtrace_m_dz_ixi(z, xi):
         * np.exp(-y) * (y**3 + 3.0 * y * y + 6.0 * y + 6.0)
 
 
-def _mirror_re_trace_e(z, omega):
-    """Re Tr G1 at real omega, PEC mirror, vectorised over z > 0."""
-    zt = 2.0 * omega * np.asarray(z, dtype=float) / C_LIGHT
-    return (omega / (2.0 * np.pi * C_LIGHT)) \
-        * ((2.0 - zt * zt) * np.cos(zt) + 2.0 * zt * np.sin(zt)) / zt**3
-
-
 def _mirror_re_dtrace_e_dz(z, omega):
     """d/dz of Re Tr G1 at real omega, PEC mirror, vectorised over z."""
     zt = 2.0 * omega * np.asarray(z, dtype=float) / C_LIGHT
@@ -246,7 +239,10 @@ DEFAULT_SOMMERFELD_TOL = 1e-7
 def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations):
     """Tr G1 at w = i xi for a Drude-Lorentz half-space; exact real.
 
-    With v = kappa_z c / xi in [1, inf), y = 2 xi z / c:
+    xi is an array: all its entries are integrated on one shared
+    partition, each column with its own map scale, and arrays of
+    (traces, abs_errors) come back.  With v = kappa_z c / xi in
+    [1, inf), y = 2 xi z / c:
 
         trace_e = (xi / 4 pi c) Int_1^inf dv e^{-y v}
                   [ r_s(v) - (2 v^2 - 1) r_p(v) ]
@@ -254,23 +250,27 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations):
         r_s = (mu v - v1)/(mu v + v1),  r_p = (eps v - v1)/(eps v + v1),
         v1  = sqrt(eps mu - 1 + v^2),   eps = eps(i xi), mu = mu(i xi).
     """
+    xi = np.asarray(xi, dtype=float)
     eps = material.epsilon(1j * xi).real
     mu = material.mu(1j * xi).real
-    if eps <= 0.0 or mu <= 0.0:
+    bad = (eps <= 0.0) | (mu <= 0.0)
+    if bad.any():
+        k = np.argmax(bad)
         raise ValueError(
             "eps(i xi) and mu(i xi) must be positive; the oscillator model "
-            f"gave eps={eps:.3g}, mu={mu:.3g} at xi={xi:.3g}"
+            f"gave eps={eps[k]:.3g}, mu={mu[k]:.3g} at xi={xi[k]:.3g}"
         )
     y = 2.0 * xi * z / C_LIGHT
+    em1 = eps * mu - 1.0
 
     def integrand(t):
         v = 1.0 + t
-        v1 = np.sqrt(eps * mu - 1.0 + v * v)
+        v1 = np.sqrt(em1 + v * v)
         rs = (mu * v - v1) / (mu * v + v1)
         rp = (eps * v - v1) / (eps * v + v1)
         return np.exp(-y * v) * (rs - (2.0 * v * v - 1.0) * rp)
 
-    res = integrate_semi_infinite(integrand, scale=max(1.0 / y, 1.0),
+    res = integrate_semi_infinite(integrand, scale=np.maximum(1.0 / y, 1.0),
                                   tol=rel_tol,
                                   max_evaluations=max_evaluations)
     pref = xi / (4.0 * np.pi * C_LIGHT)
@@ -327,8 +327,9 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations):
 
 def _halfspace_trace_e(material, z, w, rel_tol, max_evaluations):
     if w.real == 0.0:
-        return _trace_e_imag_axis(material, z, w.imag, rel_tol,
-                                  max_evaluations)
+        te, err = _trace_e_imag_axis(material, z, np.array([w.imag]),
+                                     rel_tol, max_evaluations)
+        return float(te[0]), float(err[0])
     if not material.is_lossy_at(w.real):
         raise ValueError(
             "real-frequency half-space traces need a lossy reflector at "

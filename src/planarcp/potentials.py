@@ -42,7 +42,7 @@ from .materials import (
     _polarizability_ixi,
     resonant_weights,
 )
-from .quadrature import integrate_semi_infinite
+from .quadrature import PANEL_NODES, integrate_semi_infinite
 
 __all__ = [
     "PotentialResult",
@@ -118,25 +118,28 @@ def _nonresonant(atom, geometry, rel_tol, max_evaluations):
         inner_err = 0.0
     else:
         inner_tol = rel_tol / 10.0
-
-        def traces(xi):
-            return halfspace_green_traces(
-                geometry, 1j * xi, rel_tol=inner_tol,
-                max_evaluations=max_evaluations)
+        material = geometry.reflector
+        # only the traces the atom couples to; the dual (magnetic) one
+        # by duality, trace_m(i xi) = (xi/c)^2 trace_e(i xi; mu, eps)
+        dual = material.dual() if has_m else None
 
         def integrand(xi):
-            xi = np.atleast_1d(xi)
-            out = np.empty_like(xi)
+            out = np.zeros_like(xi)
             alpha = _polarizability_ixi(atom, xi) if has_e else None
             beta = _magnetizability_ixi(atom, xi) if has_m else None
-            for i, x in enumerate(xi):
-                tr = traces(float(x))
-                val = 0.0
+            # one vector Sommerfeld integral per outer panel: its nodes
+            # lie close in xi and so refine alike
+            for start in range(0, xi.size, PANEL_NODES):
+                panel = slice(start, start + PANEL_NODES)
+                x = xi[panel]
                 if has_e:
-                    val += alpha[i] * x * x * tr.trace_e
+                    te, _ = greens._trace_e_imag_axis(
+                        material, z, x, inner_tol, max_evaluations)
+                    out[panel] += alpha[panel] * x * x * te
                 if has_m:
-                    val += beta[i] * tr.trace_m
-                out[i] = val
+                    td, _ = greens._trace_e_imag_axis(
+                        dual, z, x, inner_tol, max_evaluations)
+                    out[panel] += beta[panel] * ((x / C_LIGHT) ** 2 * td)
             return out
 
         inner_err = rel_tol  # inner quadratures budgeted at rel_tol/10

@@ -8,6 +8,7 @@ import pytest
 from scipy.constants import c as C_LIGHT
 from scipy.constants import mu_0
 
+import planarcp.potentials as potentials_module
 from planarcp import (
     PlanarGeometry,
     force_decomposition,
@@ -293,6 +294,14 @@ class TestExitCodes:
                                           "sommerfeld_relative": 1e-12,
                                           "max_evaluations": 60})
         assert main(["greens", "--scenario", path]) == EXIT_NUMERICAL
+
+    def test_non_finite_integrand_exit_code(self, write_scenario,
+                                            monkeypatch):
+        # a non-finite integrand is a numerical failure, not bad input
+        monkeypatch.setattr(potentials_module, "_polarizability_ixi",
+                            lambda atom, xi: np.full_like(xi, np.nan))
+        assert main(["cp-potential", "--scenario",
+                     write_scenario()]) == EXIT_NUMERICAL
 
 
 class TestFig3Command:

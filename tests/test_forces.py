@@ -89,6 +89,19 @@ class TestQuadratureRoute:
         assert res.f_resonant == 0.0
         assert res.f_nonresonant < 0.0  # attraction toward the mirror
 
+    def test_thin_far_slab_error_covers_edge_rounding(self, excited_atom,
+                                                      pec):
+        # zt 23.9, 2 w d / c 0.106: the rounded slab edge z + d, relative
+        # eps (z + d) / d, limits the agreement of the two routes to
+        # ~3.6e-14 relative, ten times a plain 16 eps floor
+        z, d = zt_to_z(23.889480505502167), zt_to_z(0.10606783577236656)
+        sc = SlabScenario(z=z, d=d, eta=ETA, atom=excited_atom,
+                          geometry=PlanarGeometry(pec, z))
+        res = plate_force_quadrature(sc, include_nonresonant=False)
+        closed = plate_force_closed_form(sc)
+        assert abs(res.f_resonant - closed) <= res.quadrature_error
+        assert res.quadrature_error <= 1e-11 * abs(closed)
+
     def test_density_scaling_is_exact(self, excited_atom, pec):
         sc1 = make_scenario(excited_atom, pec, 1.0, 1.0, eta=ETA)
         sc2 = make_scenario(excited_atom, pec, 1.0, 1.0, eta=2.0 * ETA)

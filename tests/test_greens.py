@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.constants import c as C_LIGHT
 
+from planarcp import greens
 from planarcp import (
     LorentzOscillator,
     MaterialResponse,
@@ -197,6 +198,25 @@ class TestHalfspace:
             (C_LIGHT / xi) ** 2 * tr.trace_m, rel=1e-8)
         assert tr_dual.trace_m == pytest.approx(
             (xi / C_LIGHT) ** 2 * tr.trace_e, rel=1e-8)
+
+    def test_xi_vector_trace_matches_scalar_traces(self, lossy_halfspace):
+        # one shared partition for all xi, each column with its own map
+        # scale (1/y from 47 down to 1 here), for the material and its dual
+        z = zt_to_z(0.7)
+        xi = W10 * np.array([0.03, 0.4, 1.0, 2.5, 9.0])
+        tol = 1e-10
+        te, err_e = greens._trace_e_imag_axis(lossy_halfspace, z, xi, tol,
+                                              100_000)
+        td, err_d = greens._trace_e_imag_axis(lossy_halfspace.dual(), z, xi,
+                                              tol, 100_000)
+        geo = PlanarGeometry(lossy_halfspace, z)
+        for k, x in enumerate(xi):
+            tr = halfspace_green_traces(geo, 1j * x, rel_tol=tol)
+            tm = (x / C_LIGHT) ** 2 * td[k]
+            assert abs(te[k] - tr.trace_e) \
+                <= err_e[k] + tol * abs(tr.trace_e)
+            assert abs(tm - tr.trace_m) \
+                <= (x / C_LIGHT) ** 2 * err_d[k] + tol * abs(tr.trace_m)
 
     def test_reality_on_imaginary_axis(self, lossy_halfspace):
         rng = np.random.default_rng(5)

@@ -15,6 +15,8 @@ from scipy.constants import epsilon_0, hbar, mu_0
 import planarcp.potentials as potentials_module
 from planarcp import (
     AtomModel,
+    LorentzOscillator,
+    MaterialResponse,
     PlanarGeometry,
     Transition,
     d_dz_traces,
@@ -91,6 +93,37 @@ class TestNonresonant:
         expected = nonresonant_potential(
             ground_atom, PlanarGeometry(pec, zt_to_z(1.0)))
         assert direct == expected
+
+
+class TestHalfspaceNonresonant:
+    def test_electric_atom_never_builds_the_dual_reflector(
+            self, excited_atom, magnetoelectric_atom, lossy_halfspace,
+            monkeypatch):
+        built = []
+        dual = MaterialResponse.dual
+        monkeypatch.setattr(MaterialResponse, "dual",
+                            lambda self: built.append(self) or dual(self))
+        geo = PlanarGeometry(lossy_halfspace, zt_to_z(1.0))
+        potentials_module._nonresonant(excited_atom, geo, 1e-7, 100_000)
+        assert built == []
+        potentials_module._nonresonant(magnetoelectric_atom, geo, 1e-5,
+                                       100_000)
+        assert built == [lossy_halfspace]
+
+    def test_readme_point_converges_at_default_tolerances(self):
+        # the README's half-space scenario at its nearest point, zt = 0.1
+        atom = AtomModel("excited", (Transition(2.5e15, 7.2e-59),))
+        medium = MaterialResponse("drude-lorentz", eps_oscillators=(
+            LorentzOscillator(strength=1.0, resonance=1e16, damping=1e14),
+        ))
+        geo = PlanarGeometry(medium, 6e-9)
+        res = total_potential(atom, geo)
+        u_nr, err_nr = potentials_module._nonresonant(atom, geo, 1e-9,
+                                                      100_000)
+        tight = nonresonant_potential(atom, geo, rel_tol=1e-11)
+        assert res.u_nonresonant == u_nr > 0.0  # excited: repelled
+        assert err_nr <= 2e-9 * u_nr
+        assert abs(u_nr - tight) <= err_nr
 
 
 class TestResonant:

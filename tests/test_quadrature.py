@@ -112,6 +112,20 @@ def test_nan_integrand_rejected():
         integrate_finite(f, 0.0, 1.0)
 
 
+def test_non_finite_integrand_is_a_numerical_failure():
+    f = lambda x: np.where(x > 0.5, np.inf, 1.0)
+    with pytest.raises(QuadratureConvergenceError, match="non-finite"):
+        integrate_finite(f, 0.0, 1.0)
+
+
+def test_initial_panels_count_against_the_budget():
+    # 20,000 initial panels would cost 300,000 evaluations
+    with pytest.raises(QuadratureConvergenceError) as err:
+        integrate_finite(np.cos, 0.0, 1.0, max_evaluations=1000,
+                         initial_intervals=20000)
+    assert err.value.evaluations <= 1000
+
+
 def test_complex_integrand():
     res = integrate_finite(lambda x: np.exp(1j * x), 0.0, 1.0, tol=1e-12)
     expected = (np.exp(1j) - 1.0) / 1j
@@ -135,3 +149,51 @@ def test_input_validation():
         integrate_semi_infinite(np.exp, scale=-1.0)
     with pytest.raises(ValueError):
         integrate_finite(np.sin, 0.0, 1.0, tol=2.0)
+
+
+FINITE_COLUMNS = (
+    lambda x: np.sin(7.0 * x) ** 2,
+    lambda x: np.exp(-x * x),
+    lambda x: np.cos(10.0 * x) / (1.0 + x),
+    lambda x: np.exp(1j * x),
+)
+
+
+def _assert_columns_match_scalar_calls(vec, scalars, tol):
+    assert isinstance(vec.value, np.ndarray)
+    assert isinstance(vec.abs_error_estimate, np.ndarray)
+    assert isinstance(vec.evaluations, int)
+    assert vec.value.shape == vec.abs_error_estimate.shape == (len(scalars),)
+    for k, res in enumerate(scalars):
+        # each column keeps the scalar contract and agrees with the scalar
+        # call within the two reported errors
+        assert vec.abs_error_estimate[k] <= tol * abs(vec.value[k]) + 1e-30
+        assert abs(vec.value[k] - res.value) \
+            <= vec.abs_error_estimate[k] + res.abs_error_estimate
+
+
+def test_vector_finite_integral_equals_scalar_calls():
+    f = lambda x: np.stack([g(x) for g in FINITE_COLUMNS], axis=1)
+    vec = integrate_finite(f, 0.0, 3.0, tol=1e-11)
+    scalars = [integrate_finite(g, 0.0, 3.0, tol=1e-11)
+               for g in FINITE_COLUMNS]
+    _assert_columns_match_scalar_calls(vec, scalars, 1e-11)
+    assert abs(vec.value[3] - (np.exp(3j) - 1.0) / 1j) <= 1e-10
+
+
+def test_vector_semi_infinite_integral_with_column_scales():
+    rates = np.array([1.0, 1e-2, 50.0, 3e4])
+    seen = []
+
+    def f(x):
+        seen.append(x.shape)
+        return np.exp(-x * rates) * (1.0 + np.cos(x * rates))
+
+    vec = integrate_semi_infinite(f, scale=1.0 / rates, tol=1e-10)
+    assert all(len(shape) == 2 and shape[1] == rates.size for shape in seen)
+    scalars = [integrate_semi_infinite(
+        lambda x, r=r: np.exp(-x * r) * (1.0 + np.cos(x * r)),
+        scale=1.0 / r, tol=1e-10) for r in rates]
+    _assert_columns_match_scalar_calls(vec, scalars, 1e-10)
+    # Int_0^inf e^{-r x}(1 + cos r x) dx = 3 / (2 r)
+    assert np.all(np.abs(vec.value * rates - 1.5) <= 1e-9)
