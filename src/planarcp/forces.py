@@ -41,7 +41,6 @@ from .materials import (
 from .potentials import (
     _ROUNDING_FLOOR,
     DEFAULT_POTENTIAL_TOL,
-    _du_nonresonant_dz,
     _du_resonant_dz_grid,
     _nonresonant,
     _resonant,
@@ -172,9 +171,14 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
     # that as a relative error (z + d) / d larger, unseen by quadrature
     rounding = _ROUNDING_FLOOR * b / (b - a)
 
+    # the inner integrals' errors reach the slab integral at most as
+    # (b - a) times the largest of them
+    inner_err = {"r": 0.0, "nr": 0.0}
+
     def resonant_integrand(z_values):
-        vals, _ = _du_resonant_dz_grid(scenario.atom, geo, z_values,
-                                       rel_tol, max_evaluations)
+        vals, err = _du_resonant_dz_grid(scenario.atom, geo, z_values,
+                                         rel_tol, max_evaluations)
+        inner_err["r"] = max(inner_err["r"], err)
         return vals
 
     lines_exist = scenario.atom.is_excited
@@ -189,24 +193,27 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
                                  max_evaluations=max_evaluations,
                                  initial_intervals=panels)
         f_r = -scenario.eta * res_r.value
-        err_r = max(scenario.eta * res_r.abs_error_estimate,
+        err_r = max(scenario.eta * (res_r.abs_error_estimate
+                                    + (b - a) * inner_err["r"]),
                     rounding * abs(f_r))
     else:
         f_r, err_r = 0.0, 0.0
 
     if include_nonresonant:
         def nonresonant_integrand(z_values):
-            out = np.empty_like(np.asarray(z_values, dtype=float))
-            for i, z in enumerate(np.atleast_1d(z_values)):
-                out[i] = _du_nonresonant_dz(
+            out = np.empty_like(z_values)
+            for i, z in enumerate(z_values):
+                out[i], err = _nonresonant(
                     scenario.atom, geo.with_distance(float(z)),
-                    rel_tol / 10.0, max_evaluations)[0]
+                    rel_tol / 10.0, max_evaluations, order=1)
+                inner_err["nr"] = max(inner_err["nr"], err)
             return out
 
         res_nr = integrate_finite(nonresonant_integrand, a, b, tol=rel_tol,
                                   max_evaluations=max_evaluations)
         f_nr = -scenario.eta * res_nr.value
-        err_nr = max(scenario.eta * res_nr.abs_error_estimate
+        err_nr = max(scenario.eta * (res_nr.abs_error_estimate
+                                     + (b - a) * inner_err["nr"])
                      + rel_tol * abs(f_nr), rounding * abs(f_nr))
     else:
         f_nr, err_nr = 0.0, 0.0

@@ -17,7 +17,11 @@ zt = 2 w z / c:
 analytically continued to w = i xi (then e^{i zt} -> e^{-2 xi z / c}
 and all components are real).  A material half-space is evaluated from
 the transverse-wavevector integral over its s- and p-polarised Fresnel
-reflection coefficients.
+reflection coefficients.  The distance enters that integrand only
+through the exponential e^{2 i k_z z}, so d/dz is taken under the
+integral as one more factor 2 i k_z, and the kernels integrate traces at
+many imaginary frequencies, or at many real-axis distances, as one
+vector integral on a shared partition.
 
 The curl-curl trace is obtained by duality rather than by direct
 double-curl differentiation: exchanging eps and mu of the reflector
@@ -57,8 +61,6 @@ __all__ = [
     "halfspace_green_traces",
     "d_dz_traces",
 ]
-
-_FD_STEP_FLOOR = 1e-12  # m; finite-difference step rule, see d_dz_traces
 
 
 @dataclass(frozen=True)
@@ -236,8 +238,9 @@ def _mirror_re_dtrace_e_dz(z, omega):
 DEFAULT_SOMMERFELD_TOL = 1e-7
 
 
-def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations):
-    """Tr G1 at w = i xi for a Drude-Lorentz half-space; exact real.
+def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0):
+    """Tr G1 at w = i xi for a Drude-Lorentz half-space, or its z-derivative
+    of the given order (0 or 1); exact real.
 
     xi is an array: all its entries are integrated on one shared
     partition, each column with its own map scale, and arrays of
@@ -249,6 +252,9 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations):
 
         r_s = (mu v - v1)/(mu v + v1),  r_p = (eps v - v1)/(eps v + v1),
         v1  = sqrt(eps mu - 1 + v^2),   eps = eps(i xi), mu = mu(i xi).
+
+    z enters only through the exponential, so d/dz multiplies the
+    integrand by -2 xi v / c.
     """
     xi = np.asarray(xi, dtype=float)
     eps = material.epsilon(1j * xi).real
@@ -268,19 +274,22 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations):
         v1 = np.sqrt(em1 + v * v)
         rs = (mu * v - v1) / (mu * v + v1)
         rp = (eps * v - v1) / (eps * v + v1)
-        return np.exp(-y * v) * (rs - (2.0 * v * v - 1.0) * rp)
+        return np.exp(-y * v) * v**order * (rs - (2.0 * v * v - 1.0) * rp)
 
     res = integrate_semi_infinite(integrand, scale=np.maximum(1.0 / y, 1.0),
                                   tol=rel_tol,
                                   max_evaluations=max_evaluations)
-    pref = xi / (4.0 * np.pi * C_LIGHT)
-    return pref * res.value, pref * res.abs_error_estimate
+    pref = xi / (4.0 * np.pi * C_LIGHT) * (-2.0 * xi / C_LIGHT) ** order
+    return pref * res.value, np.abs(pref) * res.abs_error_estimate
 
 
-def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations):
-    """Tr G1 at real w > 0 for a lossy Drude-Lorentz half-space.
+def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0):
+    """Tr G1 at real w > 0 for a lossy Drude-Lorentz half-space, or its
+    z-derivative of the given order (0 or 1).
 
-    Split at the vacuum branch point: the propagating part is
+    z is an array: all its entries are integrated on shared partitions,
+    one column per distance, and arrays of (traces, abs_errors) come
+    back.  Split at the vacuum branch point: the propagating part is
     parametrised by gamma = k_z c / w in (0, 1) (bounded oscillation,
     at most zt radians of phase), the evanescent part by b with
     gamma = i b, which decays like e^{-zt b}:
@@ -289,53 +298,76 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations):
         A = Int_0^1  dgamma e^{i zt gamma} [r_s + (1 - 2 gamma^2) r_p]
         B = Int_0^inf db     e^{-zt b}     [r_s + (1 + 2 b^2) r_p]
 
+    with zt = 2 w z / c.  z enters only through the exponentials, so
+    d/dz multiplies the A integrand by 2 i w gamma / c and the B
+    integrand by -2 w b / c.
+
     Loss moves the medium branch point and any surface-mode pole off the
-    integration path, which is why the caller must ensure Im eps > 0 or
-    Im mu > 0 here.
+    integration path, which is why Im eps > 0 or Im mu > 0 is required.
     """
+    if not material.is_lossy_at(w):
+        raise ValueError(
+            "real-frequency half-space traces need a lossy reflector at "
+            f"that frequency; Im eps <= 0 and Im mu <= 0 at w={w:.4g}"
+        )
     eps = material.epsilon(w)
     mu = material.mu(w)
-    zt = 2.0 * w * z / C_LIGHT
+    zt = 2.0 * w * np.asarray(z, dtype=float) / C_LIGHT
     em1 = eps * mu - 1.0
 
     def integrand_A(g):
         g1 = np.sqrt(em1 + g * g + 0j)
         rs = (mu * g - g1) / (mu * g + g1)
         rp = (eps * g - g1) / (eps * g + g1)
-        return np.exp(1j * zt * g) * (rs + (1.0 - 2.0 * g * g) * rp)
+        bracket = g**order * (rs + (1.0 - 2.0 * g * g) * rp)
+        return np.exp(1j * g[:, None] * zt) * bracket[:, None]
 
     def integrand_B(b):
         g = 1j * b
         g1 = np.sqrt(em1 - b * b + 0j)
         rs = (mu * g - g1) / (mu * g + g1)
         rp = (eps * g - g1) / (eps * g + g1)
-        return np.exp(-zt * b) * (rs + (1.0 + 2.0 * b * b) * rp)
+        return np.exp(-zt * b) * b**order * (rs + (1.0 + 2.0 * b * b) * rp)
 
     # the propagating segment carries zt radians of phase; seed the
-    # adaptive rule with about one panel per radian
+    # adaptive rule with about one panel per radian of the farthest z
     res_a = integrate_finite(integrand_A, 0.0, 1.0, tol=rel_tol,
                              max_evaluations=max_evaluations,
-                             initial_intervals=int(zt) + 1)
-    res_b = integrate_semi_infinite(integrand_B, scale=max(1.0 / zt, 1.0),
+                             initial_intervals=int(zt.max()) + 1)
+    res_b = integrate_semi_infinite(integrand_B,
+                                    scale=np.maximum(1.0 / zt, 1.0),
                                     tol=rel_tol,
                                     max_evaluations=max_evaluations)
+    k = 2.0 * w / C_LIGHT
     pref = 1j * w / (4.0 * np.pi * C_LIGHT)
-    value = pref * (res_a.value - 1j * res_b.value)
-    err = abs(pref) * (res_a.abs_error_estimate + res_b.abs_error_estimate)
+    value = pref * ((1j * k) ** order * res_a.value
+                    - 1j * (-k) ** order * res_b.value)
+    err = abs(pref) * k**order * (res_a.abs_error_estimate
+                                  + res_b.abs_error_estimate)
     return value, err
 
 
-def _halfspace_trace_e(material, z, w, rel_tol, max_evaluations):
+def _halfspace_traces(material, z, w, rel_tol, max_evaluations, order):
+    """(trace_e, trace_m, abs_error) of a material half-space at one z,
+    or their z-derivatives for order 1."""
+    def trace_e(mat):
+        if w.real == 0.0:
+            te, err = _trace_e_imag_axis(mat, z, np.array([w.imag]),
+                                         rel_tol, max_evaluations, order)
+        else:
+            te, err = _trace_e_real_axis(mat, np.array([z]), w.real,
+                                         rel_tol, max_evaluations, order)
+        return te.item(), err.item()
+
+    te, err_e = trace_e(material)
+    te_dual, err_m = trace_e(material.dual())
+    # duality: trace_m(eps, mu) = -(w/c)^2 trace_e(mu, eps); on the
+    # imaginary axis the factor is +(xi/c)^2 and everything stays real
     if w.real == 0.0:
-        te, err = _trace_e_imag_axis(material, z, np.array([w.imag]),
-                                     rel_tol, max_evaluations)
-        return float(te[0]), float(err[0])
-    if not material.is_lossy_at(w.real):
-        raise ValueError(
-            "real-frequency half-space traces need a lossy reflector at "
-            f"that frequency; Im eps <= 0 and Im mu <= 0 at w={w.real:.4g}"
-        )
-    return _trace_e_real_axis(material, z, w.real, rel_tol, max_evaluations)
+        factor = (w.imag / C_LIGHT) ** 2
+    else:
+        factor = -((w / C_LIGHT) ** 2)
+    return te, factor * te_dual, err_e + abs(factor) * err_m
 
 
 def halfspace_green_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
@@ -366,17 +398,9 @@ def halfspace_green_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
     if material.is_vacuum:
         return GreenTrace(w, 0.0, 0.0, 0.0)
 
-    te, err_e = _halfspace_trace_e(material, z, w, rel_tol, max_evaluations)
-    # duality: trace_m(eps, mu) = -(w/c)^2 trace_e(mu, eps); on the
-    # imaginary axis the factor is +(xi/c)^2 and everything stays real
-    te_dual, err_m = _halfspace_trace_e(material.dual(), z, w, rel_tol,
-                                        max_evaluations)
-    if w.real == 0.0:
-        factor = (w.imag / C_LIGHT) ** 2
-    else:
-        factor = -((w / C_LIGHT) ** 2)
-    tm = factor * te_dual
-    return GreenTrace(w, te, tm, err_e + abs(factor) * err_m)
+    te, tm, err = _halfspace_traces(material, z, w, rel_tol,
+                                    max_evaluations, 0)
+    return GreenTrace(w, te, tm, err)
 
 
 # --------------------------------------------------------------------------
@@ -388,13 +412,13 @@ def d_dz_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
     """d(trace_e)/dz and d(trace_m)/dz at the geometry's distance.
 
     Perfect mirrors use the analytic derivatives of the closed forms
-    (zero reported error).  Material half-spaces use Richardson-
-    extrapolated central differences with step
-
-        h = max(1e-6 * z_atom, 1e-12 m)
-
-    and report |D(h) - D(h/2)|/3 plus the propagated quadrature error as
-    the estimate.
+    (zero reported error).  Material half-spaces differentiate under the
+    transverse-wavevector integral, where z enters only through the
+    exponential: the derivative multiplies the integrand by -2 xi v / c
+    on the imaginary axis, by 2 i w gamma / c on the propagating and by
+    -2 w b / c on the evanescent real-axis segment.  Each trace costs the
+    same integrals as the trace itself, and the reported error is the
+    quadrature error of both derivatives.
 
     Returns
     -------
@@ -412,23 +436,4 @@ def d_dz_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
         return de, -_mirror_curlcurl_dz(z, w), 0.0
     if material.is_vacuum:
         return 0.0, 0.0, 0.0
-
-    h = max(1e-6 * z, _FD_STEP_FLOOR)
-
-    def traces_at(zz):
-        return halfspace_green_traces(geometry.with_distance(zz), w,
-                                      rel_tol, max_evaluations)
-
-    tp, tm_ = traces_at(z + h), traces_at(z - h)
-    tp2, tm2 = traces_at(z + 0.5 * h), traces_at(z - 0.5 * h)
-    quad_err = (tp.abs_error + tm_.abs_error
-                + tp2.abs_error + tm2.abs_error) / h
-
-    def richardson(f_p, f_m, f_p2, f_m2):
-        d1 = (f_p - f_m) / (2.0 * h)
-        d2 = (f_p2 - f_m2) / h
-        return (4.0 * d2 - d1) / 3.0, abs(d2 - d1) / 3.0
-
-    de, err_e = richardson(tp.trace_e, tm_.trace_e, tp2.trace_e, tm2.trace_e)
-    dm, err_m = richardson(tp.trace_m, tm_.trace_m, tp2.trace_m, tm2.trace_m)
-    return de, dm, err_e + err_m + quad_err
+    return _halfspace_traces(material, z, w, rel_tol, max_evaluations, 1)

@@ -32,7 +32,7 @@ from scipy.constants import c as C_LIGHT
 from scipy.constants import hbar, mu_0
 
 from . import greens
-from .greens import d_dz_traces, halfspace_green_traces
+from .greens import halfspace_green_traces
 from .materials import (
     PERFECT_ELECTRIC_MIRROR,
     PERFECT_MAGNETIC_MIRROR,
@@ -94,8 +94,9 @@ def _decay_scale(atom, z):
     return max(omega_max, C_LIGHT / (2.0 * z))
 
 
-def _nonresonant(atom, geometry, rel_tol, max_evaluations):
-    """(value, abs_error) of the nonresonant potential in J."""
+def _nonresonant(atom, geometry, rel_tol, max_evaluations, order=0):
+    """(value, abs_error) of the nonresonant potential in J, or of its
+    z-derivative in J/m for order 1."""
     z = geometry.z_atom
     has_e = not atom.is_purely_magnetic
     has_m = not atom.is_purely_electric
@@ -105,14 +106,19 @@ def _nonresonant(atom, geometry, rel_tol, max_evaluations):
 
     sign = _mirror_sign(geometry)
     if sign is not None:
+        if order == 0:
+            xi2_trace_e = greens._mirror_xi2_trace_e_ixi
+            trace_m = greens._mirror_trace_m_ixi
+        else:
+            xi2_trace_e = greens._mirror_xi2_dtrace_e_dz_ixi
+            trace_m = greens._mirror_dtrace_m_dz_ixi
+
         def integrand(xi):
             total = np.zeros_like(xi)
             if has_e:
-                total += _polarizability_ixi(atom, xi) \
-                    * greens._mirror_xi2_trace_e_ixi(z, xi)
+                total += _polarizability_ixi(atom, xi) * xi2_trace_e(z, xi)
             if has_m:
-                total += _magnetizability_ixi(atom, xi) \
-                    * greens._mirror_trace_m_ixi(z, xi)
+                total += _magnetizability_ixi(atom, xi) * trace_m(z, xi)
             return sign * total
 
         inner_err = 0.0
@@ -134,11 +140,11 @@ def _nonresonant(atom, geometry, rel_tol, max_evaluations):
                 x = xi[panel]
                 if has_e:
                     te, _ = greens._trace_e_imag_axis(
-                        material, z, x, inner_tol, max_evaluations)
+                        material, z, x, inner_tol, max_evaluations, order)
                     out[panel] += alpha[panel] * x * x * te
                 if has_m:
                     td, _ = greens._trace_e_imag_axis(
-                        dual, z, x, inner_tol, max_evaluations)
+                        dual, z, x, inner_tol, max_evaluations, order)
                     out[panel] += beta[panel] * ((x / C_LIGHT) ** 2 * td)
             return out
 
@@ -153,26 +159,57 @@ def _nonresonant(atom, geometry, rel_tol, max_evaluations):
     return value, max(err, _ROUNDING_FLOOR * abs(value))
 
 
+def _halfspace_line_sums(lines, material, z_values, rel_tol,
+                         max_evaluations, order):
+    """Sum over resonant lines of w^2 |d|^2-weighted Re trace_e minus
+    |m|^2-weighted Re trace_m (or of their z-derivatives for order 1) at
+    an array of distances, one vector real-axis integral per trace.
+
+    Builds only the traces the lines couple to and weights each trace's
+    error by its own line weight.  Returns arrays (sums, abs_errors).
+    """
+    total = np.zeros(z_values.shape)
+    err = np.zeros(z_values.shape)
+    for line in lines:
+        if line.electric_weight:
+            te, te_err = greens._trace_e_real_axis(
+                material, z_values, line.omega, rel_tol, max_evaluations,
+                order)
+            weight = line.electric_weight * line.omega**2
+            total += weight * te.real
+            err += weight * te_err
+        if line.magnetic_weight:
+            # trace_m(w) = -(w/c)^2 trace_e(w; mu, eps)
+            td, td_err = greens._trace_e_real_axis(
+                material.dual(), z_values, line.omega, rel_tol,
+                max_evaluations, order)
+            weight = line.magnetic_weight * (line.omega / C_LIGHT) ** 2
+            total += weight * td.real
+            err += weight * td_err
+    return total, err
+
+
 def _resonant(atom, geometry, rel_tol, max_evaluations):
     """(value, abs_error) of the resonant potential in J.
 
     Exact zero (without touching the reflector) for ground-state atoms.
     """
     lines = resonant_weights(atom)
-    if not lines:
+    if not lines or geometry.reflector.is_vacuum:
         return 0.0, 0.0
 
-    value = 0.0
-    err = 0.0
-    for line in lines:
-        tr = halfspace_green_traces(geometry, line.omega,
-                                    rel_tol=rel_tol / 10.0,
-                                    max_evaluations=max_evaluations)
-        value += (line.electric_weight * line.omega**2
-                  * np.real(tr.trace_e)
-                  - line.magnetic_weight * np.real(tr.trace_m))
-        err += (line.electric_weight * line.omega**2
-                + line.magnetic_weight) * tr.abs_error
+    if _mirror_sign(geometry) is not None:
+        value = 0.0
+        for line in lines:
+            tr = halfspace_green_traces(geometry, line.omega)
+            value += (line.electric_weight * line.omega**2
+                      * np.real(tr.trace_e)
+                      - line.magnetic_weight * np.real(tr.trace_m))
+        err = 0.0
+    else:
+        (value,), (err,) = _halfspace_line_sums(
+            lines, geometry.reflector, np.array([geometry.z_atom]),
+            rel_tol / 10.0, max_evaluations, 0)
     pref = -hbar * mu_0 / np.pi
     value = float(pref * value)
     err = float(abs(pref) * err)
@@ -250,70 +287,20 @@ def duality_transform(atom, geometry):
 # z-derivatives, consumed by the force module
 
 
-def _du_nonresonant_dz(atom, geometry, rel_tol, max_evaluations):
-    """(d U_nr / dz, abs_error) at the geometry's distance."""
-    z = geometry.z_atom
-    has_e = not atom.is_purely_magnetic
-    has_m = not atom.is_purely_electric
-
-    if geometry.reflector.is_vacuum:
-        return 0.0, 0.0
-
-    sign = _mirror_sign(geometry)
-    if sign is not None:
-        def integrand(xi):
-            total = np.zeros_like(xi)
-            if has_e:
-                total += _polarizability_ixi(atom, xi) \
-                    * greens._mirror_xi2_dtrace_e_dz_ixi(z, xi)
-            if has_m:
-                total += _magnetizability_ixi(atom, xi) \
-                    * greens._mirror_dtrace_m_dz_ixi(z, xi)
-            return sign * total
-
-        extra_err = 0.0
-    else:
-        inner_tol = rel_tol / 10.0
-
-        def integrand(xi):
-            xi = np.atleast_1d(xi)
-            out = np.empty_like(xi)
-            alpha = _polarizability_ixi(atom, xi) if has_e else None
-            beta = _magnetizability_ixi(atom, xi) if has_m else None
-            for i, x in enumerate(xi):
-                de, dm, _ = d_dz_traces(geometry, 1j * float(x),
-                                        rel_tol=inner_tol,
-                                        max_evaluations=max_evaluations)
-                val = 0.0
-                if has_e:
-                    val += alpha[i] * x * x * de
-                if has_m:
-                    val += beta[i] * dm
-                out[i] = val
-            return out
-
-        extra_err = rel_tol
-
-    res = integrate_semi_infinite(integrand, scale=_decay_scale(atom, z),
-                                  tol=rel_tol,
-                                  max_evaluations=max_evaluations)
-    pref = hbar * mu_0 / (2.0 * np.pi)
-    value = float(pref * res.value)
-    err = float(pref * res.abs_error_estimate) + extra_err * abs(value)
-    return value, max(err, _ROUNDING_FLOOR * abs(value))
-
-
 def _du_resonant_dz_grid(atom, geometry, z_values, rel_tol,
                          max_evaluations):
     """d U_r / dz on an array of distances; (values, abs_error_bound).
 
     Vectorised for the perfect mirrors (analytic derivative of the
-    closed forms); falls back to per-point Richardson differences for
-    material half-spaces.
+    closed forms).  For material half-spaces the derivative is taken
+    under the transverse-wavevector integral, one vector real-axis
+    integral per trace for each chunk of PANEL_NODES distances (chunks
+    bound the memory of thick slabs).  The bound is the largest over the
+    distances of the per-line errors summed.
     """
     lines = resonant_weights(atom)
     z_values = np.asarray(z_values, dtype=float)
-    if not lines:
+    if not lines or geometry.reflector.is_vacuum:
         return np.zeros_like(z_values), 0.0
 
     sign = _mirror_sign(geometry)
@@ -327,18 +314,13 @@ def _du_resonant_dz_grid(atom, geometry, z_values, rel_tol,
                       - line.magnetic_weight * d_re_tm)
         return pref * sign * total, 0.0
 
-    out = np.zeros_like(z_values)
+    out = np.empty_like(z_values)
     err = 0.0
-    for i, z in enumerate(z_values):
-        geo = geometry.with_distance(float(z))
-        total = 0.0
-        for line in lines:
-            de, dm, tr_err = d_dz_traces(geo, line.omega,
-                                         rel_tol=rel_tol / 10.0,
-                                         max_evaluations=max_evaluations)
-            total += (line.electric_weight * line.omega**2 * np.real(de)
-                      - line.magnetic_weight * np.real(dm))
-            err = max(err, abs(pref) * (line.electric_weight * line.omega**2
-                                        + line.magnetic_weight) * tr_err)
-        out[i] = pref * total
+    for start in range(0, z_values.size, PANEL_NODES):
+        chunk = slice(start, start + PANEL_NODES)
+        total, total_err = _halfspace_line_sums(
+            lines, geometry.reflector, z_values[chunk], rel_tol / 10.0,
+            max_evaluations, 1)
+        out[chunk] = pref * total
+        err = max(err, abs(pref) * float(total_err.max()))
     return out, err

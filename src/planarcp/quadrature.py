@@ -45,26 +45,29 @@ __all__ = [
     "integrate_semi_infinite",
 ]
 
-# 15-point Kronrod extension of 7-point Gauss, on [-1, 1]
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
+# 15-point Kronrod extension of 7-point Gauss on [-1, 1] to the full
+# precision of QUADPACK's qk15 (Piessens et al., 1983).  Both rules are
+# symmetric: listed are the nodes x >= 0, their K15 weights, and the G7
+# weights of x = 0, _X[2], _X[4], _X[6].
+_X = np.array([
+    0.0, 0.207784955007898467600689403773245,
+    0.405845151377397166906606412076961, 0.586087235467691130294144838258730,
+    0.741531185599394439863864773280788, 0.864864423359769072789712788640926,
+    0.949107912342758524526189684047851, 0.991455371120812639206854697526329,
 ])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
+_W = np.array([
+    0.209482141084727828012999174891714, 0.204432940075298892414161999234649,
+    0.190350578064785409913256402421014, 0.169004726639267902826583426598550,
+    0.140653259715525918745189590510238, 0.104790010322250183839876322541518,
+    0.063092092629978553290700663189204, 0.022935322010529224963732008058970,
 ])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
+_G = np.array([
+    0.417959183673469387755102040816327, 0.381830050505118944950369775488975,
+    0.279705391489276667901467771423780, 0.129484966168869693270611432679082,
 ])
+_XK = np.concatenate([-_X[:0:-1], _X])
+_WK = np.concatenate([_W[:0:-1], _W])
+_WG = np.concatenate([_G[:0:-1], _G])
 PANEL_NODES = _XK.size  # abscissae per panel
 
 

@@ -16,6 +16,8 @@ from planarcp import (
     plate_force_quadrature,
     total_potential,
 )
+import planarcp.forces as forces_module
+import planarcp.potentials as potentials_module
 from planarcp.forces import PLATE_FORCE_TRACE_CONSTANT
 
 from conftest import D2, ETA, W10, rel_diff, zt_to_z
@@ -101,6 +103,48 @@ class TestQuadratureRoute:
         closed = plate_force_closed_form(sc)
         assert abs(res.f_resonant - closed) <= res.quadrature_error
         assert res.quadrature_error <= 1e-11 * abs(closed)
+
+    @pytest.mark.parametrize("zt", [0.5, 4.6, 20.0])
+    def test_halfspace_matches_boundary_difference(
+            self, magnetoelectric_atom, lossy_halfspace, zt):
+        # dU_r/dz under the Sommerfeld integral against the boundary
+        # difference U_r(z + d) - U_r(z) of tighter potentials
+        z = zt_to_z(zt)
+        sc = SlabScenario(z=z, d=0.4 * C_LIGHT / W10, eta=ETA,
+                          atom=magnetoelectric_atom,
+                          geometry=PlanarGeometry(lossy_halfspace, z))
+        quad = plate_force_quadrature(sc, include_nonresonant=False)
+        u = [potentials_module._resonant(magnetoelectric_atom,
+                                         sc.geometry.with_distance(zz),
+                                         1e-11, 100_000)
+             for zz in (sc.z, sc.z + sc.d)]
+        f_bd = -ETA * (u[1][0] - u[0][0])
+        assert abs(quad.f_resonant - f_bd) \
+            <= quad.quadrature_error + ETA * (u[0][1] + u[1][1])
+
+    @pytest.mark.parametrize("part", ["_du_resonant_dz_grid", "_nonresonant"])
+    def test_inner_errors_reach_the_slab_error(self, excited_atom,
+                                               lossy_halfspace, monkeypatch,
+                                               part):
+        # inflate the inner error of the integrand to 1e-3 of its value:
+        # the slab error must grow by eta (b - a) times the largest one
+        original = getattr(forces_module, part)
+        largest = []
+
+        def inflated(*args, **kwargs):
+            vals, _ = original(*args, **kwargs)
+            err = 1e-3 * float(np.max(np.abs(vals)))
+            largest.append(err)
+            return vals, err
+
+        monkeypatch.setattr(forces_module, part, inflated)
+        sc = SlabScenario(z=zt_to_z(1.0), d=0.4 * C_LIGHT / W10, eta=ETA,
+                          atom=excited_atom,
+                          geometry=PlanarGeometry(lossy_halfspace, 1e-7))
+        res = plate_force_quadrature(
+            sc, rel_tol=1e-4,
+            include_nonresonant=part == "_nonresonant")
+        assert res.quadrature_error >= ETA * sc.d * max(largest)
 
     def test_density_scaling_is_exact(self, excited_atom, pec):
         sc1 = make_scenario(excited_atom, pec, 1.0, 1.0, eta=ETA)

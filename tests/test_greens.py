@@ -299,3 +299,72 @@ class TestDerivatives:
     def test_vacuum_derivatives_zero(self, vacuum):
         geo = PlanarGeometry(vacuum, zt_to_z(1.0))
         assert d_dz_traces(geo, 1j * W10) == (0.0, 0.0, 0.0)
+
+
+class TestHalfspaceDerivatives:
+    # order-1 kernels differentiate under the Sommerfeld integral; the
+    # reference is a Richardson difference of the order-0 kernels
+    TOL = 1e-12
+
+    @staticmethod
+    def richardson(f, z, h):
+        d1 = (f(z + h) - f(z - h)) / (2.0 * h)
+        d2 = (f(z + 0.5 * h) - f(z - 0.5 * h)) / h
+        return (4.0 * d2 - d1) / 3.0
+
+    @pytest.mark.parametrize("zt", [0.5, 1.0, 10.0])
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_imag_axis_order_one(self, lossy_halfspace, zt, dual):
+        mat = lossy_halfspace.dual() if dual else lossy_halfspace
+        z = zt_to_z(zt)
+        xi = W10 * np.array([0.1, 1.0, 3.0])
+        d, err = greens._trace_e_imag_axis(mat, z, xi, self.TOL, 100_000,
+                                           order=1)
+        fd = self.richardson(lambda zz: greens._trace_e_imag_axis(
+            mat, zz, xi, self.TOL, 100_000)[0], z, 1e-3 * z)
+        assert np.all(np.abs(d - fd) <= 1e-8 * np.abs(fd))
+        assert np.all(err <= 1e-11 * np.abs(d))
+
+    @pytest.mark.parametrize("zt", [0.5, 1.0, 10.0])
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_real_axis_order_one(self, lossy_halfspace, zt, dual):
+        mat = lossy_halfspace.dual() if dual else lossy_halfspace
+        z = zt_to_z(zt)
+        (d,), (err,) = greens._trace_e_real_axis(mat, np.array([z]), W10,
+                                                 self.TOL, 100_000, order=1)
+        fd = self.richardson(lambda zz: greens._trace_e_real_axis(
+            mat, np.array([zz]), W10, self.TOL, 100_000)[0][0], z, 1e-3 * z)
+        assert abs(d - fd) <= 1e-8 * abs(fd)
+        assert err <= 1e-11 * abs(d)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_z_vector_real_axis_matches_scalar_calls(self, lossy_halfspace,
+                                                     order):
+        # one shared partition for all z: the farthest sets the initial
+        # panels of the propagating segment, each column its own map
+        # scale on the evanescent one
+        z = zt_to_z(np.array([0.3, 0.9, 2.5, 7.0, 25.0]))
+        tol = 1e-10
+        te, err = greens._trace_e_real_axis(lossy_halfspace, z, W10, tol,
+                                            100_000, order)
+        for k, zk in enumerate(z):
+            (t1,), (e1,) = greens._trace_e_real_axis(
+                lossy_halfspace, np.array([zk]), W10, tol, 100_000, order)
+            assert abs(te[k] - t1) <= err[k] + e1
+
+    @pytest.mark.parametrize("freq", [W10, 1j * W10])
+    def test_d_dz_traces_two_integrals_per_trace(self, lossy_halfspace,
+                                                 monkeypatch, freq):
+        calls = []
+        for name in ("integrate_finite", "integrate_semi_infinite"):
+            original = getattr(greens, name)
+            monkeypatch.setattr(
+                greens, name,
+                lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
+        geo = PlanarGeometry(lossy_halfspace, zt_to_z(1.0))
+        de, dm, err = d_dz_traces(geo, freq)
+        # two traces; real axis: propagating and evanescent segments
+        assert len(calls) == (4 if np.isreal(freq) else 2)
+        tr_de, tr_dm, _ = d_dz_traces(geo, freq, rel_tol=1e-10)
+        assert abs(de - tr_de) <= err
+        assert abs(dm - tr_dm) <= err

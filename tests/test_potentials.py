@@ -125,6 +125,20 @@ class TestHalfspaceNonresonant:
         assert err_nr <= 2e-9 * u_nr
         assert abs(u_nr - tight) <= err_nr
 
+    def test_readme_point_error_counts_only_coupled_traces(self):
+        # a purely electric atom: the resonant error comes from the
+        # electric trace alone, weighted by w^2 |d|^2, not from the dual
+        # trace it does not couple to
+        atom = AtomModel("excited", (Transition(2.5e15, 7.2e-59),))
+        medium = MaterialResponse("drude-lorentz", eps_oscillators=(
+            LorentzOscillator(strength=1.0, resonance=1e16, damping=1e14),
+        ))
+        geo = PlanarGeometry(medium, 6e-9)
+        res = total_potential(atom, geo)
+        tight = total_potential(atom, geo, rel_tol=1e-11)
+        assert res.quadrature_error <= 1e-8 * abs(res.u_total)
+        assert abs(res.u_total - tight.u_total) <= res.quadrature_error
+
 
 class TestResonant:
     def test_ground_state_structural_zero(self, ground_atom, pec,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from planarcp import quadrature
 from planarcp import (
     QuadratureConvergenceError,
     integrate_finite,
@@ -31,6 +32,19 @@ def test_lorentzian_kernel():
 def test_finite_sine():
     res = integrate_finite(np.sin, 0.0, np.pi, tol=1e-12)
     assert abs(res.value - 2.0) <= 1e-11
+
+
+def test_rule_tables_at_full_precision():
+    # both rules integrate 1 to 2 on [-1, 1]; on one panel G7 is exact up
+    # to degree 13 and K15 up to degree 22, so truncated tables show as
+    # a rule error well above rounding
+    ulp = np.spacing(2.0)
+    assert abs(quadrature._WK.sum() - 2.0) <= 4 * ulp
+    assert abs(quadrature._WG.sum() - 2.0) <= 4 * ulp
+    g7 = quadrature._WG @ quadrature._XK[1::2] ** 12
+    k15 = quadrature._WK @ quadrature._XK ** 22
+    assert abs(g7 * 13.0 / 2.0 - 1.0) <= 1e-15
+    assert abs(k15 * 23.0 / 2.0 - 1.0) <= 1e-15
 
 
 def test_zero_width_interval():
