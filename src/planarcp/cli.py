@@ -75,8 +75,13 @@ from .forces import (
     force_decomposition,
     mirror_force_bracket,
 )
-from .greens import PlanarGeometry, halfspace_green_traces
+from .greens import (
+    PlanarGeometry,
+    _pec_phase_polynomial,
+    halfspace_green_traces,
+)
 from .materials import (
+    AtomModel,
     LorentzOscillator,
     MaterialResponse,
     atom_model_from_dict,
@@ -422,8 +427,9 @@ def _fig3_curves():
     force-density curve on the canonical grid.
 
     In reduced units the slab curve is 2 [W(zt + dt) - W(zt)] / dt with
-    W(zt) = bracket(zt)/zt^3, dt = 2 w0 d / c, and the single-atom curve
-    is its dt -> 0 limit 2 W'(zt).
+    W(zt) = bracket(zt)/zt^3 = Re e^{i zt} Q_0(zt), dt = 2 w0 d / c, and
+    the single-atom curve is its dt -> 0 limit 2 W'(zt) =
+    2 Re e^{i zt} Q_1(zt), both read from the mirror trace's closed form.
     """
     n = int(round((_FIG3_ZT_MAX - _FIG3_ZT_MIN) / _FIG3_ZT_STEP)) + 1
     zt = _FIG3_ZT_MIN + _FIG3_ZT_STEP * np.arange(n)
@@ -435,8 +441,7 @@ def _fig3_curves():
     for fac in _FIG3_THICKNESS_FACTORS:
         dt = 2.0 * fac
         curves[fac] = 2.0 * (w_of(zt + dt) - w_of(zt)) / dt
-    single = 2.0 * ((3.0 * zt**2 - 6.0) * np.cos(zt)
-                    + (zt**3 - 6.0 * zt) * np.sin(zt)) / zt**4
+    single = 2.0 * _pec_phase_polynomial(zt, 1).real / zt**4
     return zt, curves, single
 
 

@@ -8,6 +8,7 @@ weighted sum of the single-atom forces F = -dU/dz over the slab volume,
 split into resonant and nonresonant parts exactly like the potential.
 For a two-level purely electric gas in front of a perfect electric
 mirror the resonant part has a closed form: with zt = 2 w z / c and
+W = Re e^{i zt} Q_0(zt), read from the mirror trace's closed form,
 
     W(zt) = [ (2 - zt^2) cos zt + 2 zt sin zt ] / zt^3
 
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 from scipy.constants import epsilon_0, mu_0
 
-from .greens import PlanarGeometry
+from .greens import PlanarGeometry, _pec_phase_polynomial
 from .materials import (
     PERFECT_ELECTRIC_MIRROR,
     AtomModel,
@@ -119,10 +120,9 @@ class ForceResult:
 
 
 def mirror_force_bracket(zt):
-    """(2 - zt^2) cos zt + 2 zt sin zt, the antiderivative bracket of the
-    mirror-trace derivative; vectorised."""
-    zt = np.asarray(zt, dtype=float)
-    return (2.0 - zt * zt) * np.cos(zt) + 2.0 * zt * np.sin(zt)
+    """(2 - zt^2) cos zt + 2 zt sin zt = zt^3 W(zt), the antiderivative
+    bracket of the mirror-trace derivative; vectorised."""
+    return _pec_phase_polynomial(np.asarray(zt, dtype=float), 0).real
 
 
 def _require_two_level_electric_pec(scenario):

@@ -179,20 +179,15 @@ def magnetizability(atom, freq, broadening=0.0):
     return _response_sum(atom.transitions, moments, freq, broadening)
 
 
-def _polarizability_ixi(atom, xi):
-    """alpha_n(i xi) for an ndarray xi >= 0, evaluated in real arithmetic."""
+def _response_ixi(atom, xi, magnetic=False):
+    """alpha_n(i xi), or beta_n(i xi) when magnetic, for an ndarray
+    xi >= 0, evaluated in real arithmetic."""
     xi = np.asarray(xi, dtype=float)
-    out = np.zeros_like(xi)
+    xi2 = xi * xi
+    out = np.zeros(xi.shape)
     for t in atom.transitions:
-        out += t.dipole_sq * (-2.0 * t.omega_nk) / (xi**2 + t.omega_nk**2)
-    return out / (3.0 * hbar)
-
-
-def _magnetizability_ixi(atom, xi):
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros_like(xi)
-    for t in atom.transitions:
-        out += t.magnetic_sq * (-2.0 * t.omega_nk) / (xi**2 + t.omega_nk**2)
+        msq = t.magnetic_sq if magnetic else t.dipole_sq
+        out += msq * (-2.0 * t.omega_nk) / (xi2 + t.omega_nk**2)
     return out / (3.0 * hbar)
 
 

@@ -32,17 +32,8 @@ from scipy.constants import c as C_LIGHT
 from scipy.constants import hbar, mu_0
 
 from . import greens
-from .greens import halfspace_green_traces
-from .materials import (
-    PERFECT_ELECTRIC_MIRROR,
-    PERFECT_MAGNETIC_MIRROR,
-    AtomModel,
-    Transition,
-    _magnetizability_ixi,
-    _polarizability_ixi,
-    resonant_weights,
-)
-from .quadrature import PANEL_NODES, integrate_semi_infinite
+from .materials import AtomModel, Transition, _response_ixi, resonant_weights
+from .quadrature import integrate_semi_infinite
 
 __all__ = [
     "PotentialResult",
@@ -76,14 +67,6 @@ class PotentialResult:
     quadrature_error: float
 
 
-def _mirror_sign(geometry):
-    if geometry.reflector.model == PERFECT_ELECTRIC_MIRROR:
-        return 1.0
-    if geometry.reflector.model == PERFECT_MAGNETIC_MIRROR:
-        return -1.0
-    return None
-
-
 def _decay_scale(atom, z):
     """Decay scale of the imaginary-frequency integrand.
 
@@ -96,66 +79,46 @@ def _decay_scale(atom, z):
 
 def _nonresonant(atom, geometry, rel_tol, max_evaluations, order=0):
     """(value, abs_error) of the nonresonant potential in J, or of its
-    z-derivative in J/m for order 1."""
+    z-derivative in J/m for order 1.
+
+    Each integrand call makes one imaginary-axis kernel call per trace
+    the atom couples to: the electric one for electric moments, the dual
+    (magnetic) one for magnetic moments.  The kernel returns xi^2 trace_e,
+    and by duality trace_m(i xi) = xi^2 trace_e(i xi; mu, eps) / c^2.
+    """
     z = geometry.z_atom
+    material = geometry.reflector
+    inner_tol = rel_tol / 10.0
     has_e = not atom.is_purely_magnetic
-    has_m = not atom.is_purely_electric
+    dual = None if atom.is_purely_electric else material.dual()
+    # a reflector and its dual are both closed forms (zero error at every
+    # xi) or both quadratures, so the first call's errors tell which
+    inexact = None
 
-    if geometry.reflector.is_vacuum:
-        return 0.0, 0.0
-
-    sign = _mirror_sign(geometry)
-    if sign is not None:
-        if order == 0:
-            xi2_trace_e = greens._mirror_xi2_trace_e_ixi
-            trace_m = greens._mirror_trace_m_ixi
-        else:
-            xi2_trace_e = greens._mirror_xi2_dtrace_e_dz_ixi
-            trace_m = greens._mirror_dtrace_m_dz_ixi
-
-        def integrand(xi):
-            total = np.zeros_like(xi)
-            if has_e:
-                total += _polarizability_ixi(atom, xi) * xi2_trace_e(z, xi)
-            if has_m:
-                total += _magnetizability_ixi(atom, xi) * trace_m(z, xi)
-            return sign * total
-
-        inner_err = 0.0
-    else:
-        inner_tol = rel_tol / 10.0
-        material = geometry.reflector
-        # only the traces the atom couples to; the dual (magnetic) one
-        # by duality, trace_m(i xi) = (xi/c)^2 trace_e(i xi; mu, eps)
-        dual = material.dual() if has_m else None
-
-        def integrand(xi):
-            out = np.zeros_like(xi)
-            alpha = _polarizability_ixi(atom, xi) if has_e else None
-            beta = _magnetizability_ixi(atom, xi) if has_m else None
-            # one vector Sommerfeld integral per outer panel: its nodes
-            # lie close in xi and so refine alike
-            for start in range(0, xi.size, PANEL_NODES):
-                panel = slice(start, start + PANEL_NODES)
-                x = xi[panel]
-                if has_e:
-                    te, _ = greens._trace_e_imag_axis(
-                        material, z, x, inner_tol, max_evaluations, order)
-                    out[panel] += alpha[panel] * x * x * te
-                if has_m:
-                    td, _ = greens._trace_e_imag_axis(
-                        dual, z, x, inner_tol, max_evaluations, order)
-                    out[panel] += beta[panel] * ((x / C_LIGHT) ** 2 * td)
-            return out
-
-        inner_err = rel_tol  # inner quadratures budgeted at rel_tol/10
+    def integrand(xi):
+        nonlocal inexact
+        out = np.zeros(xi.shape)
+        if has_e:
+            xi2_te, err = greens._trace_e_imag_axis(
+                material, z, xi, inner_tol, max_evaluations, order)
+            out += _response_ixi(atom, xi) * xi2_te
+        if dual is not None:
+            xi2_td, err = greens._trace_e_imag_axis(
+                dual, z, xi, inner_tol, max_evaluations, order)
+            out += _response_ixi(atom, xi, magnetic=True) \
+                * (xi2_td / C_LIGHT**2)
+        if inexact is None:
+            inexact = bool(err.any())
+        return out
 
     res = integrate_semi_infinite(integrand, scale=_decay_scale(atom, z),
                                   tol=rel_tol,
                                   max_evaluations=max_evaluations)
     pref = hbar * mu_0 / (2.0 * np.pi)
     value = float(pref * res.value)
-    err = float(pref * res.abs_error_estimate) + inner_err * abs(value)
+    err = float(pref * res.abs_error_estimate)
+    if inexact:
+        err += rel_tol * abs(value)  # inner quadratures budgeted at rel_tol/10
     return value, max(err, _ROUNDING_FLOOR * abs(value))
 
 
@@ -163,7 +126,8 @@ def _halfspace_line_sums(lines, material, z_values, rel_tol,
                          max_evaluations, order):
     """Sum over resonant lines of w^2 |d|^2-weighted Re trace_e minus
     |m|^2-weighted Re trace_m (or of their z-derivatives for order 1) at
-    an array of distances, one vector real-axis integral per trace.
+    an array of distances, one real-axis kernel call per trace, for any
+    reflector.
 
     Builds only the traces the lines couple to and weights each trace's
     error by its own line weight.  Returns arrays (sums, abs_errors).
@@ -195,21 +159,11 @@ def _resonant(atom, geometry, rel_tol, max_evaluations):
     Exact zero (without touching the reflector) for ground-state atoms.
     """
     lines = resonant_weights(atom)
-    if not lines or geometry.reflector.is_vacuum:
+    if not lines:
         return 0.0, 0.0
-
-    if _mirror_sign(geometry) is not None:
-        value = 0.0
-        for line in lines:
-            tr = halfspace_green_traces(geometry, line.omega)
-            value += (line.electric_weight * line.omega**2
-                      * np.real(tr.trace_e)
-                      - line.magnetic_weight * np.real(tr.trace_m))
-        err = 0.0
-    else:
-        (value,), (err,) = _halfspace_line_sums(
-            lines, geometry.reflector, np.array([geometry.z_atom]),
-            rel_tol / 10.0, max_evaluations, 0)
+    (value,), (err,) = _halfspace_line_sums(
+        lines, geometry.reflector, np.array([geometry.z_atom]),
+        rel_tol / 10.0, max_evaluations, 0)
     pref = -hbar * mu_0 / np.pi
     value = float(pref * value)
     err = float(abs(pref) * err)
@@ -291,36 +245,18 @@ def _du_resonant_dz_grid(atom, geometry, z_values, rel_tol,
                          max_evaluations):
     """d U_r / dz on an array of distances; (values, abs_error_bound).
 
-    Vectorised for the perfect mirrors (analytic derivative of the
-    closed forms).  For material half-spaces the derivative is taken
-    under the transverse-wavevector integral, one vector real-axis
-    integral per trace for each chunk of PANEL_NODES distances (chunks
-    bound the memory of thick slabs).  The bound is the largest over the
-    distances of the per-line errors summed.
+    One order-1 real-axis kernel call per coupled trace per line for all
+    the distances: the kernel differentiates the closed forms of the
+    perfect mirrors, and for a material half-space differentiates under
+    the transverse-wavevector integral, one vector integral per chunk of
+    PANEL_NODES distances.  The bound is the largest over the distances
+    of the per-line errors summed.
     """
     lines = resonant_weights(atom)
     z_values = np.asarray(z_values, dtype=float)
-    if not lines or geometry.reflector.is_vacuum:
+    if not lines:
         return np.zeros_like(z_values), 0.0
-
-    sign = _mirror_sign(geometry)
+    total, err = _halfspace_line_sums(lines, geometry.reflector, z_values,
+                                      rel_tol / 10.0, max_evaluations, 1)
     pref = -hbar * mu_0 / np.pi
-    if sign is not None:
-        total = np.zeros_like(z_values)
-        for line in lines:
-            d_re_te = greens._mirror_re_dtrace_e_dz(z_values, line.omega)
-            d_re_tm = (line.omega / C_LIGHT) ** 2 * d_re_te
-            total += (line.electric_weight * line.omega**2 * d_re_te
-                      - line.magnetic_weight * d_re_tm)
-        return pref * sign * total, 0.0
-
-    out = np.empty_like(z_values)
-    err = 0.0
-    for start in range(0, z_values.size, PANEL_NODES):
-        chunk = slice(start, start + PANEL_NODES)
-        total, total_err = _halfspace_line_sums(
-            lines, geometry.reflector, z_values[chunk], rel_tol / 10.0,
-            max_evaluations, 1)
-        out[chunk] = pref * total
-        err = max(err, abs(pref) * float(total_err.max()))
-    return out, err
+    return pref * total, abs(pref) * float(err.max())

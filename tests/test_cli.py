@@ -2,6 +2,7 @@
 
 import csv
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -19,10 +20,15 @@ from planarcp.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    Scenario,
     main,
 )
 from planarcp.forces import PLATE_FORCE_TRACE_CONSTANT
-from planarcp.materials import atom_model_from_dict
+from planarcp.materials import (
+    AtomModel,
+    MaterialResponse,
+    atom_model_from_dict,
+)
 
 from conftest import D2, ETA, W10, zt_to_z
 
@@ -70,6 +76,13 @@ def read_csv(path):
     data = {k: np.array([float(r[k]) for r in parsed])
             for k in parsed[0].keys()}
     return comments, data
+
+
+def test_scenario_annotations_resolve():
+    # every annotated field names a type the cli module imports
+    hints = typing.get_type_hints(Scenario)
+    assert hints["atom"] is AtomModel
+    assert hints["reflector"] is MaterialResponse
 
 
 class TestGreensCommand:
@@ -298,8 +311,9 @@ class TestExitCodes:
     def test_non_finite_integrand_exit_code(self, write_scenario,
                                             monkeypatch):
         # a non-finite integrand is a numerical failure, not bad input
-        monkeypatch.setattr(potentials_module, "_polarizability_ixi",
-                            lambda atom, xi: np.full_like(xi, np.nan))
+        monkeypatch.setattr(potentials_module, "_response_ixi",
+                            lambda atom, xi, magnetic=False:
+                            np.full_like(xi, np.nan))
         assert main(["cp-potential", "--scenario",
                      write_scenario()]) == EXIT_NUMERICAL
 

@@ -8,6 +8,7 @@ a physical property of the finite surface impedance, not a quadrature
 artifact).
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.constants import c as C_LIGHT
@@ -211,12 +212,14 @@ class TestHalfspace:
                                               tol, 100_000)
         geo = PlanarGeometry(lossy_halfspace, z)
         for k, x in enumerate(xi):
+            # the kernel returns xi^2-weighted traces
             tr = halfspace_green_traces(geo, 1j * x, rel_tol=tol)
+            xi2_te, xi2_tm = x * x * tr.trace_e, x * x * tr.trace_m
             tm = (x / C_LIGHT) ** 2 * td[k]
-            assert abs(te[k] - tr.trace_e) \
-                <= err_e[k] + tol * abs(tr.trace_e)
-            assert abs(tm - tr.trace_m) \
-                <= (x / C_LIGHT) ** 2 * err_d[k] + tol * abs(tr.trace_m)
+            assert abs(te[k] - xi2_te) \
+                <= err_e[k] + tol * abs(xi2_te)
+            assert abs(tm - xi2_tm) \
+                <= (x / C_LIGHT) ** 2 * err_d[k] + tol * abs(xi2_tm)
 
     def test_reality_on_imaginary_axis(self, lossy_halfspace):
         rng = np.random.default_rng(5)
@@ -368,3 +371,49 @@ class TestHalfspaceDerivatives:
         tr_de, tr_dm, _ = d_dz_traces(geo, freq, rel_tol=1e-10)
         assert abs(de - tr_de) <= err
         assert abs(dm - tr_dm) <= err
+
+
+class TestMirrorMpmathAudit:
+    # the closed form of the greens module docstring at 30 digits,
+    # differentiated in z by mp.diff; both mirrors on both axes
+    ZT = np.geomspace(1e-3, 60.0, 25)
+    BOUND = 1e-13
+
+    @staticmethod
+    def reference(sign, w, z, order):
+        with mp.workdps(30):
+            c = mp.mpf(C_LIGHT)
+
+            def trace_e(zz):
+                zt = 2 * w * zz / c
+                phase = mp.exp(1j * zt)
+                gxx = w * phase * (1 - 1j * zt - zt**2) \
+                    / (4 * mp.pi * c * zt**3)
+                gzz = w * phase * (1 - 1j * zt) / (2 * mp.pi * c * zt**3)
+                return sign * (2 * gxx + gzz)
+
+            te = mp.diff(trace_e, mp.mpf(z), order)
+            # trace_m = -(w/c)^2 trace_e of the dual mirror, the negative
+            return complex(te), complex((w / c) ** 2 * te)
+
+    @pytest.mark.parametrize("axis", ["real", "imaginary"])
+    @pytest.mark.parametrize("model", ["perfect-electric-mirror",
+                                       "perfect-magnetic-mirror"])
+    def test_traces_and_derivatives(self, model, axis):
+        sign = 1 if model == "perfect-electric-mirror" else -1
+        freq = W10 if axis == "real" else 1j * W10
+        w = mp.mpf(W10) if axis == "real" else mp.mpc(0, W10)
+        worst = 0.0
+        for zt in self.ZT:
+            z = zt_to_z(zt)
+            geo = PlanarGeometry(MaterialResponse(model), z)
+            tr = halfspace_green_traces(geo, freq)
+            got = {0: (tr.trace_e, tr.trace_m), 1: d_dz_traces(geo, freq)[:2]}
+            if sign == 1:
+                assert mirror_trace_e(z, freq) == tr.trace_e
+                assert mirror_curlcurl_trace(z, freq) == tr.trace_m
+            for order in (0, 1):
+                for value, ref in zip(got[order],
+                                      self.reference(sign, w, z, order)):
+                    worst = max(worst, abs(value - ref) / abs(ref))
+        assert worst <= self.BOUND

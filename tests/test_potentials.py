@@ -147,7 +147,7 @@ class TestResonant:
         # quadrature of zero: poison the trace evaluation to make sure
         def boom(*args, **kwargs):
             raise AssertionError("traces must not be evaluated")
-        monkeypatch.setattr(potentials_module, "halfspace_green_traces",
+        monkeypatch.setattr(potentials_module.greens, "_trace_e_real_axis",
                             boom)
         geo = PlanarGeometry(pec, zt_to_z(1.0))
         assert resonant_potential(ground_atom, geo) == 0.0
