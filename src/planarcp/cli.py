@@ -61,6 +61,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -171,9 +172,9 @@ def _parse_sweep(cfg):
     z_max = float(_require(cfg, "z_max_m", "sweep"))
     points = int(_require(cfg, "points", "sweep"))
     spacing = cfg.get("spacing", "linear")
-    if not (0.0 < z_min < z_max):
+    if not (0.0 < z_min < z_max < math.inf):
         raise ScenarioError(
-            f"sweep: need 0 < z_min < z_max, got {z_min}, {z_max}")
+            f"sweep: need 0 < z_min < z_max < inf, got {z_min}, {z_max}")
     if points < 2:
         raise ScenarioError(f"sweep: points must be >= 2, got {points}")
     if spacing == "linear":
@@ -221,8 +222,10 @@ def load_scenario(path, tol_override=None, units_override=None):
         slab_thickness = float(_require(cfg["slab"], "thickness_m", "slab"))
         slab_density = float(
             _require(cfg["slab"], "number_density_m3", "slab"))
-        if slab_thickness <= 0.0 or slab_density <= 0.0:
-            raise ScenarioError("slab: thickness and density must be > 0")
+        if not (0.0 < slab_thickness < math.inf
+                and 0.0 < slab_density < math.inf):
+            raise ScenarioError(
+                "slab: thickness and density must be finite and > 0")
 
     units = units_override or cfg.get("units", "si")
     if units not in ("si", "reduced"):

@@ -21,28 +21,30 @@ where the constant C is pinned against the independent quadrature of
 it is 1/(2 pi), the coefficient of the mirror trace.  Forces are
 reported per unit plate area; per_thickness = f_total / d matches the
 single-atom force density eta * (-dU/dz) in the d -> 0 limit.
+
+Both numerical routes call each potential part over arrays of
+distances: plate_force_quadrature integrates dU/dz across the slab,
+force_decomposition differences U at the distinct edges of a sweep.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as C_LIGHT
-from scipy.constants import epsilon_0, mu_0
+from scipy.constants import mu_0
 
 from .greens import PlanarGeometry, _pec_phase_polynomial
 from .materials import (
     PERFECT_ELECTRIC_MIRROR,
     AtomModel,
-    DiluteLimitWarning,
-    polarizability,
+    clausius_mossotti,
 )
 from .potentials import (
     _ROUNDING_FLOOR,
     DEFAULT_POTENTIAL_TOL,
-    _du_resonant_dz_grid,
     _nonresonant,
     _resonant,
 )
@@ -65,19 +67,20 @@ __all__ = [
 # stored value and the oracle agreement.
 PLATE_FORCE_TRACE_CONSTANT = 1.0 / (2.0 * np.pi)
 
-_DILUTE_GUARD = 0.1
-
 
 @dataclass(frozen=True)
 class SlabScenario:
     """Dilute gas slab [z, z + d] in front of the reflector at z = 0.
 
-    z : plate-mirror gap, m, > 0
-    d : plate thickness, m, > 0
-    eta : atomic number density, 1/m^3, > 0
+    z : plate-mirror gap, m, finite and > 0
+    d : plate thickness, m, finite and > 0
+    eta : atomic number density, 1/m^3, finite and > 0
     atom : AtomModel of the gas atoms
     geometry : PlanarGeometry supplying the reflector (its observation
         distance is not used here; the slab spans [z, z + d])
+
+    A DiluteLimitWarning is emitted when the static Clausius-Mossotti
+    susceptibilities of the gas reach the dilute guard.
     """
 
     z: float
@@ -87,21 +90,12 @@ class SlabScenario:
     geometry: PlanarGeometry
 
     def __post_init__(self):
-        if not self.z > 0.0:
-            raise ValueError(f"gap must be > 0, got {self.z}")
-        if not self.d > 0.0:
-            raise ValueError(f"thickness must be > 0, got {self.d}")
-        if not self.eta > 0.0:
-            raise ValueError(f"number density must be > 0, got {self.eta}")
-        chi = self.eta * abs(polarizability(self.atom, 0.0)) / epsilon_0
-        if chi >= _DILUTE_GUARD:
-            warnings.warn(
-                f"eta |alpha(0)| / eps0 = {chi:.3g} exceeds the dilute "
-                f"guard {_DILUTE_GUARD}; the single-atom summation is "
-                "unreliable at this density",
-                DiluteLimitWarning,
-                stacklevel=2,
-            )
+        for name, value in (("gap", self.z), ("thickness", self.d),
+                            ("number density", self.eta)):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"got {value}")
+        clausius_mossotti(self.eta, self.atom, 0.0)
 
 
 @dataclass(frozen=True)
@@ -117,6 +111,13 @@ class ForceResult:
     f_total: float
     per_thickness: float
     quadrature_error: float
+
+
+def _force_result(f_r, f_nr, d, quadrature_error):
+    """ForceResult of the two parts of a slab of thickness d."""
+    f_r, f_nr = float(f_r), float(f_nr)
+    return ForceResult(f_r, f_nr, f_r + f_nr, (f_r + f_nr) / d,
+                       float(quadrature_error))
 
 
 def mirror_force_bracket(zt):
@@ -165,115 +166,78 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
     include_nonresonant=False only the resonant part is integrated and
     f_nonresonant is reported as zero.
     """
-    geo = scenario.geometry
+    material = scenario.geometry.reflector
     a, b = scenario.z, scenario.z + scenario.d
     # the slab edge z + d is rounded to eps (z + d); the force inherits
     # that as a relative error (z + d) / d larger, unseen by quadrature
     rounding = _ROUNDING_FLOOR * b / (b - a)
 
-    # the inner integrals' errors reach the slab integral at most as
-    # (b - a) times the largest of them
-    inner_err = {"r": 0.0, "nr": 0.0}
+    def slab_integral(part, inner_tol, initial_panels):
+        """-eta Int_a^b dU/dz of one potential part, taken at all the
+        abscissae of a refinement round in one call, and its error: the
+        slab quadrature error plus (b - a) times the largest inner one."""
+        inner_err = 0.0
 
-    def resonant_integrand(z_values):
-        vals, err = _du_resonant_dz_grid(scenario.atom, geo, z_values,
-                                         rel_tol, max_evaluations)
-        inner_err["r"] = max(inner_err["r"], err)
-        return vals
+        def integrand(z_values):
+            nonlocal inner_err
+            vals, err = part(scenario.atom, material, z_values, inner_tol,
+                             max_evaluations, order=1)
+            inner_err = max(inner_err, float(err.max()))
+            return vals
 
-    lines_exist = scenario.atom.is_excited
-    if lines_exist:
+        res = integrate_finite(integrand, a, b, tol=rel_tol,
+                               max_evaluations=max_evaluations,
+                               initial_intervals=initial_panels)
+        return (-scenario.eta * res.value,
+                scenario.eta * (res.abs_error_estimate + (b - a) * inner_err))
+
+    f_r, err_r = 0.0, 0.0
+    if scenario.atom.is_excited:
         # the integrand oscillates with the trace phase 2 w z / c; start
         # with about one panel per radian of phase across the slab
         omega_max = max(t.omega_nk for t in scenario.atom.transitions
                         if t.omega_nk > 0.0)
         phase_span = 2.0 * omega_max * scenario.d / C_LIGHT
-        panels = int(phase_span) + 1
-        res_r = integrate_finite(resonant_integrand, a, b, tol=rel_tol,
-                                 max_evaluations=max_evaluations,
-                                 initial_intervals=panels)
-        f_r = -scenario.eta * res_r.value
-        err_r = max(scenario.eta * (res_r.abs_error_estimate
-                                    + (b - a) * inner_err["r"]),
-                    rounding * abs(f_r))
-    else:
-        f_r, err_r = 0.0, 0.0
+        f_r, err_r = slab_integral(_resonant, rel_tol, int(phase_span) + 1)
+        err_r = max(err_r, rounding * abs(f_r))
 
+    f_nr, err_nr = 0.0, 0.0
     if include_nonresonant:
-        def nonresonant_integrand(z_values):
-            out = np.empty_like(z_values)
-            for i, z in enumerate(z_values):
-                out[i], err = _nonresonant(
-                    scenario.atom, geo.with_distance(float(z)),
-                    rel_tol / 10.0, max_evaluations, order=1)
-                inner_err["nr"] = max(inner_err["nr"], err)
-            return out
+        f_nr, err_nr = slab_integral(_nonresonant, rel_tol / 10.0, 1)
+        err_nr = max(err_nr + rel_tol * abs(f_nr), rounding * abs(f_nr))
 
-        res_nr = integrate_finite(nonresonant_integrand, a, b, tol=rel_tol,
-                                  max_evaluations=max_evaluations)
-        f_nr = -scenario.eta * res_nr.value
-        err_nr = max(scenario.eta * (res_nr.abs_error_estimate
-                                     + (b - a) * inner_err["nr"])
-                     + rel_tol * abs(f_nr), rounding * abs(f_nr))
-    else:
-        f_nr, err_nr = 0.0, 0.0
-
-    return ForceResult(
-        f_resonant=f_r,
-        f_nonresonant=f_nr,
-        f_total=f_r + f_nr,
-        per_thickness=(f_r + f_nr) / scenario.d,
-        quadrature_error=err_r + err_nr,
-    )
-
-
-def _boundary_difference_force(scenario, u_cache, rel_tol,
-                               max_evaluations):
-    """Slab force from U(z+d) - U(z); shares U evaluations via u_cache."""
-    atom, geo = scenario.atom, scenario.geometry
-
-    def u_parts(z):
-        if z not in u_cache:
-            g = geo.with_distance(z)
-            u_nr, e_nr = _nonresonant(atom, g, rel_tol, max_evaluations)
-            u_r, e_r = _resonant(atom, g, rel_tol, max_evaluations)
-            u_cache[z] = (u_nr, u_r, e_nr + e_r)
-        return u_cache[z]
-
-    u_nr_a, u_r_a, err_a = u_parts(scenario.z)
-    u_nr_b, u_r_b, err_b = u_parts(scenario.z + scenario.d)
-    f_r = -scenario.eta * (u_r_b - u_r_a)
-    f_nr = -scenario.eta * (u_nr_b - u_nr_a)
-    return ForceResult(
-        f_resonant=f_r,
-        f_nonresonant=f_nr,
-        f_total=f_r + f_nr,
-        per_thickness=(f_r + f_nr) / scenario.d,
-        quadrature_error=scenario.eta * (err_a + err_b),
-    )
+    return _force_result(f_r, f_nr, scenario.d, err_r + err_nr)
 
 
 def force_decomposition(scenario, z_grid, rel_tol=DEFAULT_POTENTIAL_TOL,
                         max_evaluations=100_000):
     """Per-gap force decomposition along a grid of plate positions.
 
-    Uses the antiderivative (boundary-difference) structure so each
-    distinct slab boundary costs one potential evaluation, reused across
-    overlapping slabs.  The resonant column is identically zero whenever
-    the atom has no downward transition.
+    Uses the antiderivative (boundary-difference) structure: each
+    potential part is evaluated once over all the distinct slab edges
+    (the grid and the grid shifted by d), and each gap's force is
+    -eta [U(z + d) - U(z)].  The resonant column is identically zero
+    whenever the atom has no downward transition.
 
     Returns a list of ForceResult in grid order.
     """
-    z_grid = [float(z) for z in z_grid]
-    if any(z <= 0.0 for z in z_grid):
+    z_grid = np.asarray(z_grid, dtype=float)
+    if not np.isfinite(z_grid).all():
+        raise ValueError("grid positions must be finite")
+    if (z_grid <= 0.0).any():
         raise ValueError("grid positions must be > 0")
-    if any(b <= a for a, b in zip(z_grid, z_grid[1:])):
+    if (np.diff(z_grid) <= 0.0).any():
         raise ValueError("grid must be strictly increasing")
-    u_cache = {}
-    results = []
-    for z in z_grid:
-        sc = SlabScenario(z=z, d=scenario.d, eta=scenario.eta,
-                          atom=scenario.atom, geometry=scenario.geometry)
-        results.append(_boundary_difference_force(sc, u_cache, rel_tol,
-                                                  max_evaluations))
-    return results
+    edges, index = np.unique(np.concatenate([z_grid, z_grid + scenario.d]),
+                             return_inverse=True)
+    lo, hi = np.split(index, 2)
+    material = scenario.geometry.reflector
+    u_nr, err_nr = _nonresonant(scenario.atom, material, edges, rel_tol,
+                                max_evaluations)
+    u_r, err_r = _resonant(scenario.atom, material, edges, rel_tol,
+                           max_evaluations)
+    err, eta = err_nr + err_r, scenario.eta
+    return [_force_result(-eta * (u_r[b] - u_r[a]),
+                          -eta * (u_nr[b] - u_nr[a]), scenario.d,
+                          eta * (err[a] + err[b]))
+            for a, b in zip(lo, hi)]

@@ -164,6 +164,22 @@ def _pec_phase_polynomial(zt, order):
     return phase * (-1j * zt**3 + 3.0 * zt * zt + 6j * zt - 6.0)
 
 
+def _fresnel(eps, mu, v, v1):
+    """(r_s, r_p) = (a v - v1) / (a v + v1) for a = mu and a = eps, with
+    v1^2 = eps mu - 1 + v^2, in the rationalised form
+
+        ((a^2 - 1) v^2 - (eps mu - 1)) / (a v + v1)^2,
+
+    which does not cancel where v1 ~ v (large v, or a near 1)."""
+    em1 = eps * mu - 1.0
+    v2 = v * v
+
+    def r(a):
+        return ((a * a - 1.0) * v2 - em1) / (a * v + v1) ** 2
+
+    return r(mu), r(eps)
+
+
 def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0):
     """xi^2 Tr G1(i xi), or xi^2 times its z-derivative for order 1, at
     an array of xi; arrays (values, abs_errors), exactly real.
@@ -177,7 +193,9 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0):
                   [ r_s(v) - (2 v^2 - 1) r_p(v) ]
 
         r_s = (mu v - v1)/(mu v + v1),  r_p = (eps v - v1)/(eps v + v1),
-        v1  = sqrt(eps mu - 1 + v^2),   eps = eps(i xi), mu = mu(i xi).
+        v1  = sqrt(eps mu - 1 + v^2),   eps = eps(i xi), mu = mu(i xi),
+
+    both evaluated without cancellation by _fresnel.
 
     z enters only through the exponential, so d/dz multiplies the
     integrand by -2 xi v / c.  Each chunk of PANEL_NODES xi is one
@@ -214,11 +232,9 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0):
 
         def integrand(t):
             v = 1.0 + t
-            v1 = np.sqrt(em1_c + v * v)
-            rs = (mu_c * v - v1) / (mu_c * v + v1)
-            rp = (eps_c * v - v1) / (eps_c * v + v1)
-            return np.exp(-y_c * v) * v**order \
-                * (rs - (2.0 * v * v - 1.0) * rp)
+            v2 = v * v
+            rs, rp = _fresnel(eps_c, mu_c, v, np.sqrt(em1_c + v2))
+            return np.exp(-y_c * v) * v**order * (rs - (2.0 * v2 - 1.0) * rp)
 
         res = integrate_semi_infinite(integrand,
                                       scale=np.maximum(1.0 / y_c, 1.0),
@@ -279,17 +295,12 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0):
         zt_c = zt[chunk]
 
         def integrand_A(g):
-            g1 = np.sqrt(em1 + g * g + 0j)
-            rs = (mu * g - g1) / (mu * g + g1)
-            rp = (eps * g - g1) / (eps * g + g1)
+            rs, rp = _fresnel(eps, mu, g, np.sqrt(em1 + g * g + 0j))
             bracket = g**order * (rs + (1.0 - 2.0 * g * g) * rp)
             return np.exp(1j * g[:, None] * zt_c) * bracket[:, None]
 
         def integrand_B(b):
-            g = 1j * b
-            g1 = np.sqrt(em1 - b * b + 0j)
-            rs = (mu * g - g1) / (mu * g + g1)
-            rp = (eps * g - g1) / (eps * g + g1)
+            rs, rp = _fresnel(eps, mu, 1j * b, np.sqrt(em1 - b * b + 0j))
             return np.exp(-zt_c * b) * b**order \
                 * (rs + (1.0 + 2.0 * b * b) * rp)
 

@@ -215,8 +215,9 @@ def clausius_mossotti(eta, atom, freq, broadening=0.0, guard=0.1):
         1 - 1/mu = mu0 * eta * beta_n(freq)
 
     valid to first order in the density eta (per m^3).  When
-    |eps - 1| >= guard the dilute expansion is doubtful and a
-    DiluteLimitWarning is emitted; the value is still returned.
+    |eps - 1| or |1 - 1/mu| reaches guard the dilute expansion is
+    doubtful and a DiluteLimitWarning is emitted; the value is still
+    returned.
     """
     if eta < 0.0:
         raise ValueError(f"number density must be >= 0, got {eta}")
@@ -224,13 +225,15 @@ def clausius_mossotti(eta, atom, freq, broadening=0.0, guard=0.1):
         return 0.0 + 0.0j, 0.0 + 0.0j
     eps_m1 = eta * polarizability(atom, freq, broadening) / epsilon_0
     one_minus_inv_mu = mu_0 * eta * magnetizability(atom, freq, broadening)
-    if abs(eps_m1) >= guard:
-        warnings.warn(
-            f"|eps - 1| = {abs(eps_m1):.3g} exceeds the dilute guard "
-            f"{guard}; the linearised map is unreliable at this density",
-            DiluteLimitWarning,
-            stacklevel=2,
-        )
+    for name, chi in (("eps - 1", eps_m1), ("1 - 1/mu", one_minus_inv_mu)):
+        if abs(chi) >= guard:
+            warnings.warn(
+                f"|{name}| = {abs(chi):.3g} exceeds the dilute guard "
+                f"{guard}; the linearised map is unreliable at this "
+                "density",
+                DiluteLimitWarning,
+                stacklevel=2,
+            )
     return eps_m1, one_minus_inv_mu
 
 

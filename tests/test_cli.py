@@ -288,6 +288,20 @@ class TestExitCodes:
                                      "points": 5})
         assert main(["greens", "--scenario", path]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("slab", "thickness_m", float("inf")),
+        ("slab", "number_density_m3", float("nan")),
+        ("sweep", "z_min_m", float("-inf")),
+        ("sweep", "z_max_m", float("inf")),
+    ])
+    def test_non_finite_sizes_are_configuration_errors(
+            self, write_scenario, section, key, value):
+        # a slab thickness of Infinity once reached the quadrature and
+        # exited as a non-finite integrand
+        section_cfg = dict(base_config()[section], **{key: value})
+        path = write_scenario(**{section: section_cfg})
+        assert main(["plate-force", "--scenario", path]) == EXIT_CONFIG
+
     def test_bad_oscillator_sign(self, write_scenario):
         reflector = {"model": "drude-lorentz", "epsilon_oscillators": [
             {"strength": 1.0, "resonance_rad_s": W10,

@@ -115,14 +115,14 @@ class TestQuadratureRoute:
                           geometry=PlanarGeometry(lossy_halfspace, z))
         quad = plate_force_quadrature(sc, include_nonresonant=False)
         u = [potentials_module._resonant(magnetoelectric_atom,
-                                         sc.geometry.with_distance(zz),
-                                         1e-11, 100_000)
+                                         lossy_halfspace, [zz], 1e-11,
+                                         100_000)
              for zz in (sc.z, sc.z + sc.d)]
-        f_bd = -ETA * (u[1][0] - u[0][0])
+        f_bd = -ETA * (u[1][0][0] - u[0][0][0])
         assert abs(quad.f_resonant - f_bd) \
-            <= quad.quadrature_error + ETA * (u[0][1] + u[1][1])
+            <= quad.quadrature_error + ETA * (u[0][1][0] + u[1][1][0])
 
-    @pytest.mark.parametrize("part", ["_du_resonant_dz_grid", "_nonresonant"])
+    @pytest.mark.parametrize("part", ["_resonant", "_nonresonant"])
     def test_inner_errors_reach_the_slab_error(self, excited_atom,
                                                lossy_halfspace, monkeypatch,
                                                part):
@@ -133,9 +133,9 @@ class TestQuadratureRoute:
 
         def inflated(*args, **kwargs):
             vals, _ = original(*args, **kwargs)
-            err = 1e-3 * float(np.max(np.abs(vals)))
+            err = 1e-3 * np.abs(vals).max()
             largest.append(err)
-            return vals, err
+            return vals, np.full(vals.shape, err)
 
         monkeypatch.setattr(forces_module, part, inflated)
         sc = SlabScenario(z=zt_to_z(1.0), d=0.4 * C_LIGHT / W10, eta=ETA,
@@ -247,6 +247,36 @@ class TestDecomposition:
             force_decomposition(sc, [2e-7, 1e-7])
         with pytest.raises(ValueError, match="> 0"):
             force_decomposition(sc, [-1e-7, 1e-7])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                force_decomposition(sc, [1e-7, bad])
+
+    def test_each_part_is_called_once_per_sweep(self, magnetoelectric_atom,
+                                                 lossy_halfspace,
+                                                 monkeypatch):
+        # one call per potential part over the distinct slab edges: a
+        # grid spaced by d shares every inner edge between two gaps
+        calls = []
+
+        def counted(name):
+            original = getattr(forces_module, name)
+
+            def wrapper(atom, material, z_values, *args, **kwargs):
+                calls.append((name, list(z_values)))
+                return original(atom, material, z_values, *args, **kwargs)
+            return wrapper
+
+        for name in ("_nonresonant", "_resonant"):
+            monkeypatch.setattr(forces_module, name, counted(name))
+        z0, d = zt_to_z(0.5), zt_to_z(0.8)
+        sc = SlabScenario(z=z0, d=d, eta=ETA, atom=magnetoelectric_atom,
+                          geometry=PlanarGeometry(lossy_halfspace, z0))
+        grid = [z0, z0 + d, z0 + d + d]
+        results = force_decomposition(sc, grid, rel_tol=1e-7)
+        edges = grid + [grid[-1] + d]
+        assert sorted(calls) == [("_nonresonant", edges),
+                                 ("_resonant", edges)]
+        assert len(results) == 3
 
 
 class TestScenarioValidation:
@@ -263,3 +293,19 @@ class TestScenarioValidation:
         with pytest.warns(DiluteLimitWarning):
             SlabScenario(z=1e-7, d=1e-7, eta=1e29, atom=excited_atom,
                          geometry=PlanarGeometry(pec, 1e-7))
+
+    def test_dilute_guard_sees_magnetisability(self, excited_atom, pec):
+        # the dual of the excited atom: 1 - 1/mu = 2.05 at this density
+        magnetic = AtomModel("m", (Transition(+W10, 0.0, D2 * C_LIGHT**2),))
+        with pytest.warns(DiluteLimitWarning, match="1/mu"):
+            SlabScenario(z=1e-7, d=1e-7, eta=1e29, atom=magnetic,
+                         geometry=PlanarGeometry(pec, 1e-7))
+
+    def test_non_finite_fields(self, excited_atom, pec):
+        geo = PlanarGeometry(pec, 1e-7)
+        for bad in ({"z": np.inf}, {"d": np.nan}, {"eta": np.inf}):
+            kwargs = dict(z=1e-7, d=1e-7, eta=ETA, atom=excited_atom,
+                          geometry=geo)
+            kwargs.update(bad)
+            with pytest.raises(ValueError, match="finite"):
+                SlabScenario(**kwargs)

@@ -262,6 +262,50 @@ class TestHalfspace:
             PlanarGeometry(pec, -1e-9)
 
 
+class TestFresnel:
+    def test_matches_the_plain_quotient(self):
+        # away from cancellation the rationalised form is the plain
+        # quotient (a v - v1) / (a v + v1), for real and complex v alike
+        rng = np.random.default_rng(11)
+        eps = 1.0 + 5.0 * rng.random(20) + 0.3j * rng.random(20)
+        mu = 1.0 + 2.0 * rng.random(20) + 0.2j * rng.random(20)
+        for v in (0.3 * rng.random(20), 1.0 + 3.0 * rng.random(20),
+                  1j * rng.random(20)):
+            v1 = np.sqrt(eps * mu - 1.0 + v * v)
+            rs, rp = greens._fresnel(eps, mu, v, v1)
+            assert np.allclose(rs, (mu * v - v1) / (mu * v + v1),
+                               rtol=1e-12, atol=1e-15)
+            assert np.allclose(rp, (eps * v - v1) / (eps * v + v1),
+                               rtol=1e-12, atol=1e-15)
+
+    def test_no_cancellation_at_large_v(self):
+        # eps = 1, the dual of a non-magnetic medium: v - v1 loses about
+        # 2 log10(v) digits in the plain quotient
+        mu = 2.4
+        v = np.geomspace(1e2, 1e8, 7)
+        _, rp = greens._fresnel(1.0, mu, v, np.sqrt(mu - 1.0 + v * v))
+        with mp.workdps(40):
+            for vk, rk in zip(v, rp):
+                vk = mp.mpf(vk)
+                v1 = mp.sqrt(mu - 1 + vk * vk)
+                exact = (vk - v1) / (vk + v1)
+                assert abs(rk - exact) <= 1e-14 * abs(exact)
+
+    def test_dual_trace_converges_at_small_distance(self, lossy_halfspace):
+        # zt = 0.1, xi = 1e10 rad/s, so y = 2 xi z / c = 4e-7 and the
+        # integral runs out to v ~ 1/y; with the plain quotient it
+        # exhausted 100,000 evaluations.  Reference: 40-digit mpmath.
+        reference = 7.8210462061973099664e+26
+        z = zt_to_z(0.1)
+        dual = lossy_halfspace.dual()
+        (value,), _ = greens._trace_e_imag_axis(dual, z, [1e10], 1e-8,
+                                                100_000)
+        assert rel_diff(value, reference) < 1e-6
+        (tight,), (tight_err,) = greens._trace_e_imag_axis(
+            dual, z, [1e10], 1e-11, 100_000)
+        assert abs(tight - reference) <= tight_err
+
+
 class TestDerivatives:
     @pytest.mark.parametrize("zt", [0.5, 1.0, 5.0])
     @pytest.mark.parametrize("freq_maker", [lambda: W10, lambda: 1j * W10])

@@ -187,6 +187,14 @@ class TestClausiusMossotti:
         with pytest.warns(DiluteLimitWarning):
             clausius_mossotti(1e30, ground_atom, 0.0)
 
+    def test_dilute_guard_sees_magnetisability(self):
+        # purely magnetic atom: eps - 1 = 0 but 1 - 1/mu = 2.05
+        magnetic = AtomModel("m", (Transition(+W10, 0.0, D2 * C_LIGHT**2),))
+        with pytest.warns(DiluteLimitWarning, match="1/mu"):
+            eps_m1, one_minus_inv_mu = clausius_mossotti(1e29, magnetic, 0.0)
+        assert eps_m1 == 0.0
+        assert abs(one_minus_inv_mu) == pytest.approx(2.05, rel=0.01)
+
     def test_negative_density_rejected(self, ground_atom):
         with pytest.raises(ValueError):
             clausius_mossotti(-1.0, ground_atom, 0.0)

@@ -103,11 +103,12 @@ class TestHalfspaceNonresonant:
         dual = MaterialResponse.dual
         monkeypatch.setattr(MaterialResponse, "dual",
                             lambda self: built.append(self) or dual(self))
-        geo = PlanarGeometry(lossy_halfspace, zt_to_z(1.0))
-        potentials_module._nonresonant(excited_atom, geo, 1e-7, 100_000)
+        z = [zt_to_z(1.0)]
+        potentials_module._nonresonant(excited_atom, lossy_halfspace, z,
+                                       1e-7, 100_000)
         assert built == []
-        potentials_module._nonresonant(magnetoelectric_atom, geo, 1e-5,
-                                       100_000)
+        potentials_module._nonresonant(magnetoelectric_atom, lossy_halfspace,
+                                       z, 1e-5, 100_000)
         assert built == [lossy_halfspace]
 
     def test_readme_point_converges_at_default_tolerances(self):
@@ -118,8 +119,8 @@ class TestHalfspaceNonresonant:
         ))
         geo = PlanarGeometry(medium, 6e-9)
         res = total_potential(atom, geo)
-        u_nr, err_nr = potentials_module._nonresonant(atom, geo, 1e-9,
-                                                      100_000)
+        (u_nr,), (err_nr,) = potentials_module._nonresonant(
+            atom, medium, [6e-9], 1e-9, 100_000)
         tight = nonresonant_potential(atom, geo, rel_tol=1e-11)
         assert res.u_nonresonant == u_nr > 0.0  # excited: repelled
         assert err_nr <= 2e-9 * u_nr
@@ -140,6 +141,29 @@ class TestHalfspaceNonresonant:
         assert abs(res.u_total - tight.u_total) <= res.quadrature_error
 
 
+    @pytest.mark.parametrize("zt", [0.05, 0.1])
+    def test_magnetoelectric_atom_converges_near_the_halfspace(
+            self, magnetoelectric_atom, lossy_halfspace, zt):
+        # the dual (magnetic) trace of this non-magnetic medium has
+        # eps = 1, where the plain Fresnel quotient cancelled and the
+        # inner integral exhausted its budget at default tolerances
+        geo = PlanarGeometry(lossy_halfspace, zt_to_z(zt))
+        res = total_potential(magnetoelectric_atom, geo)
+        tight = total_potential(magnetoelectric_atom, geo, rel_tol=1e-11)
+        assert abs(res.u_total - tight.u_total) <= res.quadrature_error
+
+    @pytest.mark.parametrize("zt, frozen", [(0.2, 4.9309804571827404e-27),
+                                            (0.5, 3.0771746327785073e-28)])
+    def test_magnetoelectric_values_kept_by_the_fresnel_form(
+            self, magnetoelectric_atom, lossy_halfspace, zt, frozen):
+        # u_nonresonant with the plain Fresnel quotient, default
+        # tolerances, where it converged
+        u = nonresonant_potential(magnetoelectric_atom,
+                                  PlanarGeometry(lossy_halfspace,
+                                                 zt_to_z(zt)))
+        assert rel_diff(u, frozen) < 1e-14
+
+
 class TestResonant:
     def test_ground_state_structural_zero(self, ground_atom, pec,
                                           monkeypatch):
@@ -151,8 +175,9 @@ class TestResonant:
                             boom)
         geo = PlanarGeometry(pec, zt_to_z(1.0))
         assert resonant_potential(ground_atom, geo) == 0.0
-        res = potentials_module._resonant(ground_atom, geo, 1e-9, 1000)
-        assert res == (0.0, 0.0)
+        values, errs = potentials_module._resonant(ground_atom, pec,
+                                                   [geo.z_atom], 1e-9, 1000)
+        assert (values.tolist(), errs.tolist()) == ([0.0], [0.0])
 
     def test_near_field_asymptote(self, excited_atom, pec):
         zt = 1e-3
@@ -283,3 +308,62 @@ class TestGradient:
         d2 = (u(z + 0.5 * h) - u(z - 0.5 * h)) / h
         fd = (4.0 * d2 - d1) / 3.0
         assert rel_diff(analytic, fd) < 1e-6
+
+
+class TestSharedRoutine:
+    """Both potential parts take an array of distances and a derivative
+    order; an array call must equal calls at one distance each."""
+
+    ZTS = (0.3, 1.0, 4.0)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("reflector", ["pec", "pmc", "lossy_halfspace"])
+    @pytest.mark.parametrize("atom", ["excited_atom", "ground_atom",
+                                      "magnetoelectric_atom"])
+    def test_nonresonant_array_is_per_distance_bit_for_bit(
+            self, request, atom, reflector, order):
+        atom = request.getfixturevalue(atom)
+        material = request.getfixturevalue(reflector)
+        z = [zt_to_z(zt) for zt in self.ZTS]
+        values, errs = potentials_module._nonresonant(
+            atom, material, z, 1e-7, 100_000, order)
+        for k, zk in enumerate(z):
+            (v,), (e,) = potentials_module._nonresonant(
+                atom, material, [zk], 1e-7, 100_000, order)
+            assert (values[k], errs[k]) == (v, e)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("reflector", ["pec", "pmc", "lossy_halfspace"])
+    @pytest.mark.parametrize("atom", ["excited_atom", "ground_atom",
+                                      "magnetoelectric_atom"])
+    def test_resonant_array_agrees_within_reported_errors(
+            self, request, atom, reflector, order):
+        # distances of one chunk share a partition of the Sommerfeld
+        # integrals, so half-space values move within their errors
+        atom = request.getfixturevalue(atom)
+        material = request.getfixturevalue(reflector)
+        z = [zt_to_z(zt) for zt in self.ZTS]
+        values, errs = potentials_module._resonant(
+            atom, material, z, 1e-9, 100_000, order)
+        for k, zk in enumerate(z):
+            (v,), (e,) = potentials_module._resonant(
+                atom, material, [zk], 1e-9, 100_000, order)
+            assert abs(values[k] - v) <= errs[k] + e
+            assert (v == 0.0) == atom.is_ground_state
+
+    def test_public_functions_are_the_parts_at_one_distance(
+            self, magnetoelectric_atom, lossy_halfspace):
+        geo = PlanarGeometry(lossy_halfspace, zt_to_z(0.7))
+        res = total_potential(magnetoelectric_atom, geo, rel_tol=1e-7)
+        parts = [part(magnetoelectric_atom, lossy_halfspace, [geo.z_atom],
+                      1e-7, 100_000)
+                 for part in (potentials_module._nonresonant,
+                              potentials_module._resonant)]
+        (u_nr,), (err_nr,) = parts[0]
+        (u_r,), (err_r,) = parts[1]
+        assert (res.u_nonresonant, res.u_resonant) == (u_nr, u_r)
+        assert res.quadrature_error == err_nr + err_r
+        assert nonresonant_potential(magnetoelectric_atom, geo,
+                                     rel_tol=1e-7) == u_nr
+        assert resonant_potential(magnetoelectric_atom, geo,
+                                  rel_tol=1e-7) == u_r
