@@ -88,7 +88,7 @@ from .materials import (
     atom_model_from_dict,
     load_atom_model,
 )
-from .potentials import total_potential
+from .potentials import _nonresonant, _resonant
 from .quadrature import QuadratureConvergenceError
 
 EXIT_OK = 0
@@ -348,14 +348,18 @@ def cmd_greens(scenario, out_path):
             np.imag(tr_w.trace_e) * units.trace_e,
             np.real(tr_ix.trace_e) * units.trace_e,
             np.real(tr_ix.trace_m) * units.trace_m,
-            (tr_w.abs_error + tr_ix.abs_error) * units.trace_e,
+            tr_w.err_e * units.trace_e,
+            tr_ix.err_e * units.trace_e,
+            tr_ix.err_m * units.trace_m,
         ])
     comments = _provenance(scenario, "greens") + [
         f"reference_frequency_rad_s = {w0!r}",
         "imaginary-axis columns evaluated at xi = reference frequency",
+        "trace_e_error bounds the error of re_trace_e and im_trace_e",
     ]
     header = ["z", "z_tilde", "re_trace_e", "im_trace_e",
-              "trace_e_imag_axis", "trace_m_imag_axis", "error_estimate"]
+              "trace_e_imag_axis", "trace_m_imag_axis", "trace_e_error",
+              "trace_e_imag_axis_error", "trace_m_imag_axis_error"]
     _write_csv(out_path, comments, header, rows)
 
 
@@ -363,19 +367,15 @@ def cmd_cp_potential(scenario, out_path):
     """Single-atom potential decomposition along the sweep."""
     units = _make_units(scenario)
     tol = scenario.tolerances
-    rows = []
-    for z in scenario.sweep:
-        geo = PlanarGeometry(scenario.reflector, z)
-        res = total_potential(scenario.atom, geo,
-                              rel_tol=tol["relative"],
-                              max_evaluations=tol["max_evaluations"])
-        rows.append([
-            z * units.length,
-            res.u_nonresonant * units.potential,
-            res.u_resonant * units.potential,
-            res.u_total * units.potential,
-            res.quadrature_error * units.potential,
-        ])
+    args = (scenario.atom, scenario.reflector, np.array(scenario.sweep),
+            tol["relative"], tol["max_evaluations"])
+    u_nr, err_nr = _nonresonant(*args)
+    u_r, err_r = _resonant(*args)
+    rows = [[z * units.length, nr * units.potential, r * units.potential,
+             (nr + r) * units.potential, (e_nr + e_r) * units.potential]
+            for z, nr, r, e_nr, e_r in zip(scenario.sweep, u_nr.tolist(),
+                                           u_r.tolist(), err_nr.tolist(),
+                                           err_r.tolist())]
     header = ["z", "u_nonresonant", "u_resonant", "u_total",
               "quadrature_error"]
     _write_csv(out_path, _provenance(scenario, "cp-potential"),

@@ -43,6 +43,16 @@ exchanges the roles of the two polarisations, whence
 
     trace_m(w; eps, mu) = -(w/c)^2 * trace_e(w; mu, eps).
 
+The dual reflector needs no integral of its own.  Its eps(w) and mu(w)
+are the reflector's, exchanged, so v1 is the same and its Fresnel pair
+is (r_s, r_p) swapped; the dual of a perfect mirror is the opposite
+mirror.  Each kernel therefore takes a tuple `duals` with one flag per
+requested column, False for the reflector's trace and True for its
+dual's, and integrates all of them on one partition from one
+evaluation of eps, mu, v1 and the Fresnel pair per abscissa.  Columns
+stay at unit scale; atomic responses and line weights are applied by
+the callers.
+
 For the perfect electric mirror this equals +(w/c)^2 * trace_e, which on
 the imaginary axis is positive: a magnetically polarisable ground-state
 atom is pushed away from an electric mirror, as it must be.  The sign
@@ -108,14 +118,18 @@ class PlanarGeometry:
 class GreenTrace:
     """Scattering-trace pair at one complex frequency.
 
-    abs_error bounds the quadrature error of both traces (0 for the
-    closed-form mirrors and for vacuum).
+    err_e (1/m) and err_m (1/m^3) bound the quadrature errors of trace_e
+    and trace_m, each in its own trace's units; abs_error is their plain
+    sum err_e + err_m, a bound on both.  All are 0 for the closed-form
+    mirrors and for vacuum.
     """
 
     freq: complex
     trace_e: complex
     trace_m: complex
     abs_error: float = 0.0
+    err_e: float = 0.0
+    err_m: float = 0.0
 
 
 def _validate_freq(freq):
@@ -147,12 +161,35 @@ def _validate_distance(z_atom):
 
 def _in_chunks(integral, size):
     """(values, abs_errors) of integral(chunk) over consecutive slices of
-    PANEL_NODES points: nearby points refine alike on one shared
-    partition, and a chunk bounds the memory of one vector integral."""
+    PANEL_NODES points, joined along the last axis: nearby points refine
+    alike on one shared partition, and a chunk bounds the memory of one
+    vector integral."""
     parts = [integral(slice(start, start + PANEL_NODES))
              for start in range(0, size, PANEL_NODES)]
-    return (np.concatenate([value for value, _ in parts]),
-            np.concatenate([err for _, err in parts]))
+    return (np.concatenate([value for value, _ in parts], axis=-1),
+            np.concatenate([err for _, err in parts], axis=-1))
+
+
+def _columns(blocks):
+    """The integrand blocks of the requested traces side by side, (N, K)
+    each; a single block is returned as it is."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+
+
+def _column_scales(scale, duals):
+    """Map scales of an integrand whose columns are the requested traces,
+    each a block of one column per point: the points' scales, once per
+    trace."""
+    return scale if len(duals) == 1 else np.tile(scale, len(duals))
+
+
+def _mirror_rows(value, duals):
+    """One row per requested trace of a perfect mirror whose own trace is
+    `value`: the dual of a perfect mirror is the opposite mirror, whose
+    trace is the negative.  The common single own row is a view."""
+    if duals == (False,):
+        return value[None]
+    return np.stack([-value if dual else value for dual in duals])
 
 
 def _pec_phase_polynomial(zt, order):
@@ -170,7 +207,9 @@ def _fresnel(eps, mu, v, v1):
 
         ((a^2 - 1) v^2 - (eps mu - 1)) / (a v + v1)^2,
 
-    which does not cancel where v1 ~ v (large v, or a near 1)."""
+    which does not cancel where v1 ~ v (large v, or a near 1).  The dual
+    reflector (eps and mu exchanged) has the same v1 and the pair
+    swapped, (r_p, r_s)."""
     em1 = eps * mu - 1.0
     v2 = v * v
 
@@ -180,9 +219,12 @@ def _fresnel(eps, mu, v, v1):
     return r(mu), r(eps)
 
 
-def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0):
+def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
+                       duals=(False,)):
     """xi^2 Tr G1(i xi), or xi^2 times its z-derivative for order 1, at
-    an array of xi; arrays (values, abs_errors), exactly real.
+    an array of xi; arrays (values, abs_errors) of shape (len(duals),
+    xi.size), exactly real.  Row j is the trace of the reflector when
+    duals[j] is False and of its dual (eps and mu exchanged) when True.
 
     Perfect mirrors use the pole-free closed form of the module
     docstring, vacuum gives zeros; neither has an error.  For a
@@ -195,13 +237,16 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0):
         r_s = (mu v - v1)/(mu v + v1),  r_p = (eps v - v1)/(eps v + v1),
         v1  = sqrt(eps mu - 1 + v^2),   eps = eps(i xi), mu = mu(i xi),
 
-    both evaluated without cancellation by _fresnel.
+    both evaluated without cancellation by _fresnel; the dual's bracket
+    is r_p - (2 v^2 - 1) r_s.
 
     z enters only through the exponential, so d/dz multiplies the
     integrand by -2 xi v / c.  Each chunk of PANEL_NODES xi is one
-    vector integral, each column with its own map scale.
+    vector integral, each column with its own map scale, the requested
+    traces side by side on the same partition.
     """
     xi = np.asarray(xi, dtype=float)
+    shape = (len(duals), xi.size)
     if material.is_perfect_mirror:
         sign = 1.0 if material.model == PERFECT_ELECTRIC_MIRROR else -1.0
         y = (2.0 * z / C_LIGHT) * xi
@@ -211,9 +256,10 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0):
         else:
             pref = sign * C_LIGHT**2 / (16.0 * np.pi * z**4)
             poly = 6.0 + y * (6.0 + y * (3.0 + y))
-        return pref * np.exp(-y) * poly, np.zeros(xi.shape)
+        return (_mirror_rows(pref * np.exp(-y) * poly, duals),
+                np.zeros(shape))
     if material.is_vacuum:
-        return np.zeros(xi.shape), np.zeros(xi.shape)
+        return np.zeros(shape), np.zeros(shape)
 
     eps = material.epsilon(1j * xi).real
     mu = material.mu(1j * xi).real
@@ -229,27 +275,33 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0):
 
     def integral(chunk):
         y_c, eps_c, mu_c, em1_c = y[chunk], eps[chunk], mu[chunk], em1[chunk]
+        size = y_c.size
 
         def integrand(t):
-            v = 1.0 + t
+            v = 1.0 + t[:, :size]
             v2 = v * v
             rs, rp = _fresnel(eps_c, mu_c, v, np.sqrt(em1_c + v2))
-            return np.exp(-y_c * v) * v**order * (rs - (2.0 * v2 - 1.0) * rp)
+            damp = np.exp(-y_c * v) * v**order
+            pw = 2.0 * v2 - 1.0
+            return _columns([damp * (rp - pw * rs) if dual
+                             else damp * (rs - pw * rp) for dual in duals])
 
-        res = integrate_semi_infinite(integrand,
-                                      scale=np.maximum(1.0 / y_c, 1.0),
-                                      tol=rel_tol,
-                                      max_evaluations=max_evaluations)
-        return res.value, res.abs_error_estimate
+        res = integrate_semi_infinite(
+            integrand, scale=_column_scales(np.maximum(1.0 / y_c, 1.0), duals),
+            tol=rel_tol, max_evaluations=max_evaluations)
+        return (res.value.reshape(len(duals), size),
+                res.abs_error_estimate.reshape(len(duals), size))
 
     value, err = _in_chunks(integral, xi.size)
     pref = xi**3 / (4.0 * np.pi * C_LIGHT) * (-2.0 * xi / C_LIGHT) ** order
     return pref * value, np.abs(pref) * err
 
 
-def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0):
+def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
+                       duals=(False,)):
     """Tr G1 at real w > 0, or its z-derivative for order 1, at an array
-    of distances z; arrays (values, abs_errors).
+    of distances z; arrays (values, abs_errors) of shape (len(duals),
+    z.size), row j for the reflector or, when duals[j], for its dual.
 
     Perfect mirrors use the closed form (w / 2 pi c) (2 w / c)^n
     e^{i zt} Q_n(zt) of the module docstring, vacuum gives zeros; neither
@@ -263,25 +315,27 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0):
         A = Int_0^1  dgamma e^{i zt gamma} [r_s + (1 - 2 gamma^2) r_p]
         B = Int_0^inf db     e^{-zt b}     [r_s + (1 + 2 b^2) r_p]
 
-    with zt = 2 w z / c.  z enters only through the exponentials, so
-    d/dz multiplies the A integrand by 2 i w gamma / c and the B
-    integrand by -2 w b / c.  Each chunk of PANEL_NODES distances shares
-    the partitions of A and B, one column per distance.
+    with zt = 2 w z / c; the dual swaps r_s and r_p in both brackets.
+    z enters only through the exponentials, so d/dz multiplies the A
+    integrand by 2 i w gamma / c and the B integrand by -2 w b / c.  Each
+    chunk of PANEL_NODES distances shares the partitions of A and B, one
+    column per distance and requested trace.
 
     Loss moves the medium branch point and any surface-mode pole off the
     integration path, which is why a half-space needs Im eps > 0 or
     Im mu > 0 at w.
     """
     z = np.asarray(z, dtype=float)
+    shape = (len(duals), z.size)
     zt = 2.0 * w * z / C_LIGHT
     k = 2.0 * w / C_LIGHT
     if material.is_perfect_mirror:
         sign = 1.0 if material.model == PERFECT_ELECTRIC_MIRROR else -1.0
         value = (sign * w / (2.0 * np.pi * C_LIGHT) * k**order) \
             * _pec_phase_polynomial(zt, order) / zt ** (3 + order)
-        return value, np.zeros(z.shape)
+        return _mirror_rows(value, duals), np.zeros(shape)
     if material.is_vacuum:
-        return np.zeros(z.shape, dtype=complex), np.zeros(z.shape)
+        return np.zeros(shape, dtype=complex), np.zeros(shape)
     if not material.is_lossy_at(w):
         raise ValueError(
             "real-frequency half-space traces need a lossy reflector at "
@@ -293,31 +347,40 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0):
 
     def integral(chunk):
         zt_c = zt[chunk]
+        size = zt_c.size
 
         def integrand_A(g):
             rs, rp = _fresnel(eps, mu, g, np.sqrt(em1 + g * g + 0j))
-            bracket = g**order * (rs + (1.0 - 2.0 * g * g) * rp)
-            return np.exp(1j * g[:, None] * zt_c) * bracket[:, None]
+            gn = g**order
+            pw = 1.0 - 2.0 * g * g
+            phase = np.exp(1j * g[:, None] * zt_c)
+            return _columns([phase * (gn * (rp + pw * rs) if dual
+                                      else gn * (rs + pw * rp))[:, None]
+                             for dual in duals])
 
         def integrand_B(b):
+            b = b[:, :size]
             rs, rp = _fresnel(eps, mu, 1j * b, np.sqrt(em1 - b * b + 0j))
-            return np.exp(-zt_c * b) * b**order \
-                * (rs + (1.0 + 2.0 * b * b) * rp)
+            damp = np.exp(-zt_c * b) * b**order
+            pw = 1.0 + 2.0 * b * b
+            return _columns([damp * (rp + pw * rs) if dual
+                             else damp * (rs + pw * rp) for dual in duals])
 
         # the propagating segment carries zt radians of phase; seed the
         # adaptive rule with about one panel per radian of the farthest z
         res_a = integrate_finite(integrand_A, 0.0, 1.0, tol=rel_tol,
                                  max_evaluations=max_evaluations,
                                  initial_intervals=int(zt_c.max()) + 1)
-        res_b = integrate_semi_infinite(integrand_B,
-                                        scale=np.maximum(1.0 / zt_c, 1.0),
-                                        tol=rel_tol,
-                                        max_evaluations=max_evaluations)
+        res_b = integrate_semi_infinite(
+            integrand_B, scale=_column_scales(np.maximum(1.0 / zt_c, 1.0),
+                                              duals),
+            tol=rel_tol, max_evaluations=max_evaluations)
         value = (1j * k) ** order * res_a.value \
             - 1j * (-k) ** order * res_b.value
         err = k**order * (res_a.abs_error_estimate
                           + res_b.abs_error_estimate)
-        return value, err
+        return (value.reshape(len(duals), size),
+                err.reshape(len(duals), size))
 
     value, err = _in_chunks(integral, z.size)
     pref = 1j * w / (4.0 * np.pi * C_LIGHT)
@@ -329,29 +392,28 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0):
 
 
 def _traces(geometry, w, rel_tol, max_evaluations, order):
-    """(trace_e, trace_m, abs_error) at the geometry's distance and one
-    validated frequency w, or their z-derivatives for order 1.
+    """(trace_e, trace_m, err_e, err_m) at the geometry's distance and one
+    validated frequency w, or their z-derivatives for order 1; each error
+    in its own trace's units.
 
-    trace_m comes from the dual reflector by duality, trace_m(w; eps, mu)
-    = -(w/c)^2 trace_e(w; mu, eps); the imaginary-axis kernel returns
-    xi^2-weighted traces, so there trace_m = [xi^2 trace_e(mu, eps)] / c^2.
+    One kernel call gives the reflector's column and its dual's on one
+    partition; trace_m(w; eps, mu) = -(w/c)^2 trace_e(w; mu, eps), and
+    the imaginary-axis kernel returns xi^2-weighted traces, so there
+    trace_m = [xi^2 trace_e(mu, eps)] / c^2.
     """
     z = geometry.z_atom
     if w.real == 0.0:
-        def kernel(material):
-            return _trace_e_imag_axis(material, z, np.array([w.imag]),
-                                      rel_tol, max_evaluations, order)
-        scale_e, scale_m = 1.0 / w.imag**2, 1.0 / C_LIGHT**2
+        values, errs = _trace_e_imag_axis(
+            geometry.reflector, z, np.array([w.imag]), rel_tol,
+            max_evaluations, order, duals=(False, True))
+        scale = np.array([1.0 / w.imag**2, 1.0 / C_LIGHT**2])
     else:
-        def kernel(material):
-            return _trace_e_real_axis(material, np.array([z]), w.real,
-                                      rel_tol, max_evaluations, order)
-        scale_e, scale_m = 1.0, -((w.real / C_LIGHT) ** 2)
-
-    te, err_e = kernel(geometry.reflector)
-    td, err_d = kernel(geometry.reflector.dual())
-    return ((scale_e * te).item(), (scale_m * td).item(),
-            (scale_e * err_e + abs(scale_m) * err_d).item())
+        values, errs = _trace_e_real_axis(
+            geometry.reflector, np.array([z]), w.real, rel_tol,
+            max_evaluations, order, duals=(False, True))
+        scale = np.array([1.0, -((w.real / C_LIGHT) ** 2)])
+    (te, tm), (err_e, err_m) = scale * values[:, 0], abs(scale) * errs[:, 0]
+    return te.item(), tm.item(), err_e.item(), err_m.item()
 
 
 def mirror_green_components(z_atom, freq):
@@ -394,20 +456,22 @@ def halfspace_green_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
                            max_evaluations=100_000):
     """Scattering traces of the geometry's reflector at `freq`.
 
-    One call of the trace kernel for the reflector and one for its dual,
-    at a one-element array: closed forms for the perfect mirrors, exact
-    zeros for vacuum, the transverse-wavevector integral for a material
-    half-space.  freq must be purely imaginary, or real with the
+    One call of the trace kernel, at a one-element array, for the
+    reflector's column and its dual's: closed forms for the perfect
+    mirrors, exact zeros for vacuum, the transverse-wavevector integral
+    for a material half-space.  freq must be purely imaginary, or real with the
     reflector lossy there (perfect mirrors are exempt from the loss
     requirement).
 
     Returns
     -------
-    GreenTrace with trace_e, trace_m and the achieved quadrature error.
-    Both traces are exactly real on the imaginary frequency axis.
+    GreenTrace with trace_e, trace_m and their achieved quadrature
+    errors.  Both traces are exactly real on the imaginary frequency
+    axis.
     """
     w = _validate_freq(freq)
-    return GreenTrace(w, *_traces(geometry, w, rel_tol, max_evaluations, 0))
+    te, tm, err_e, err_m = _traces(geometry, w, rel_tol, max_evaluations, 0)
+    return GreenTrace(w, te, tm, err_e + err_m, err_e, err_m)
 
 
 def d_dz_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
@@ -421,12 +485,16 @@ def d_dz_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
     enters only through the exponential: the derivative multiplies the
     integrand by -2 xi v / c on the imaginary axis, by 2 i w gamma / c on
     the propagating and by -2 w b / c on the evanescent real-axis
-    segment.  Each trace costs the same integrals as the trace itself,
-    and the reported error is the quadrature error of both derivatives.
+    segment.  Both derivatives cost the integrals of one trace pair,
+    one kernel call on a shared partition.
 
     Returns
     -------
-    (d_trace_e, d_trace_m, abs_error)
+    (d_trace_e, d_trace_m, abs_error), where abs_error adds the error of
+    d_trace_e, in 1/m^2, to that of d_trace_m, in 1/m^4, as
+    GreenTrace.abs_error does for the traces: it bounds both errors but
+    is in neither's units.
     """
-    return _traces(geometry, _validate_freq(freq), rel_tol,
-                   max_evaluations, 1)
+    de, dm, err_e, err_m = _traces(geometry, _validate_freq(freq), rel_tol,
+                                   max_evaluations, 1)
+    return de, dm, err_e + err_m

@@ -77,39 +77,39 @@ def _nonresonant(atom, material, z_values, rel_tol, max_evaluations,
     1, at an array of distances; arrays (values, abs_errors).
 
     One adaptive xi-integral per distance.  Each integrand call makes one
-    imaginary-axis kernel call per trace the atom couples to: the
-    electric one for electric moments, the dual (magnetic) one for
-    magnetic moments.  The kernel returns xi^2 trace_e, and by duality
+    imaginary-axis kernel call for the columns the atom couples to: the
+    reflector's own for electric moments, the dual's for magnetic
+    moments.  The kernel returns xi^2 trace_e at unit scale, alpha(i xi)
+    and beta(i xi) / c^2 are applied here, and by duality
     trace_m(i xi) = xi^2 trace_e(i xi; mu, eps) / c^2.
     """
     z_values = np.asarray(z_values, dtype=float)
     inner_tol = rel_tol / 10.0
-    has_e = not atom.is_purely_magnetic
-    dual = None if atom.is_purely_electric else material.dual()
+    duals = tuple(dual for dual, coupled in (
+        (False, not atom.is_purely_magnetic),
+        (True, not atom.is_purely_electric)) if coupled)
     omega_max = max(abs(t.omega_nk) for t in atom.transitions)
     pref = hbar * mu_0 / (2.0 * np.pi)
     values = np.empty(z_values.shape)
     errs = np.empty(z_values.shape)
     for i, z in enumerate(z_values.tolist()):
-        # a reflector and its dual are both closed forms (zero error at
-        # every xi) or both quadratures, so the first call's errors tell
-        # which
+        # a reflector is a closed form (zero error at every xi) or a
+        # quadrature, so the first call's errors tell which
         inexact = None
 
         def integrand(xi):
             nonlocal inexact
-            out = np.zeros(xi.shape)
-            if has_e:
-                xi2_te, err = greens._trace_e_imag_axis(
-                    material, z, xi, inner_tol, max_evaluations, order)
-                out += _response_ixi(atom, xi) * xi2_te
-            if dual is not None:
-                xi2_td, err = greens._trace_e_imag_axis(
-                    dual, z, xi, inner_tol, max_evaluations, order)
-                out += _response_ixi(atom, xi, magnetic=True) \
-                    * (xi2_td / C_LIGHT**2)
+            traces, err = greens._trace_e_imag_axis(
+                material, z, xi, inner_tol, max_evaluations, order, duals)
             if inexact is None:
                 inexact = bool(err.any())
+            out = np.zeros(xi.shape)
+            for dual, xi2_t in zip(duals, traces):
+                if dual:
+                    out += _response_ixi(atom, xi, magnetic=True) \
+                        * (xi2_t / C_LIGHT**2)
+                else:
+                    out += _response_ixi(atom, xi) * xi2_t
             return out
 
         # the integrand dies off beyond both the largest transition
@@ -129,31 +129,31 @@ def _resonant(atom, material, z_values, rel_tol, max_evaluations, order=0):
     """Resonant potential in J, or its z-derivative in J/m for order 1,
     at an array of distances; arrays (values, abs_errors).
 
-    One real-axis kernel call per resonant line and coupled trace for all
-    the distances (for a half-space one vector integral per chunk of
-    PANEL_NODES distances): w^2 |d|^2-weighted Re trace_e minus
-    |m|^2-weighted Re trace_m, each trace's error weighted by its own
-    line weight.  Exact zeros, without touching the reflector, for
-    ground-state atoms.
+    One real-axis kernel call per resonant line for all the distances
+    and the columns the line couples to (for a half-space one vector
+    integral per chunk of PANEL_NODES distances): w^2 |d|^2-weighted
+    Re trace_e minus |m|^2-weighted Re trace_m, with trace_m(w) =
+    -(w/c)^2 trace_e(w; mu, eps) from the dual column, each trace's error
+    weighted by its own line weight.  Exact zeros, without touching the
+    reflector, for ground-state atoms.
     """
     z_values = np.asarray(z_values, dtype=float)
     lines = resonant_weights(atom)
     if not lines:
         return np.zeros(z_values.shape), np.zeros(z_values.shape)
-    dual = None if atom.is_purely_electric else material.dual()
     total = np.zeros(z_values.shape)
     err = np.zeros(z_values.shape)
     for line in lines:
-        # trace_m(w) = -(w/c)^2 trace_e(w; mu, eps)
-        for weight, reflector in (
-                (line.electric_weight * line.omega**2, material),
-                (line.magnetic_weight * (line.omega / C_LIGHT) ** 2, dual)):
-            if weight:
-                trace, trace_err = greens._trace_e_real_axis(
-                    reflector, z_values, line.omega, rel_tol / 10.0,
-                    max_evaluations, order)
-                total += weight * trace.real
-                err += weight * trace_err
+        duals, weights = zip(*[(dual, weight) for dual, weight in (
+            (False, line.electric_weight * line.omega**2),
+            (True, line.magnetic_weight * (line.omega / C_LIGHT) ** 2))
+            if weight])
+        traces, trace_errs = greens._trace_e_real_axis(
+            material, z_values, line.omega, rel_tol / 10.0, max_evaluations,
+            order, duals)
+        for weight, trace, trace_err in zip(weights, traces, trace_errs):
+            total += weight * trace.real
+            err += weight * trace_err
     pref = -hbar * mu_0 / np.pi
     values = pref * total
     return values, np.maximum(abs(pref) * err,

@@ -13,6 +13,7 @@ import planarcp.potentials as potentials_module
 from planarcp import (
     PlanarGeometry,
     force_decomposition,
+    halfspace_green_traces,
     mirror_green_components,
     total_potential,
 )
@@ -28,6 +29,7 @@ from planarcp.materials import (
     AtomModel,
     MaterialResponse,
     atom_model_from_dict,
+    atom_model_to_dict,
 )
 
 from conftest import D2, ETA, W10, zt_to_z
@@ -52,6 +54,13 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def reflector_config(material):
+    """Scenario "reflector" section of an absorbing MaterialResponse."""
+    return {"model": material.model, "epsilon_oscillators": [
+        {"strength": o.strength, "resonance_rad_s": o.resonance,
+         "damping_rad_s": o.damping} for o in material.eps_oscillators]}
 
 
 @pytest.fixture
@@ -113,8 +122,30 @@ class TestGreensCommand:
                      "--out", str(out)]) == EXIT_OK
         _, data = read_csv(out)
         for col in ("re_trace_e", "im_trace_e", "trace_e_imag_axis",
-                    "trace_m_imag_axis"):
+                    "trace_m_imag_axis", "trace_e_error",
+                    "trace_e_imag_axis_error", "trace_m_imag_axis_error"):
             assert np.all(data[col] == 0.0)
+
+    def test_one_error_column_per_trace(self, write_scenario, tmp_path,
+                                        lossy_halfspace):
+        out = tmp_path / "hs.csv"
+        path = write_scenario("hs.json",
+                              reflector=reflector_config(lossy_halfspace))
+        assert main(["greens", "--scenario", path,
+                     "--out", str(out)]) == EXIT_OK
+        _, data = read_csv(out)
+        assert "error_estimate" not in data
+        trace_e = np.hypot(data["re_trace_e"], data["im_trace_e"])
+        for trace, err in ((trace_e, "trace_e_error"),
+                           (data["trace_e_imag_axis"],
+                            "trace_e_imag_axis_error"),
+                           (data["trace_m_imag_axis"],
+                            "trace_m_imag_axis_error")):
+            assert np.all((data[err] > 0.0) & (data[err] < np.abs(trace)))
+        for i, z in enumerate(data["z"]):
+            tr = halfspace_green_traces(PlanarGeometry(lossy_halfspace, z),
+                                        1j * W10)
+            assert data["trace_m_imag_axis_error"][i] == tr.err_m
 
     def test_big_eps_halfspace_matches_pec_sweep(self, write_scenario,
                                                  tmp_path):
@@ -168,6 +199,32 @@ class TestPotentialCommand:
                 res.u_resonant, rel=1e-12)
             assert data["u_total"][i] == pytest.approx(res.u_total,
                                                        rel=1e-9)
+
+    @pytest.mark.parametrize("reflector", ["pmc", "lossy_halfspace"])
+    def test_whole_sweep_matches_points(self, request, write_scenario,
+                                        tmp_path, magnetoelectric_atom,
+                                        reflector):
+        # each part is taken once over the whole sweep: mirror rows equal
+        # the per-point potentials exactly, half-space rows within their
+        # errors (the resonant distances share Sommerfeld partitions)
+        material = request.getfixturevalue(reflector)
+        out = tmp_path / "cp.csv"
+        path = write_scenario(atom=atom_model_to_dict(magnetoelectric_atom),
+                              reflector=reflector_config(material),
+                              tolerances={"relative": 1e-6})
+        assert main(["cp-potential", "--scenario", path,
+                     "--out", str(out)]) == EXIT_OK
+        _, data = read_csv(out)
+        for i, z in enumerate(data["z"]):
+            res = total_potential(magnetoelectric_atom,
+                                  PlanarGeometry(material, z), rel_tol=1e-6)
+            row = (data["u_nonresonant"][i], data["u_resonant"][i],
+                   data["u_total"][i], data["quadrature_error"][i])
+            if material.is_perfect_mirror:
+                assert row == (res.u_nonresonant, res.u_resonant,
+                               res.u_total, res.quadrature_error)
+            else:
+                assert abs(row[2] - res.u_total) <= row[3]
 
 
 class TestPlateForceCommand:

@@ -206,10 +206,10 @@ class TestHalfspace:
         z = zt_to_z(0.7)
         xi = W10 * np.array([0.03, 0.4, 1.0, 2.5, 9.0])
         tol = 1e-10
-        te, err_e = greens._trace_e_imag_axis(lossy_halfspace, z, xi, tol,
-                                              100_000)
-        td, err_d = greens._trace_e_imag_axis(lossy_halfspace.dual(), z, xi,
-                                              tol, 100_000)
+        (te,), (err_e,) = greens._trace_e_imag_axis(lossy_halfspace, z, xi,
+                                                    tol, 100_000)
+        (td,), (err_d,) = greens._trace_e_imag_axis(lossy_halfspace.dual(),
+                                                    z, xi, tol, 100_000)
         geo = PlanarGeometry(lossy_halfspace, z)
         for k, x in enumerate(xi):
             # the kernel returns xi^2-weighted traces
@@ -260,6 +260,95 @@ class TestHalfspace:
             PlanarGeometry(pec, 0.0)
         with pytest.raises(ValueError):
             PlanarGeometry(pec, -1e-9)
+
+
+class TestTraceAndDualColumns:
+    # one kernel call integrates the reflector's trace and its dual's on
+    # one partition; two separate calls (reflector, material.dual()) are
+    # the reference
+    XI = W10 * np.array([0.03, 0.4, 1.0, 2.5, 9.0])
+    ZT = np.array([0.3, 0.9, 2.5, 7.0, 25.0])
+    TOL = 1e-9
+
+    def kernel(self, axis, material, order, duals):
+        if axis == "imaginary":
+            return greens._trace_e_imag_axis(material, zt_to_z(0.7), self.XI,
+                                             self.TOL, 100_000, order, duals)
+        return greens._trace_e_real_axis(material, zt_to_z(self.ZT), W10,
+                                         self.TOL, 100_000, order, duals)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("axis", ["real", "imaginary"])
+    @pytest.mark.parametrize("reflector", ["pec", "pmc", "vacuum",
+                                           "lossy_halfspace"])
+    def test_two_columns_match_two_calls(self, request, reflector, axis,
+                                         order):
+        material = request.getfixturevalue(reflector)
+        both, both_err = self.kernel(axis, material, order, (False, True))
+        (own,), (own_err,) = self.kernel(axis, material, order, (False,))
+        (dual,), (dual_err,) = self.kernel(axis, material.dual(), order,
+                                           (False,))
+        assert both.shape == both_err.shape == (2, 5)
+        assert np.all(np.abs(both[0] - own) <= both_err[0] + own_err)
+        assert np.all(np.abs(both[1] - dual) <= both_err[1] + dual_err)
+        if reflector == "lossy_halfspace":
+            assert np.all(both_err > 0.0)
+            assert np.all(both != 0.0)
+        else:
+            # closed forms and vacuum: exact, the dual mirror the negative
+            assert not both_err.any()
+            assert np.array_equal(both, np.stack([own, dual]))
+            assert np.array_equal(both[1], -both[0])
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("axis", ["real", "imaginary"])
+    def test_one_dual_column_is_the_dual_reflector_integral(
+            self, lossy_halfspace, axis, order):
+        # asked for one column, the kernel runs the very integral of the
+        # dual reflector: same partition, same bits
+        got = self.kernel(axis, lossy_halfspace, order, (True,))
+        ref = self.kernel(axis, lossy_halfspace.dual(), order, (False,))
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+
+    @pytest.mark.parametrize("freq", [W10, 1j * W10])
+    @pytest.mark.parametrize("reflector", ["pec", "lossy_halfspace"])
+    def test_one_kernel_call_per_trace_pair(self, request, monkeypatch,
+                                            reflector, freq):
+        calls = []
+        for name in ("_trace_e_imag_axis", "_trace_e_real_axis"):
+            original = getattr(greens, name)
+            monkeypatch.setattr(
+                greens, name, lambda *a, _f=original, _n=name, **k:
+                calls.append((_n, k["duals"])) or _f(*a, **k))
+        geo = PlanarGeometry(request.getfixturevalue(reflector),
+                             zt_to_z(1.0))
+        axis = "_trace_e_real_axis" if np.isreal(freq) \
+            else "_trace_e_imag_axis"
+        halfspace_green_traces(geo, freq)
+        assert calls == [(axis, (False, True))]
+        calls.clear()
+        d_dz_traces(geo, freq)
+        assert calls == [(axis, (False, True))]
+
+    @pytest.mark.parametrize("freq", [W10, 1j * W10])
+    def test_errors_per_trace(self, lossy_halfspace, freq):
+        # each error in its own trace's units: it bounds the deviation
+        # from a tight run and stays below the trace.  The sum abs_error
+        # mixes units: for the derivatives at the real frequency it reads
+        # 5.2e19 against |d trace_e/dz| = 1.0e14
+        geo = PlanarGeometry(lossy_halfspace, zt_to_z(1.0))
+        tr = halfspace_green_traces(geo, freq)
+        tight = halfspace_green_traces(geo, freq, rel_tol=1e-11)
+        assert tr.abs_error == tr.err_e + tr.err_m
+        assert abs(tr.trace_e - tight.trace_e) <= tr.err_e < abs(tr.trace_e)
+        assert abs(tr.trace_m - tight.trace_m) <= tr.err_m < abs(tr.trace_m)
+        w = complex(freq)
+        de, dm, err_e, err_m = greens._traces(geo, w, 1e-7, 100_000, 1)
+        de_t, dm_t, _, _ = greens._traces(geo, w, 1e-11, 100_000, 1)
+        assert d_dz_traces(geo, freq) == (de, dm, err_e + err_m)
+        assert abs(de - de_t) <= err_e < abs(de)
+        assert abs(dm - dm_t) <= err_m < abs(dm)
 
 
 class TestFresnel:
@@ -392,16 +481,16 @@ class TestHalfspaceDerivatives:
         # scale on the evanescent one
         z = zt_to_z(np.array([0.3, 0.9, 2.5, 7.0, 25.0]))
         tol = 1e-10
-        te, err = greens._trace_e_real_axis(lossy_halfspace, z, W10, tol,
-                                            100_000, order)
+        (te,), (err,) = greens._trace_e_real_axis(lossy_halfspace, z, W10,
+                                                  tol, 100_000, order)
         for k, zk in enumerate(z):
-            (t1,), (e1,) = greens._trace_e_real_axis(
+            ((t1,),), ((e1,),) = greens._trace_e_real_axis(
                 lossy_halfspace, np.array([zk]), W10, tol, 100_000, order)
             assert abs(te[k] - t1) <= err[k] + e1
 
     @pytest.mark.parametrize("freq", [W10, 1j * W10])
-    def test_d_dz_traces_two_integrals_per_trace(self, lossy_halfspace,
-                                                 monkeypatch, freq):
+    def test_d_dz_traces_share_integrals_between_traces(
+            self, lossy_halfspace, monkeypatch, freq):
         calls = []
         for name in ("integrate_finite", "integrate_semi_infinite"):
             original = getattr(greens, name)
@@ -410,8 +499,9 @@ class TestHalfspaceDerivatives:
                 lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
         geo = PlanarGeometry(lossy_halfspace, zt_to_z(1.0))
         de, dm, err = d_dz_traces(geo, freq)
-        # two traces; real axis: propagating and evanescent segments
-        assert len(calls) == (4 if np.isreal(freq) else 2)
+        # both traces on one partition; real axis: propagating and
+        # evanescent segments
+        assert len(calls) == (2 if np.isreal(freq) else 1)
         tr_de, tr_dm, _ = d_dz_traces(geo, freq, rel_tol=1e-10)
         assert abs(de - tr_de) <= err
         assert abs(dm - tr_dm) <= err

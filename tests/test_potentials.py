@@ -9,6 +9,8 @@ a perfect mirror.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 from scipy.constants import epsilon_0, hbar, mu_0
 
@@ -99,17 +101,30 @@ class TestHalfspaceNonresonant:
     def test_electric_atom_never_builds_the_dual_reflector(
             self, excited_atom, magnetoelectric_atom, lossy_halfspace,
             monkeypatch):
+        # the dual trace is a column of the reflector's own kernel call:
+        # the electric atom asks only for the reflector's column, the
+        # magnetoelectric atom for both in every call
         built = []
         dual = MaterialResponse.dual
         monkeypatch.setattr(MaterialResponse, "dual",
                             lambda self: built.append(self) or dual(self))
+        requested = []
+        kernel = potentials_module.greens._trace_e_imag_axis
+        monkeypatch.setattr(
+            potentials_module.greens, "_trace_e_imag_axis",
+            lambda material, *a: requested.append((material, a[-1]))
+            or kernel(material, *a))
         z = [zt_to_z(1.0)]
         potentials_module._nonresonant(excited_atom, lossy_halfspace, z,
                                        1e-7, 100_000)
         assert built == []
+        assert requested and set(requested) == {(lossy_halfspace, (False,))}
+        requested.clear()
         potentials_module._nonresonant(magnetoelectric_atom, lossy_halfspace,
                                        z, 1e-5, 100_000)
-        assert built == [lossy_halfspace]
+        assert built == []
+        assert requested and set(requested) == {
+            (lossy_halfspace, (False, True))}
 
     def test_readme_point_converges_at_default_tolerances(self):
         # the README's half-space scenario at its nearest point, zt = 0.1
@@ -284,6 +299,54 @@ class TestDuality:
         budget = 10.0 * (r.quadrature_error + rd.quadrature_error)
         assert abs(rd.u_nonresonant - r.u_nonresonant) <= budget
         assert abs(rd.u_resonant - r.u_resonant) <= budget
+
+
+def _lorentz_oscillators(strength, min_size):
+    return st.lists(st.builds(
+        LorentzOscillator,
+        strength=st.floats(*strength),
+        resonance=st.floats(0.3 * W10, 3.0 * W10),
+        damping=st.floats(0.05 * W10, 0.5 * W10)),
+        min_size=min_size, max_size=2)
+
+
+_TRANSITIONS = st.lists(st.builds(
+    Transition,
+    omega_nk=st.floats(0.5 * W10, 2.0 * W10).flatmap(
+        lambda w: st.sampled_from([w, -w])),
+    dipole_sq=st.floats(0.1 * D2, D2),
+    magnetic_sq=st.floats(0.1 * D2 * C_LIGHT**2, D2 * C_LIGHT**2)),
+    min_size=1, max_size=2)
+
+
+class TestDualityProperty:
+    """Both parts are invariant under duality_transform for random
+    absorbing Lorentz media with eps and mu oscillators and random
+    magnetoelectric atoms, at orders 0 and 1, within the summed errors."""
+
+    TOL = 1e-6
+
+    @settings(max_examples=8, deadline=None, derandomize=True,
+              database=None)
+    @given(eps=_lorentz_oscillators((0.1, 3.0), 1),
+           mu=_lorentz_oscillators((0.05, 1.0), 0),
+           transitions=_TRANSITIONS, zt=st.floats(0.3, 5.0),
+           order=st.sampled_from([0, 1]))
+    def test_parts_invariant(self, eps, mu, transitions, zt, order):
+        material = MaterialResponse("drude-lorentz", eps_oscillators=eps,
+                                    mu_oscillators=mu)
+        atom = AtomModel("drawn", transitions)
+        geo = PlanarGeometry(material, zt_to_z(zt))
+        dual_atom, dual_geo = duality_transform(atom, geo)
+        for part in (potentials_module._nonresonant,
+                     potentials_module._resonant):
+            (u,), (err,) = part(atom, material, [geo.z_atom], self.TOL,
+                                100_000, order)
+            (ud,), (err_d,) = part(dual_atom, dual_geo.reflector,
+                                   [geo.z_atom], self.TOL, 100_000, order)
+            assert abs(u - ud) <= err + err_d
+            assert (u == 0.0) == (part is potentials_module._resonant
+                                  and atom.is_ground_state)
 
 
 class TestGradient:
