@@ -60,6 +60,7 @@ from .potentials import (
 from .quadrature import (
     QuadratureConvergenceError,
     QuadratureResult,
+    integrate_batch,
     integrate_finite,
     integrate_semi_infinite,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "duality_transform",
     "force_decomposition",
     "halfspace_green_traces",
+    "integrate_batch",
     "integrate_finite",
     "integrate_semi_infinite",
     "load_atom_model",

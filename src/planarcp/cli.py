@@ -76,11 +76,7 @@ from .forces import (
     force_decomposition,
     mirror_force_bracket,
 )
-from .greens import (
-    PlanarGeometry,
-    _pec_phase_polynomial,
-    halfspace_green_traces,
-)
+from .greens import PlanarGeometry, _pec_phase_polynomial, _trace_sweep
 from .materials import (
     AtomModel,
     LorentzOscillator,
@@ -332,26 +328,20 @@ def cmd_greens(scenario, out_path):
     units = _make_units(scenario)
     w0 = abs(scenario.atom.transitions[0].omega_nk)
     tol = scenario.tolerances
-    rows = []
-    for z in scenario.sweep:
-        geo = PlanarGeometry(scenario.reflector, z)
-        tr_w = halfspace_green_traces(
-            geo, w0, rel_tol=tol["sommerfeld_relative"],
-            max_evaluations=tol["max_evaluations"])
-        tr_ix = halfspace_green_traces(
-            geo, 1j * w0, rel_tol=tol["sommerfeld_relative"],
-            max_evaluations=tol["max_evaluations"])
-        rows.append([
-            z * units.length,
-            2.0 * w0 * z / C_LIGHT,
-            np.real(tr_w.trace_e) * units.trace_e,
-            np.imag(tr_w.trace_e) * units.trace_e,
-            np.real(tr_ix.trace_e) * units.trace_e,
-            np.real(tr_ix.trace_m) * units.trace_m,
-            tr_w.err_e * units.trace_e,
-            tr_ix.err_e * units.trace_e,
-            tr_ix.err_m * units.trace_m,
-        ])
+    # one kernel call per frequency axis for the whole sweep
+    reflector, distances = scenario.reflector, np.array(scenario.sweep)
+    budget = (tol["sommerfeld_relative"], tol["max_evaluations"])
+    te_w, _, err_w, _ = _trace_sweep(reflector, distances, complex(w0),
+                                     *budget)
+    te_ix, tm_ix, err_e_ix, err_m_ix = _trace_sweep(reflector, distances,
+                                                    1j * w0, *budget)
+    rows = [[z * units.length, 2.0 * w0 * z / C_LIGHT,
+             np.real(e_w) * units.trace_e, np.imag(e_w) * units.trace_e,
+             np.real(e_ix) * units.trace_e, np.real(m_ix) * units.trace_m,
+             d_w * units.trace_e, d_e * units.trace_e, d_m * units.trace_m]
+            for z, e_w, e_ix, m_ix, d_w, d_e, d_m in zip(
+                scenario.sweep, te_w.tolist(), te_ix.tolist(), tm_ix.tolist(),
+                err_w.tolist(), err_e_ix.tolist(), err_m_ix.tolist())]
     comments = _provenance(scenario, "greens") + [
         f"reference_frequency_rad_s = {w0!r}",
         "imaginary-axis columns evaluated at xi = reference frequency",

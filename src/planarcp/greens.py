@@ -34,8 +34,13 @@ so the xi -> 0 end of a frequency integral never divides by y^3.
 Vacuum gives zeros.  A material half-space is integrated over the
 transverse wavevector with its s- and p-polarised Fresnel coefficients.
 z enters that integrand only through e^{2 i k_z z}, so d/dz is one
-more factor 2 i k_z under the integral, and groups of PANEL_NODES
-frequencies or distances share one vector integral on one partition.
+more factor 2 i k_z under the integral.  On the imaginary axis every
+point (z, xi), z and xi broadcast against each other, is its own
+integral of one lock-step batch (quadrature.integrate_batch): each
+round refines the failing panels of all points in one integrand call,
+so a kernel call costs as many rounds as its slowest point.  On the
+real axis groups of PANEL_NODES distances share one vector integral on
+one partition.
 
 The curl-curl trace is obtained by duality rather than by direct
 double-curl differentiation: exchanging eps and mu of the reflector
@@ -70,7 +75,12 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 
 from .materials import PERFECT_ELECTRIC_MIRROR, MaterialResponse
-from .quadrature import PANEL_NODES, integrate_finite, integrate_semi_infinite
+from .quadrature import (
+    PANEL_NODES,
+    integrate_batch,
+    integrate_finite,
+    integrate_semi_infinite,
+)
 
 __all__ = [
     "PlanarGeometry",
@@ -84,6 +94,11 @@ __all__ = [
 
 # inner-integral tolerances default to one decade looser than potentials
 DEFAULT_SOMMERFELD_TOL = 1e-7
+
+# initial cuts of an imaginary-axis integral: in w = y (v - 1), the
+# exponent of its decay, and in v - 1 below the first of those
+_DECAY_CUTS = np.array([0.5, 1.5, 3.0, 6.0, 12.0, 30.0])
+_HEAD_CUTS = 8.0 ** np.arange(21)
 
 _PEC = MaterialResponse(PERFECT_ELECTRIC_MIRROR)
 
@@ -171,9 +186,9 @@ def _in_chunks(integral, size):
 
 
 def _columns(blocks):
-    """The integrand blocks of the requested traces side by side, (N, K)
-    each; a single block is returned as it is."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    """The integrand blocks of the requested traces side by side, columns
+    of a 1-d block or (N, K) each; a single block is returned as it is."""
+    return blocks[0] if len(blocks) == 1 else np.column_stack(blocks)
 
 
 def _column_scales(scale, duals):
@@ -190,6 +205,13 @@ def _mirror_rows(value, duals):
     if duals == (False,):
         return value[None]
     return np.stack([-value if dual else value for dual in duals])
+
+
+def _power(z, n):
+    """z^n of a Python float or, elementwise with the same bits, of an
+    array: numpy's vectorised power differs from libm's pow in the last
+    bit of about one value in twenty, float_power does not."""
+    return np.float_power(z, n) if isinstance(z, np.ndarray) else z**n
 
 
 def _pec_phase_polynomial(zt, order):
@@ -219,12 +241,44 @@ def _fresnel(eps, mu, v, v1):
     return r(mu), r(eps)
 
 
+def _sommerfeld_panels(y):
+    """Initial panels (lo, hi, owner) in t of one integral per point,
+    mapped by v - 1 = s t / (1 - t) with s = max(1/y, 1).
+
+    The panels end where w = y (v - 1) = 0.5, 1.5, 3, 6, 12, 30
+    (_DECAY_CUTS): about doubling in the exponent of e^{-y v}, so each
+    spans a bounded share of the decay, which the map compresses toward
+    t = 1, and beyond w = 30 the integrand is e^{-30} down.  Below
+    w = 0.5 the first panel is cut again where v - 1 = 1, 8, 64, ...
+    (_HEAD_CUTS): near v = 1 the Fresnel coefficients approach their
+    large-v limits like 1/v^2, and at y << 1 that structure would sit
+    between the nodes of one panel, where G7 and K15 can agree on a
+    wrong value.  Points with y >= 0.5 have no head cuts.
+    """
+    y = y[:, None]
+    rate = np.maximum(y, 1.0)  # y s: w = rate t / (1 - t)
+    head = y * _HEAD_CUTS[_HEAD_CUTS * y.min() < _DECAY_CUTS[0]]
+    # a head cut beyond the first decay cut collapses onto it, leaving
+    # an empty panel that is dropped
+    w = np.concatenate([np.minimum(head, _DECAY_CUTS[0]),
+                        np.broadcast_to(_DECAY_CUTS,
+                                        (y.size, _DECAY_CUTS.size))], axis=1)
+    edges = np.concatenate([np.zeros_like(y), w / (rate + w),
+                            np.ones_like(y)], axis=1)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    owner = np.arange(y.size).repeat(edges.shape[1] - 1)
+    keep = hi > lo
+    return lo[keep], hi[keep], owner[keep]
+
+
 def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
                        duals=(False,)):
     """xi^2 Tr G1(i xi), or xi^2 times its z-derivative for order 1, at
-    an array of xi; arrays (values, abs_errors) of shape (len(duals),
-    xi.size), exactly real.  Row j is the trace of the reflector when
-    duals[j] is False and of its dual (eps and mu exchanged) when True.
+    points (z, xi) of z and xi broadcast against each other, both
+    scalars or 1-d arrays; arrays (values, abs_errors) of shape
+    (len(duals), points), exactly real.  Row j is the trace of the
+    reflector when duals[j] is False and of its dual (eps and mu
+    exchanged) when True.
 
     Perfect mirrors use the pole-free closed form of the module
     docstring, vacuum gives zeros; neither has an error.  For a
@@ -241,26 +295,29 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
     is r_p - (2 v^2 - 1) r_s.
 
     z enters only through the exponential, so d/dz multiplies the
-    integrand by -2 xi v / c.  Each chunk of PANEL_NODES xi is one
-    vector integral, each column with its own map scale, the requested
-    traces side by side on the same partition.
+    integrand by -2 xi v / c.  Each point is its own integral of one
+    lock-step batch, mapped by v - 1 = s t / (1 - t) with s = max(1/y, 1)
+    and started from the panels of _sommerfeld_panels, graded in the
+    exponent y (v - 1); the requested traces are its columns, on its own
+    partition.
     """
-    xi = np.asarray(xi, dtype=float)
-    shape = (len(duals), xi.size)
     if material.is_perfect_mirror:
         sign = 1.0 if material.model == PERFECT_ELECTRIC_MIRROR else -1.0
-        y = (2.0 * z / C_LIGHT) * xi
+        y = (2.0 * z / C_LIGHT) * np.asarray(xi, dtype=float)
         if order == 0:
-            pref = -sign * C_LIGHT**2 / (16.0 * np.pi * z**3)
+            pref = -sign * C_LIGHT**2 / (16.0 * np.pi * _power(z, 3))
             poly = 2.0 + y * (2.0 + y)
         else:
-            pref = sign * C_LIGHT**2 / (16.0 * np.pi * z**4)
+            pref = sign * C_LIGHT**2 / (16.0 * np.pi * _power(z, 4))
             poly = 6.0 + y * (6.0 + y * (3.0 + y))
         return (_mirror_rows(pref * np.exp(-y) * poly, duals),
-                np.zeros(shape))
+                np.zeros((len(duals),) + y.shape))
+    shape = (len(duals),) + np.broadcast(z, xi).shape
     if material.is_vacuum:
         return np.zeros(shape), np.zeros(shape)
 
+    z, xi = np.broadcast_arrays(np.asarray(z, dtype=float),
+                                np.asarray(xi, dtype=float))
     eps = material.epsilon(1j * xi).real
     mu = material.mu(1j * xi).real
     bad = (eps <= 0.0) | (mu <= 0.0)
@@ -271,30 +328,28 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
             f"gave eps={eps[k]:.3g}, mu={mu[k]:.3g} at xi={xi[k]:.3g}"
         )
     y = 2.0 * xi * z / C_LIGHT
-    em1 = eps * mu - 1.0
+    scale = np.maximum(1.0 / y, 1.0)
+    # per point: map scale, decay rate, eps, mu, eps mu - 1
+    params = np.stack([scale, y, eps, mu, eps * mu - 1.0])
 
-    def integral(chunk):
-        y_c, eps_c, mu_c, em1_c = y[chunk], eps[chunk], mu[chunk], em1[chunk]
-        size = y_c.size
+    def integrand(t, point):
+        s, y_p, eps_p, mu_p, em1_p = params[:, point]
+        one_minus = 1.0 - t
+        v = 1.0 + s * t / one_minus
+        v2 = v * v
+        rs, rp = _fresnel(eps_p, mu_p, v, np.sqrt(em1_p + v2))
+        damp = np.exp(-y_p * v) * (s / one_minus**2)
+        if order:
+            damp *= v
+        pw = 2.0 * v2 - 1.0
+        return _columns([damp * (rp - pw * rs) if dual
+                         else damp * (rs - pw * rp) for dual in duals])
 
-        def integrand(t):
-            v = 1.0 + t[:, :size]
-            v2 = v * v
-            rs, rp = _fresnel(eps_c, mu_c, v, np.sqrt(em1_c + v2))
-            damp = np.exp(-y_c * v) * v**order
-            pw = 2.0 * v2 - 1.0
-            return _columns([damp * (rp - pw * rs) if dual
-                             else damp * (rs - pw * rp) for dual in duals])
-
-        res = integrate_semi_infinite(
-            integrand, scale=_column_scales(np.maximum(1.0 / y_c, 1.0), duals),
-            tol=rel_tol, max_evaluations=max_evaluations)
-        return (res.value.reshape(len(duals), size),
-                res.abs_error_estimate.reshape(len(duals), size))
-
-    value, err = _in_chunks(integral, xi.size)
+    res = integrate_batch(integrand, *_sommerfeld_panels(y.ravel()),
+                          tol=rel_tol, max_evaluations=max_evaluations)
     pref = xi**3 / (4.0 * np.pi * C_LIGHT) * (-2.0 * xi / C_LIGHT) ** order
-    return pref * value, np.abs(pref) * err
+    return (pref * res.value.T.reshape(shape),
+            np.abs(pref) * res.abs_error_estimate.T.reshape(shape))
 
 
 def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
@@ -391,29 +446,35 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
 # traces at one point
 
 
-def _traces(geometry, w, rel_tol, max_evaluations, order):
-    """(trace_e, trace_m, err_e, err_m) at the geometry's distance and one
-    validated frequency w, or their z-derivatives for order 1; each error
-    in its own trace's units.
+def _trace_sweep(reflector, z, w, rel_tol, max_evaluations, order=0):
+    """(trace_e, trace_m, err_e, err_m), arrays over an array of
+    distances z at one validated frequency w, or their z-derivatives for
+    order 1; each error in its own trace's units.
 
-    One kernel call gives the reflector's column and its dual's on one
-    partition; trace_m(w; eps, mu) = -(w/c)^2 trace_e(w; mu, eps), and
+    One kernel call gives the reflector's column and its dual's for the
+    whole sweep; trace_m(w; eps, mu) = -(w/c)^2 trace_e(w; mu, eps), and
     the imaginary-axis kernel returns xi^2-weighted traces, so there
     trace_m = [xi^2 trace_e(mu, eps)] / c^2.
     """
-    z = geometry.z_atom
     if w.real == 0.0:
         values, errs = _trace_e_imag_axis(
-            geometry.reflector, z, np.array([w.imag]), rel_tol,
-            max_evaluations, order, duals=(False, True))
-        scale = np.array([1.0 / w.imag**2, 1.0 / C_LIGHT**2])
+            reflector, z, np.array([w.imag]), rel_tol, max_evaluations,
+            order, duals=(False, True))
+        scale = np.array([[1.0 / w.imag**2], [1.0 / C_LIGHT**2]])
     else:
         values, errs = _trace_e_real_axis(
-            geometry.reflector, np.array([z]), w.real, rel_tol,
-            max_evaluations, order, duals=(False, True))
-        scale = np.array([1.0, -((w.real / C_LIGHT) ** 2)])
-    (te, tm), (err_e, err_m) = scale * values[:, 0], abs(scale) * errs[:, 0]
-    return te.item(), tm.item(), err_e.item(), err_m.item()
+            reflector, z, w.real, rel_tol, max_evaluations, order,
+            duals=(False, True))
+        scale = np.array([[1.0], [-((w.real / C_LIGHT) ** 2)]])
+    (te, tm), (err_e, err_m) = scale * values, abs(scale) * errs
+    return te, tm, err_e, err_m
+
+
+def _traces(geometry, w, rel_tol, max_evaluations, order):
+    """_trace_sweep at the geometry's distance alone, as Python scalars."""
+    return tuple(part.item() for part in _trace_sweep(
+        geometry.reflector, np.array([geometry.z_atom]), w, rel_tol,
+        max_evaluations, order))
 
 
 def mirror_green_components(z_atom, freq):

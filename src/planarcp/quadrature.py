@@ -3,32 +3,42 @@
 All potentials and forces in this package reduce to one-dimensional
 integrals: semi-infinite imaginary-frequency integrals, finite spatial
 integrals across a slab, and transverse-wavevector integrals for the
-half-space Green tensor.  They are all evaluated by the same adaptive
-Gauss-Kronrod (G7/K15) scheme.
+half-space Green tensor.  They are all evaluated by one adaptive
+Gauss-Kronrod (G7/K15) engine, which refines n independent integrals of
+K columns each.
 
 Integrands must be vectorised: they are called with a 1-d numpy array
 of abscissae and return either one value per abscissa (a scalar
 integral) or a row of K values per abscissa, shape (N, K) (K integrals
 on one shared partition).  Values may be real or complex.  The
 abscissae of one call come panel by panel, PANEL_NODES consecutive
-nodes per panel.
+nodes per panel.  integrate_finite and integrate_semi_infinite are the
+engine at n = 1.  integrate_batch runs n integrals, each with its own
+initial panels, in lock-step: its integrand also receives, for every
+abscissa, the index of the integral it belongs to.
 
 Refinement is batched: all initial panels are evaluated in one
 integrand call, and every round bisects, again in one call, each panel
 whose error in any unconverged column exceeds that column's equal
-share of its target, (tol * |value_k| + abs_floor) / panels.
+share of its integral's target, (tol * |value_k| + abs_floor) / panels.
+An integral whose columns all meet their targets leaves the batch with
+its result, so a round costs one call whatever n is, and a batch as
+many rounds as its slowest integral.
 
-The error contract holds for every column k: on success the reported
-absolute error estimate satisfies
+The error contract holds for every column k of every integral: on
+success the reported absolute error estimate satisfies
 
     abs_error_estimate_k <= tol * |value_k| + abs_floor
 
 and non-convergence within the evaluation budget raises
 :class:`QuadratureConvergenceError` carrying the best value and the
-achieved estimate.  A silently truncated result is never returned.
-The budget counts abscissae of the shared partition (one abscissa
-evaluates all K columns) and caps each integral on its own; the
-integrals nested inside an integrand have budgets of their own.
+achieved estimate of the integral that ran out.  A silently truncated
+result is never returned.  `evaluations` counts the abscissae of an
+integral's partition (one abscissa evaluates all K columns), initial
+panels included, and the budget caps each integral of a batch on its
+own; when it runs short, the panels of largest error are bisected
+first.  The integrals nested inside an integrand have budgets of their
+own.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ __all__ = [
     "NonFiniteIntegrandError",
     "integrate_finite",
     "integrate_semi_infinite",
+    "integrate_batch",
 ]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1] to the full
@@ -76,11 +87,12 @@ class QuadratureResult:
     """Value of an integral together with its certified error estimate.
 
     value : float or complex; an ndarray of K values for a vector
-        integrand
+        integrand; for integrate_batch an ndarray of shape (n,) or (n, K)
     abs_error_estimate : float, >= 0, same units as value; an ndarray of
-        K estimates for a vector integrand
+        the shape of value for a vector integrand or a batch
     evaluations : int, number of abscissae of the shared partition at
-        which the integrand was evaluated
+        which the integrand was evaluated; for integrate_batch an
+        ndarray of the n per-integral counts
     """
 
     value: float | complex | np.ndarray
@@ -114,16 +126,18 @@ class NonFiniteIntegrandError(QuadratureConvergenceError, ValueError):
     """
 
 
-def _gk15(f, lo, hi, spent):
-    """G7/K15 on every panel [lo_i, hi_i] from one integrand call.
+def _gk15(f, lo, hi, spent, *args):
+    """G7/K15 on every panel [lo_i, hi_i] from one integrand call
+    f(x, *args).
 
     Returns the K15 values and the |K15 - G7| error estimates, each of
     shape (panels, K), and whether the integrand is scalar (K = 1).
-    `spent` is the evaluation count before this call, for error reports.
+    spent(i) is the evaluation count to report when panel i is not
+    finite.
     """
     half = 0.5 * (hi - lo)
     x = (0.5 * (hi + lo))[:, None] + half[:, None] * _XK
-    y = np.asarray(f(x.ravel()))
+    y = np.asarray(f(x.ravel(), *args))
     if y.ndim not in (1, 2) or y.shape[0] != x.size:
         raise ValueError(
             f"integrand returned shape {y.shape} for {x.size} abscissae; "
@@ -132,10 +146,10 @@ def _gk15(f, lo, hi, spent):
     scalar = y.ndim == 1
     y = y.reshape(lo.size, PANEL_NODES, -1)
     if not np.isfinite(y).all():
-        k = np.argmin(np.isfinite(y).all(axis=(1, 2)))
+        i = np.argmin(np.isfinite(y).all(axis=(1, 2)))
         raise NonFiniteIntegrandError(
-            f"integrand returned a non-finite value on [{lo[k]}, {hi[k]}]",
-            np.nan, np.inf, spent + x.size,
+            f"integrand returned a non-finite value on [{lo[i]}, {hi[i]}]",
+            np.nan, np.inf, spent(i),
         )
     val_k = half[:, None] * (_WK @ y)
     val_g = half[:, None] * (_WG @ y[:, 1::2])  # Gauss nodes: odd slots
@@ -145,69 +159,164 @@ def _gk15(f, lo, hi, spent):
     return val_k, np.abs(val_k - val_g), scalar
 
 
-def _adapt(f, a, b, tol, abs_floor, max_evaluations, initial_intervals=1):
+def _adapt(f, lo, hi, owner, tol, abs_floor, max_evaluations):
+    """Lock-step G7/K15 refinement of n integrals from their initial
+    panels [lo_j, hi_j].
+
+    owner is None for a single integral with integrand f(x), else the
+    integral 0..n-1 that each initial panel belongs to, every integral
+    owning at least one, and the integrand is f(x, index), index holding
+    the integral of each abscissa.  Returns the values and the error
+    estimates, each of shape (n, K), the evaluations (an int for a single
+    integral, else an ndarray of n counts), and whether the integrand is
+    scalar.
+    """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"relative tolerance must be in (0, 1), got {tol}")
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 0)
-
-    # an oscillatory integrand can fool a single G7/K15 panel into a
-    # deceptively small error estimate; callers that know the phase span
-    # request enough initial panels to resolve it
-    edges = np.linspace(a, b, max(int(initial_intervals), 1) + 1)
-    lo, hi = edges[:-1], edges[1:]
-    if lo.size * PANEL_NODES > max_evaluations:
+    batch = owner is not None
+    args = ()
+    if batch:
+        initial = np.bincount(owner)
+        if not initial.all():
+            raise ValueError("every integral needs an initial panel")
+        # owner indexes the per-integral arrays of the integrals still
+        # refining; ids maps them to the caller's numbers
+        ids = np.arange(initial.size)
+        args = (owner.repeat(PANEL_NODES),)
+        peak = PANEL_NODES * initial.max()
+    else:
+        initial = lo.size
+        peak = PANEL_NODES * initial
+    if peak > max_evaluations:
         raise QuadratureConvergenceError(
-            f"{lo.size} initial panels exceed the evaluation budget",
-            np.nan, np.inf, 0,
+            f"{peak // PANEL_NODES} initial panels exceed the evaluation "
+            "budget", np.nan, np.inf, 0,
         )
-    val, err, scalar = _gk15(f, lo, hi, 0)
-    evaluations = lo.size * PANEL_NODES
+    val, err, scalar = _gk15(
+        f, lo, hi,
+        lambda i: PANEL_NODES * (initial[owner[i]] if batch else initial),
+        *args)
+    finished = []  # (ids, values, errors, evaluations) as integrals leave
+    leaving = False
+
+    def failure(message, i):
+        return QuadratureConvergenceError(
+            f"integral {ids[i]}: {message}" if batch else message,
+            _unpack(total_val[i], scalar), _unpack(total_err[i], scalar),
+            int(np.atleast_1d(evals)[i]))
 
     while True:
-        total_val = val.sum(axis=0)
-        total_err = err.sum(axis=0)
+        if batch:
+            counts = np.bincount(owner, minlength=ids.size)
+            total_val = _per_integral(val, owner, ids.size)
+            total_err = _per_integral(err, owner, ids.size)
+        else:
+            counts = lo.size
+            total_val = val.sum(axis=0, keepdims=True)
+            total_err = err.sum(axis=0, keepdims=True)
+        # initial panels once, then two panels a bisection
+        evals = PANEL_NODES * (2 * counts - initial)
         target = tol * np.abs(total_val) + abs_floor
         failing = total_err > target
-        if not failing.any():
-            break
+        if not batch:
+            if not failing.any():
+                break
+            share = target / counts
+            peak = evals
+        else:
+            running = failing.any(axis=1)
+            leaving = not running.all()
+            if leaving:
+                # converged integrals leave the batch with their results;
+                # having no failing column, none of their panels splits,
+                # and the merge below drops them
+                done = ~running
+                finished.append((ids[done], total_val[done], total_err[done],
+                                 evals[done]))
+                if not running.any():
+                    break
+            share = (target / counts[:, None])[owner]
+            failing = failing[owner]
+            peak = evals.max()
         # a failing column has at least one panel above its equal share
-        ratio = err[:, failing] / (target[failing] / lo.size)
+        ratio = np.where(failing, err / share, 0.0)
         split = (ratio > 1.0).any(axis=1)
-        room = (max_evaluations - evaluations) // (2 * PANEL_NODES)
-        if room == 0:
-            raise QuadratureConvergenceError(
-                "quadrature did not converge within the evaluation budget",
-                _unpack(total_val, scalar), _unpack(total_err, scalar),
-                evaluations,
-            )
-        if np.count_nonzero(split) > room:
-            # the budget runs short: bisect the worst panels that fit
-            split[:] = False
-            split[np.argsort(ratio.max(axis=1), kind="stable")[-room:]] = True
+        n_split = np.count_nonzero(split)
+        if peak + 2 * PANEL_NODES * n_split > max_evaluations:
+            # the budget runs short for some integral: bisect the worst
+            # panels that fit, or give up when none fits
+            wanted = (np.bincount(owner[split], minlength=ids.size) if batch
+                      else np.array([n_split]))
+            room = (max_evaluations - np.atleast_1d(evals)) \
+                // (2 * PANEL_NODES)
+            for i in np.flatnonzero(wanted > room):
+                if room[i] == 0:
+                    raise failure("quadrature did not converge within the "
+                                  "evaluation budget", i)
+                mine = (np.flatnonzero(owner == i) if batch
+                        else np.arange(lo.size))
+                worst = np.argsort(ratio[mine].max(axis=1), kind="stable")
+                split[mine] = False
+                split[mine[worst[-room[i]:]]] = True
         left, right = lo[split], hi[split]
         mid = 0.5 * (left + right)
-        if ((mid == left) | (mid == right)).any():
+        stalled = (mid == left) | (mid == right)
+        if stalled.any():
             # interval at floating-point resolution; cannot refine further
-            raise QuadratureConvergenceError(
-                "quadrature stalled on an unresolvable interval",
-                _unpack(total_val, scalar), _unpack(total_err, scalar),
-                evaluations,
-            )
+            raise failure("quadrature stalled on an unresolvable interval",
+                          owner[split][np.argmax(stalled)] if batch else 0)
         new_lo = np.concatenate([left, mid])
         new_hi = np.concatenate([mid, right])
-        new_val, new_err, _ = _gk15(f, new_lo, new_hi, evaluations)
-        evaluations += new_lo.size * PANEL_NODES
+        if batch:
+            parent = owner[split]
+            new_owner = np.concatenate([parent, parent])
+            args = (ids[new_owner].repeat(PANEL_NODES),)
+
+            def spent(i):
+                j = new_owner[i]
+                return evals[j] + PANEL_NODES * np.count_nonzero(
+                    new_owner == j)
+        else:
+            def spent(i):
+                return evals + PANEL_NODES * new_lo.size
+        new_val, new_err, _ = _gk15(f, new_lo, new_hi, spent, *args)
         keep = ~split
+        if leaving:
+            keep &= running[owner]
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
+        if batch:
+            owner = np.concatenate([owner[keep], new_owner])
+            if leaving:
+                owner = (np.cumsum(running) - 1)[owner]
+                ids, initial = ids[running], initial[running]
 
-    if np.iscomplexobj(total_val) and not np.any(total_val.imag):
-        total_val = total_val.real
-    return QuadratureResult(_unpack(total_val, scalar),
-                            _unpack(total_err, scalar), evaluations)
+    if not batch:
+        values, errors, evaluations = total_val, total_err, evals
+    elif len(finished) == 1:
+        _, values, errors, evaluations = finished[0]
+    else:
+        ids, values, errors, evaluations = (np.concatenate(part)
+                                            for part in zip(*finished))
+        by_id = np.argsort(ids)
+        values, errors = values[by_id], errors[by_id]
+        evaluations = evaluations[by_id]
+    if np.iscomplexobj(values) and not np.any(values.imag):
+        values = values.real
+    return values, errors, evaluations, scalar
+
+
+def _per_integral(a, owner, n):
+    """Sums of the panel rows a, shape (panels, K), over the panels of
+    each of n integrals: shape (n, K)."""
+    flat = a.view(float)  # complex columns as (real, imag) pairs
+    width = flat.shape[1]
+    index = owner if width == 1 else (owner[:, None] * width
+                                      + np.arange(width)).ravel()
+    sums = np.bincount(index, flat.ravel(), n * width)
+    return sums.reshape(n, width).view(a.dtype)
 
 
 def _unpack(column_values, scalar):
@@ -215,6 +324,14 @@ def _unpack(column_values, scalar):
     if not scalar:
         return column_values
     return column_values[0].item()
+
+
+def _single(f, lo, hi, tol, abs_floor, max_evaluations):
+    """QuadratureResult of one integral over the initial panels."""
+    values, errors, evaluations, scalar = _adapt(
+        f, lo, hi, None, tol, abs_floor, max_evaluations)
+    return QuadratureResult(_unpack(values[0], scalar),
+                            _unpack(errors[0], scalar), evaluations)
 
 
 def integrate_finite(f, a, b, tol=1e-9, abs_floor=1e-30,
@@ -248,8 +365,17 @@ def integrate_finite(f, a, b, tol=1e-9, abs_floor=1e-30,
     """
     if b < a:
         raise ValueError(f"expected a <= b, got a={a}, b={b}")
-    return _adapt(f, float(a), float(b), tol, abs_floor, max_evaluations,
-                  initial_intervals)
+    if a == b:
+        return QuadratureResult(0.0, 0.0, 0)
+    # an oscillatory integrand can fool a single G7/K15 panel into a
+    # deceptively small error estimate; callers that know the phase span
+    # request enough initial panels to resolve it
+    if initial_intervals > 1:
+        edges = np.linspace(a, b, int(initial_intervals) + 1)
+        lo, hi = edges[:-1], edges[1:]
+    else:
+        lo, hi = np.array([float(a)]), np.array([float(b)])
+    return _single(f, lo, hi, tol, abs_floor, max_evaluations)
 
 
 def integrate_semi_infinite(f, scale=1.0, tol=1e-9, abs_floor=1e-30,
@@ -282,4 +408,49 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-9, abs_floor=1e-30,
         x = scale * t / one_minus
         return f(x) * (scale / one_minus**2)
 
-    return _adapt(g, 0.0, 1.0, tol, abs_floor, max_evaluations)
+    return _single(g, np.array([0.0]), np.array([1.0]), tol, abs_floor,
+                   max_evaluations)
+
+
+def integrate_batch(f, lo, hi, owner, tol=1e-9, abs_floor=1e-30,
+                    max_evaluations=100_000):
+    """Integrate n independent integrals in lock-step.
+
+    Parameters
+    ----------
+    f : callable
+        f(x: ndarray (N,), index: ndarray (N,) of int) -> ndarray (N,)
+        or (N, K), real or complex; index[j] is the integral that
+        abscissa x[j] belongs to.  K is the same for every integral.
+    lo, hi, owner : 1-d arrays of one length
+        the initial panels [lo_j, hi_j], lo_j <= hi_j, and the integral
+        owner[j] in 0..n-1 each belongs to; every integral owns at
+        least one.  Panels of one integral should not overlap.
+    tol, abs_floor : float
+        the contract of :func:`integrate_finite`, for every column of
+        every integral.
+    max_evaluations : int
+        budget of abscissae of each integral; its initial panels count
+        against it.
+
+    Returns
+    -------
+    QuadratureResult whose value and abs_error_estimate have shape (n,)
+    for a scalar integrand, else (n, K), and whose evaluations is an
+    ndarray of the n per-integral counts.  An integral that exhausts its
+    budget raises :class:`QuadratureConvergenceError` with its own value,
+    estimate and count, whatever the state of the others.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    owner = np.asarray(owner, dtype=np.intp)
+    if not lo.shape == hi.shape == owner.shape or lo.ndim != 1 \
+            or lo.size == 0:
+        raise ValueError("lo, hi and owner must be 1-d arrays of one length")
+    if np.any(hi < lo) or np.any(owner < 0):
+        raise ValueError("expected lo <= hi and owner >= 0")
+    values, errors, evaluations, scalar = _adapt(
+        f, lo, hi, owner, tol, abs_floor, max_evaluations)
+    if scalar:
+        values, errors = values[:, 0], errors[:, 0]
+    return QuadratureResult(values, errors, evaluations)

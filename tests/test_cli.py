@@ -9,6 +9,7 @@ import pytest
 from scipy.constants import c as C_LIGHT
 from scipy.constants import mu_0
 
+import planarcp.greens as greens_module
 import planarcp.potentials as potentials_module
 from planarcp import (
     PlanarGeometry,
@@ -146,6 +147,41 @@ class TestGreensCommand:
             tr = halfspace_green_traces(PlanarGeometry(lossy_halfspace, z),
                                         1j * W10)
             assert data["trace_m_imag_axis_error"][i] == tr.err_m
+
+    @pytest.mark.parametrize("reflector", ["pec", "lossy_halfspace"])
+    def test_one_kernel_call_per_axis(self, request, monkeypatch,
+                                      write_scenario, tmp_path, reflector):
+        # the whole sweep is one real-axis and one imaginary-axis kernel
+        # call; each row agrees with the point's own traces within the
+        # row's error and the point's (0 for the mirror: the same bits)
+        material = request.getfixturevalue(reflector)
+        calls = []
+        for name in ("_trace_e_real_axis", "_trace_e_imag_axis"):
+            kernel = getattr(greens_module, name)
+            monkeypatch.setattr(
+                greens_module, name, lambda *a, _k=kernel, _n=name, **kw:
+                calls.append(_n) or _k(*a, **kw))
+        out = tmp_path / "sweep.csv"
+        config = ({} if reflector == "pec"
+                  else {"reflector": reflector_config(material)})
+        assert main(["greens", "--scenario", write_scenario(**config),
+                     "--out", str(out)]) == EXIT_OK
+        assert sorted(calls) == ["_trace_e_imag_axis", "_trace_e_real_axis"]
+        _, data = read_csv(out)
+        for i, z in enumerate(data["z"]):
+            geo = PlanarGeometry(material, z)
+            tr_w = halfspace_green_traces(geo, W10)
+            tr_ix = halfspace_green_traces(geo, 1j * W10)
+            for got, want, err, want_err in (
+                    (data["re_trace_e"][i], tr_w.trace_e.real,
+                     data["trace_e_error"][i], tr_w.err_e),
+                    (data["im_trace_e"][i], tr_w.trace_e.imag,
+                     data["trace_e_error"][i], tr_w.err_e),
+                    (data["trace_e_imag_axis"][i], tr_ix.trace_e,
+                     data["trace_e_imag_axis_error"][i], tr_ix.err_e),
+                    (data["trace_m_imag_axis"][i], tr_ix.trace_m,
+                     data["trace_m_imag_axis_error"][i], tr_ix.err_m)):
+                assert abs(got - want) <= err + want_err
 
     def test_big_eps_halfspace_matches_pec_sweep(self, write_scenario,
                                                  tmp_path):

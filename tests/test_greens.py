@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.constants import c as C_LIGHT
 
-from planarcp import greens
+from planarcp import greens, quadrature
 from planarcp import (
     LorentzOscillator,
     MaterialResponse,
@@ -387,12 +387,106 @@ class TestFresnel:
         reference = 7.8210462061973099664e+26
         z = zt_to_z(0.1)
         dual = lossy_halfspace.dual()
-        (value,), _ = greens._trace_e_imag_axis(dual, z, [1e10], 1e-8,
-                                                100_000)
-        assert rel_diff(value, reference) < 1e-6
+        (value,), (err,) = greens._trace_e_imag_axis(dual, z, [1e10], 1e-8,
+                                                     100_000)
+        assert abs(value - reference) <= err
         (tight,), (tight_err,) = greens._trace_e_imag_axis(
             dual, z, [1e10], 1e-11, 100_000)
         assert abs(tight - reference) <= tight_err
+
+    # xi^2 trace_e of lossy_halfspace (False) and of its dual (True) at
+    # zt = 0.1 and y = 2 xi z / c = 4e-7, 4e-5, 4e-3: mpmath quad of the
+    # plain Fresnel quotients at 40 digits, eps(i xi) taken from the
+    # model in double precision, the v-axis split at 1 + 10^k and
+    # 1 + 60/y; tanh-sinh and Gauss-Legendre agree to 1e-23
+    SMALL_Y = {
+        (1e10, False): -7.110048244839502197018e+39,
+        (1e10, True): 7.821046206197309966385e+26,
+        (1e12, False): -7.109857455847089701935e+39,
+        (1e12, True): 7.820156871865999666449e+30,
+        (1e14, False): -7.086977342450657187622e+39,
+        (1e14, True): 7.72635051477506310468e+34,
+    }
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("xi,dual", list(SMALL_Y))
+    def test_small_y_within_reported_error(self, lossy_halfspace, xi, dual,
+                                           rel_tol):
+        # at y << 1 the v ~ 1 structure of the dual bracket carries a
+        # share ~ y of the integral; it must be resolved, not skipped
+        (value,), (err,) = greens._trace_e_imag_axis(
+            lossy_halfspace, zt_to_z(0.1), [xi], rel_tol, 100_000,
+            duals=(dual,))
+        assert abs(value - self.SMALL_Y[xi, dual]) <= err
+        assert err <= rel_tol * abs(value)
+
+
+class TestLockStepKernel:
+    # the imaginary-axis kernel integrates every point of a call on its
+    # own partition, all points refined together, one integrand call a
+    # round
+
+    @staticmethod
+    def count_rule_calls(monkeypatch):
+        calls = []
+        rule = quadrature._gk15
+        monkeypatch.setattr(quadrature, "_gk15",
+                            lambda *a: calls.append(1) or rule(*a))
+        return calls
+
+    def test_a_call_costs_the_rounds_of_its_slowest_point(
+            self, lossy_halfspace, monkeypatch):
+        # perf guard: 45 xi over six decades at zt = 0.7, both columns
+        calls = self.count_rule_calls(monkeypatch)
+        z = zt_to_z(0.7)
+        xi = np.geomspace(1e12, 1e18, 45)
+        duals = (False, True)
+        batch, batch_err = greens._trace_e_imag_axis(
+            lossy_halfspace, z, xi, 1e-12, 100_000, 0, duals)
+        rounds = len(calls)
+        slowest = 0
+        for k, x in enumerate(xi):
+            calls.clear()
+            alone, alone_err = greens._trace_e_imag_axis(
+                lossy_halfspace, z, [x], 1e-12, 100_000, 0, duals)
+            slowest = max(slowest, len(calls))
+            # a point's integral does not depend on the others'
+            assert np.array_equal(alone[:, 0], batch[:, k])
+            assert np.array_equal(alone_err[:, 0], batch_err[:, k])
+        assert 1 < rounds <= slowest + 1
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_broadcast_z_matches_single_points(self, lossy_halfspace,
+                                               order):
+        # a sweep of z at one xi, and pairs (z_k, xi_k), as the points one
+        # by one
+        z = zt_to_z(np.array([0.05, 0.3, 1.0, 4.0, 20.0]))
+        xi = W10 * np.array([0.2, 0.5, 1.0, 3.0, 0.01])
+        for zz, xx in ((z, W10), (z, xi)):
+            got, err = greens._trace_e_imag_axis(
+                lossy_halfspace, zz, xx, 1e-9, 100_000, order, (False, True))
+            assert got.shape == err.shape == (2, z.size)
+            for k, (zk, xk) in enumerate(np.broadcast(zz, xx)):
+                one, one_err = greens._trace_e_imag_axis(
+                    lossy_halfspace, zk, [xk], 1e-9, 100_000, order,
+                    (False, True))
+                assert np.array_equal(got[:, k], one[:, 0])
+                assert np.array_equal(err[:, k], one_err[:, 0])
+
+    @pytest.mark.parametrize("reflector", ["pec", "pmc", "vacuum"])
+    def test_broadcast_z_closed_forms(self, request, reflector):
+        # a sweep of z gives each point's bits: the mirror powers of z are
+        # those of a Python float
+        material = request.getfixturevalue(reflector)
+        z = zt_to_z(np.geomspace(0.05, 30.0, 7))
+        for order in (0, 1):
+            got, err = greens._trace_e_imag_axis(material, z, W10, 1e-9,
+                                                 100_000, order)
+            assert not err.any()
+            for k, zk in enumerate(z.tolist()):
+                one, _ = greens._trace_e_imag_axis(material, zk, [W10],
+                                                   1e-9, 100_000, order)
+                assert got[0, k] == one[0, 0]
 
 
 class TestDerivatives:
@@ -491,12 +585,12 @@ class TestHalfspaceDerivatives:
     @pytest.mark.parametrize("freq", [W10, 1j * W10])
     def test_d_dz_traces_share_integrals_between_traces(
             self, lossy_halfspace, monkeypatch, freq):
+        # counts engine batches: every integrate_* call is one, and so is
+        # the lock-step batch of the imaginary-axis kernel
         calls = []
-        for name in ("integrate_finite", "integrate_semi_infinite"):
-            original = getattr(greens, name)
-            monkeypatch.setattr(
-                greens, name,
-                lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
+        engine = quadrature._adapt
+        monkeypatch.setattr(quadrature, "_adapt",
+                            lambda *a: calls.append(1) or engine(*a))
         geo = PlanarGeometry(lossy_halfspace, zt_to_z(1.0))
         de, dm, err = d_dz_traces(geo, freq)
         # both traces on one partition; real axis: propagating and

@@ -7,6 +7,7 @@ from scipy.integrate import quad as scipy_quad
 from planarcp import quadrature
 from planarcp import (
     QuadratureConvergenceError,
+    integrate_batch,
     integrate_finite,
     integrate_semi_infinite,
 )
@@ -211,3 +212,186 @@ def test_vector_semi_infinite_integral_with_column_scales():
     _assert_columns_match_scalar_calls(vec, scalars, 1e-10)
     # Int_0^inf e^{-r x}(1 + cos r x) dx = 3 / (2 r)
     assert np.all(np.abs(vec.value * rates - 1.5) <= 1e-9)
+
+
+# --------------------------------------------------------------------------
+# the lock-step batch: n independent integrals, one integrand call a round
+
+RATES = np.array([0.3, 1.0, 3.0, 10.0, 30.0])
+
+
+def _rows(x, rate):
+    """Two columns per abscissa, one complex: e^{i r x} and e^{-r x}."""
+    return np.stack([np.exp(1j * rate * x), np.exp(-rate * x)], axis=1)
+
+
+def _two_panel_batch(n):
+    """Initial panels [0, 1] and [1, 2] of each of n integrals, the
+    owners given in reverse so the engine cannot rely on their order."""
+    owner = np.repeat(np.arange(n), 2)[::-1].copy()
+    return np.tile([1.0, 0.0], n), np.tile([2.0, 1.0], n), owner
+
+
+def test_batch_matches_separate_calls():
+    calls = []
+
+    def f(x, index):
+        calls.append(index)
+        return _rows(x, RATES[index])
+
+    tol = 1e-11
+    res = integrate_batch(f, *_two_panel_batch(RATES.size), tol=tol)
+    assert res.value.shape == res.abs_error_estimate.shape \
+        == (RATES.size, 2)
+    assert res.evaluations.shape == (RATES.size,)
+    rounds = []
+    for k, rate in enumerate(RATES):
+        alone_calls = []
+        alone = integrate_finite(
+            lambda x: alone_calls.append(x) or _rows(x, rate), 0.0, 2.0,
+            tol=tol, initial_intervals=2)
+        rounds.append(len(alone_calls))
+        # each integral keeps its own contract, and agrees with the
+        # separate call within the two reported errors
+        assert np.all(res.abs_error_estimate[k]
+                      <= tol * np.abs(res.value[k]) + 1e-30)
+        assert np.all(np.abs(res.value[k] - alone.value)
+                      <= res.abs_error_estimate[k] + alone.abs_error_estimate)
+        # its own partition, refined as it would be alone
+        assert res.evaluations[k] == alone.evaluations
+        exact = (np.exp(2j * rate) - 1.0) / (1j * rate)
+        assert abs(res.value[k, 0] - exact) <= 1e-10 * abs(exact)
+    # one integrand call per round: as many as the slowest integral needs
+    assert len(calls) == max(rounds) > min(rounds)
+
+
+def test_batch_scalar_integrand_and_single_panels():
+    res = integrate_batch(
+        lambda x, index: np.exp(-RATES[index] * x),
+        np.zeros(RATES.size), np.ones(RATES.size), np.arange(RATES.size),
+        tol=1e-12)
+    assert res.value.shape == (RATES.size,)
+    assert np.allclose(res.value, -np.expm1(-RATES) / RATES, rtol=1e-12,
+                       atol=0.0)
+
+
+def test_converged_integrals_leave_the_batch():
+    # an index, once gone from the integrand calls, never comes back, and
+    # each integral is evaluated at exactly its reported count
+    calls = []
+
+    def f(x, index):
+        calls.append(np.bincount(index, minlength=RATES.size))
+        return _rows(x, RATES[index])
+
+    res = integrate_batch(f, *_two_panel_batch(RATES.size), tol=1e-12)
+    present = np.array(calls) > 0
+    assert len(calls) > 1 and not present.all()
+    for column in present.T:
+        last = np.flatnonzero(column)[-1]
+        assert column[:last + 1].all()
+    assert np.array_equal(np.sum(calls, axis=0), res.evaluations)
+
+
+def test_budget_is_per_integral():
+    # the budget of the costliest integral alone caps each integral of
+    # the batch, though together they spend more
+    alone = [integrate_finite(lambda x, r=r: np.cos(r * x), 0.0, 2.0,
+                              tol=1e-12).evaluations for r in RATES]
+    budget = max(alone)
+    res = integrate_batch(
+        lambda x, index: np.cos(RATES[index] * x),
+        np.zeros(RATES.size), np.full(RATES.size, 2.0),
+        np.arange(RATES.size), tol=1e-12, max_evaluations=budget)
+    assert res.evaluations.tolist() == alone
+    assert res.evaluations.sum() > budget
+
+
+def test_one_exhausted_budget_raises_with_its_own_count():
+    hard = lambda x: np.sin(1e4 * x)  # noqa: E731
+    with pytest.raises(QuadratureConvergenceError) as alone:
+        integrate_finite(hard, 0.0, 1.0, tol=1e-12, max_evaluations=300)
+
+    def f(x, index):
+        return np.where(index == 1, hard(x), np.exp(-x))
+
+    with pytest.raises(QuadratureConvergenceError, match="integral 1") \
+            as batch:
+        integrate_batch(f, np.zeros(3), np.ones(3), np.arange(3),
+                        tol=1e-12, max_evaluations=300)
+    # the same partition and count as the integral alone: the other two
+    # integrals charge nothing to its budget
+    assert batch.value.evaluations == alone.value.evaluations <= 300
+    assert batch.value.value == alone.value.value
+    assert batch.value.abs_error_estimate == alone.value.abs_error_estimate
+
+
+def _bumps(amplitudes):
+    """Four narrow peaks at the centres of the panels of [0, 1] cut in
+    four, of the given heights: panel errors in the order of these."""
+    centres = np.array([0.125, 0.375, 0.625, 0.875])
+    amplitudes = np.asarray(amplitudes, dtype=float)
+
+    def f(x):
+        return (amplitudes / (1.0 + (1e3 * (x[:, None] - centres)) ** 2)
+                ).sum(axis=1)
+    return f
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_short_budget_bisects_the_worst_panels_first(batch):
+    # 4 initial panels (60 abscissae) and room for two bisections (60
+    # more): all four panels fail, and the two of largest error split
+    orders = ([1.0, 4.0, 2.0, 3.0], [3.0, 1.0, 4.0, 2.0])
+    worst = [{1, 3}, {0, 2}]
+    calls = []
+    edges = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(QuadratureConvergenceError) as err:
+        if batch:
+            fs = [_bumps(a) for a in orders]
+
+            def f(x, index):
+                calls.append((x, index))
+                out = np.empty(x.size)
+                for k, g in enumerate(fs):
+                    out[index == k] = g(x[index == k])
+                return out
+
+            integrate_batch(
+                f, np.tile(edges[:-1], 2), np.tile(edges[1:], 2),
+                np.repeat([0, 1], 4), tol=1e-12, max_evaluations=120)
+        else:
+            g = _bumps(orders[0])
+
+            def f(x):
+                calls.append((x, np.zeros(x.size, dtype=int)))
+                return g(x)
+
+            integrate_finite(f, 0.0, 1.0, tol=1e-12, max_evaluations=120,
+                             initial_intervals=4)
+    assert err.value.evaluations == 120
+    assert len(calls) == 2
+    x, index = calls[1]
+    for k in range(2 if batch else 1):
+        split = set(np.floor(4.0 * x[index == k]).astype(int).tolist())
+        assert split == worst[k]
+
+
+def test_batch_non_finite_integrand():
+    def f(x, index):
+        return np.where((index == 2) & (x > 0.5), np.nan, x)
+
+    with pytest.raises(quadrature.NonFiniteIntegrandError,
+                       match="non-finite") as err:
+        integrate_batch(f, np.zeros(4), np.ones(4), np.arange(4))
+    assert err.value.evaluations == 15
+
+
+def test_batch_input_validation():
+    f = lambda x, index: x  # noqa: E731
+    with pytest.raises(ValueError, match="initial panel"):
+        integrate_batch(f, [0.0, 0.0], [1.0, 1.0], [0, 2])
+    with pytest.raises(ValueError):
+        integrate_batch(f, [1.0], [0.0], [0])
+    with pytest.raises(ValueError):
+        integrate_batch(f, [0.0, 1.0], [1.0], [0])
