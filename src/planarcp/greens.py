@@ -34,13 +34,11 @@ so the xi -> 0 end of a frequency integral never divides by y^3.
 Vacuum gives zeros.  A material half-space is integrated over the
 transverse wavevector with its s- and p-polarised Fresnel coefficients.
 z enters that integrand only through e^{2 i k_z z}, so d/dz is one
-more factor 2 i k_z under the integral.  On the imaginary axis every
-point (z, xi), z and xi broadcast against each other, is its own
-integral of one lock-step batch (quadrature.integrate_batch): each
-round refines the failing panels of all points in one integrand call,
-so a kernel call costs as many rounds as its slowest point.  On the
-real axis groups of PANEL_NODES distances share one vector integral on
-one partition.
+more factor 2 i k_z under the integral.  Every point of a kernel call,
+(z, xi) on the imaginary axis or z on the real one, is its own integral
+of one lock-step batch (quadrature.integrate_batch): each round refines
+the failing panels of all points in one integrand call, so a call costs
+the rounds of its slowest point, and a failure names its point.
 
 The curl-curl trace is obtained by duality rather than by direct
 double-curl differentiation: exchanging eps and mu of the reflector
@@ -75,12 +73,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 
 from .materials import PERFECT_ELECTRIC_MIRROR, MaterialResponse
-from .quadrature import (
-    PANEL_NODES,
-    integrate_batch,
-    integrate_finite,
-    integrate_semi_infinite,
-)
+from .quadrature import QuadratureConvergenceError, integrate_batch
 
 __all__ = [
     "PlanarGeometry",
@@ -174,28 +167,10 @@ def _validate_distance(z_atom):
 # the two trace kernels
 
 
-def _in_chunks(integral, size):
-    """(values, abs_errors) of integral(chunk) over consecutive slices of
-    PANEL_NODES points, joined along the last axis: nearby points refine
-    alike on one shared partition, and a chunk bounds the memory of one
-    vector integral."""
-    parts = [integral(slice(start, start + PANEL_NODES))
-             for start in range(0, size, PANEL_NODES)]
-    return (np.concatenate([value for value, _ in parts], axis=-1),
-            np.concatenate([err for _, err in parts], axis=-1))
-
-
 def _columns(blocks):
     """The integrand blocks of the requested traces side by side, columns
     of a 1-d block or (N, K) each; a single block is returned as it is."""
     return blocks[0] if len(blocks) == 1 else np.column_stack(blocks)
-
-
-def _column_scales(scale, duals):
-    """Map scales of an integrand whose columns are the requested traces,
-    each a block of one column per point: the points' scales, once per
-    trace."""
-    return scale if len(duals) == 1 else np.tile(scale, len(duals))
 
 
 def _mirror_rows(value, duals):
@@ -269,6 +244,31 @@ def _sommerfeld_panels(y):
     owner = np.arange(y.size).repeat(edges.shape[1] - 1)
     keep = hi > lo
     return lo[keep], hi[keep], owner[keep]
+
+
+def _contour_panels(zt):
+    """Initial panels (lo, hi, owner) in u of one real-axis integral per
+    point: _sommerfeld_panels(zt) mirrored onto [-1, 0], where the decay
+    is e^{-zt b}, and floor(zt / pi) + 1 equal panels on [0, 1], each
+    at most pi radians of the phase e^{i zt u}."""
+    lo, hi, owner = _sommerfeld_panels(zt)
+    count = (zt // np.pi).astype(np.intp) + 1
+    ahead = np.arange(zt.size).repeat(count)
+    j = np.arange(ahead.size) - (np.cumsum(count) - count)[ahead]
+    return (np.concatenate([-hi, j / count[ahead]]),
+            np.concatenate([-lo, (j + 1) / count[ahead]]),
+            np.concatenate([owner, ahead]))
+
+
+def _integrate_points(integrand, panels, rel_tol, max_evaluations, point):
+    """integrate_batch of one integral per point of a kernel call; a
+    QuadratureConvergenceError names its point by point(index)."""
+    try:
+        return integrate_batch(integrand, *panels, tol=rel_tol,
+                               max_evaluations=max_evaluations)
+    except QuadratureConvergenceError as exc:
+        raise type(exc)(f"{point(exc.index)}: {exc.reason}", exc.value,
+                        exc.abs_error_estimate, exc.evaluations) from exc
 
 
 def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
@@ -345,8 +345,10 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
         return _columns([damp * (rp - pw * rs) if dual
                          else damp * (rs - pw * rp) for dual in duals])
 
-    res = integrate_batch(integrand, *_sommerfeld_panels(y.ravel()),
-                          tol=rel_tol, max_evaluations=max_evaluations)
+    res = _integrate_points(
+        integrand, _sommerfeld_panels(y.ravel()), rel_tol, max_evaluations,
+        lambda i: f"imaginary-axis trace at z = {z.flat[i]:.6g} m, "
+                  f"xi = {xi.flat[i]:.6g} rad/s")
     pref = xi**3 / (4.0 * np.pi * C_LIGHT) * (-2.0 * xi / C_LIGHT) ** order
     return (pref * res.value.T.reshape(shape),
             np.abs(pref) * res.abs_error_estimate.T.reshape(shape))
@@ -360,21 +362,25 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
 
     Perfect mirrors use the closed form (w / 2 pi c) (2 w / c)^n
     e^{i zt} Q_n(zt) of the module docstring, vacuum gives zeros; neither
-    has an error.  A Drude-Lorentz half-space is split at the vacuum
-    branch point: the propagating part is parametrised by
-    gamma = k_z c / w in (0, 1) (bounded oscillation, at most zt radians
-    of phase), the evanescent part by b with gamma = i b, which decays
-    like e^{-zt b}:
+    has an error.  A Drude-Lorentz half-space, with gamma = k_z c / w
+    and zt = 2 w z / c, is one contour integral from i inf down the
+    evanescent waves (gamma = i b, decay e^{-zt b}) to the vacuum branch
+    point 0 and along the propagating ones (zt radians of phase) to 1:
 
-        trace_e = (i w / 4 pi c) * (A - i B)
+        trace_e = (i w / 4 pi c) Int_{i inf -> 0 -> 1} dgamma
+                  e^{i zt gamma} [r_s + (1 - 2 gamma^2) r_p]
+                = (i w / 4 pi c) (A - i B),
         A = Int_0^1  dgamma e^{i zt gamma} [r_s + (1 - 2 gamma^2) r_p]
-        B = Int_0^inf db     e^{-zt b}     [r_s + (1 + 2 b^2) r_p]
+        B = Int_0^inf db     e^{-zt b}     [r_s + (1 + 2 b^2) r_p],
 
-    with zt = 2 w z / c; the dual swaps r_s and r_p in both brackets.
-    z enters only through the exponentials, so d/dz multiplies the A
-    integrand by 2 i w gamma / c and the B integrand by -2 w b / c.  Each
-    chunk of PANEL_NODES distances shares the partitions of A and B, one
-    column per distance and requested trace.
+    with _fresnel at v = gamma, v1 = sqrt(eps mu - 1 + gamma^2); the
+    dual swaps r_s and r_p.  z enters only through the exponential, so
+    d/dz multiplies the integrand by 2 i w gamma / c.  The contour is
+    parametrised by u in [-1, 1]: gamma = i s (-u) / (1 + u), with
+    s = max(1/zt, 1) and Jacobian -i s / (1 + u)^2, for u < 0, and
+    gamma = u for u >= 0.  Each distance is its own integral of one
+    lock-step batch, started from the panels of _contour_panels; the
+    requested traces are its columns, on its own partition.
 
     Loss moves the medium branch point and any surface-mode pole off the
     integration path, which is why a half-space needs Im eps > 0 or
@@ -399,47 +405,29 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
     eps = material.epsilon(w)
     mu = material.mu(w)
     em1 = eps * mu - 1.0
+    scale = np.maximum(1.0 / zt, 1.0)
 
-    def integral(chunk):
-        zt_c = zt[chunk]
-        size = zt_c.size
+    def integrand(u, point):
+        zt_p, s = zt[point], scale[point]
+        one_plus = 1.0 + u
+        evanescent = u < 0.0
+        gamma = np.where(evanescent, 1j * (s * -u / one_plus), u)
+        weight = np.where(evanescent, -1j * s / one_plus**2, 1.0) \
+            * np.exp(1j * zt_p * gamma)
+        if order:
+            weight *= gamma
+        g2 = gamma * gamma
+        rs, rp = _fresnel(eps, mu, gamma, np.sqrt(em1 + g2))
+        pw = 1.0 - 2.0 * g2
+        return _columns([weight * (rp + pw * rs) if dual
+                         else weight * (rs + pw * rp) for dual in duals])
 
-        def integrand_A(g):
-            rs, rp = _fresnel(eps, mu, g, np.sqrt(em1 + g * g + 0j))
-            gn = g**order
-            pw = 1.0 - 2.0 * g * g
-            phase = np.exp(1j * g[:, None] * zt_c)
-            return _columns([phase * (gn * (rp + pw * rs) if dual
-                                      else gn * (rs + pw * rp))[:, None]
-                             for dual in duals])
-
-        def integrand_B(b):
-            b = b[:, :size]
-            rs, rp = _fresnel(eps, mu, 1j * b, np.sqrt(em1 - b * b + 0j))
-            damp = np.exp(-zt_c * b) * b**order
-            pw = 1.0 + 2.0 * b * b
-            return _columns([damp * (rp + pw * rs) if dual
-                             else damp * (rs + pw * rp) for dual in duals])
-
-        # the propagating segment carries zt radians of phase; seed the
-        # adaptive rule with about one panel per radian of the farthest z
-        res_a = integrate_finite(integrand_A, 0.0, 1.0, tol=rel_tol,
-                                 max_evaluations=max_evaluations,
-                                 initial_intervals=int(zt_c.max()) + 1)
-        res_b = integrate_semi_infinite(
-            integrand_B, scale=_column_scales(np.maximum(1.0 / zt_c, 1.0),
-                                              duals),
-            tol=rel_tol, max_evaluations=max_evaluations)
-        value = (1j * k) ** order * res_a.value \
-            - 1j * (-k) ** order * res_b.value
-        err = k**order * (res_a.abs_error_estimate
-                          + res_b.abs_error_estimate)
-        return (value.reshape(len(duals), size),
-                err.reshape(len(duals), size))
-
-    value, err = _in_chunks(integral, z.size)
-    pref = 1j * w / (4.0 * np.pi * C_LIGHT)
-    return pref * value, abs(pref) * err
+    res = _integrate_points(
+        integrand, _contour_panels(zt), rel_tol, max_evaluations,
+        lambda i: f"real-axis trace at z = {z[i]:.6g} m, w = {w:.6g} rad/s")
+    pref = 1j * w / (4.0 * np.pi * C_LIGHT) * (1j * k) ** order
+    return (pref * res.value.T.reshape(shape),
+            abs(pref) * res.abs_error_estimate.T.reshape(shape))
 
 
 # --------------------------------------------------------------------------
@@ -544,10 +532,9 @@ def d_dz_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
     reported error), vacuum gives zeros, and material half-spaces
     differentiate under the transverse-wavevector integral, where z
     enters only through the exponential: the derivative multiplies the
-    integrand by -2 xi v / c on the imaginary axis, by 2 i w gamma / c on
-    the propagating and by -2 w b / c on the evanescent real-axis
-    segment.  Both derivatives cost the integrals of one trace pair,
-    one kernel call on a shared partition.
+    integrand by -2 xi v / c on the imaginary axis and by 2 i w gamma / c
+    along the real-axis contour.  Both derivatives cost the integral of
+    one trace pair, one kernel call on a shared partition.
 
     Returns
     -------

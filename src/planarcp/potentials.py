@@ -130,8 +130,8 @@ def _resonant(atom, material, z_values, rel_tol, max_evaluations, order=0):
     at an array of distances; arrays (values, abs_errors).
 
     One real-axis kernel call per resonant line for all the distances
-    and the columns the line couples to (for a half-space one vector
-    integral per chunk of PANEL_NODES distances): w^2 |d|^2-weighted
+    and the columns the line couples to (for a half-space one contour
+    integral per distance, all in one lock-step batch): w^2 |d|^2-weighted
     Re trace_e minus |m|^2-weighted Re trace_m, with trace_m(w) =
     -(w/c)^2 trace_e(w; mu, eps) from the dual column, each trace's error
     weighted by its own line weight.  Exact zeros, without touching the

@@ -104,18 +104,24 @@ class QuadratureConvergenceError(RuntimeError):
     """Raised when the evaluation budget is exhausted before convergence.
 
     Carries the best available value and the achieved error estimate so
-    callers can report exactly how far the integration got.
+    callers can report exactly how far the integration got; `reason` is
+    the message without them, and `index` the failing integral's number
+    in a batch (None for a single integral).
     """
 
-    def __init__(self, message, value, abs_error_estimate, evaluations):
+    def __init__(self, message, value, abs_error_estimate, evaluations,
+                 index=None):
+        where = "" if index is None else f"integral {index}: "
         super().__init__(
-            f"{message} (best value {value}, achieved error estimate "
+            f"{where}{message} (best value {value}, achieved error estimate "
             f"{np.max(abs_error_estimate):.3e} after {evaluations} "
             "evaluations)"
         )
+        self.reason = message
         self.value = value
         self.abs_error_estimate = abs_error_estimate
         self.evaluations = evaluations
+        self.index = index
 
 
 class NonFiniteIntegrandError(QuadratureConvergenceError, ValueError):
@@ -150,6 +156,7 @@ def _gk15(f, lo, hi, spent, *args):
         raise NonFiniteIntegrandError(
             f"integrand returned a non-finite value on [{lo[i]}, {hi[i]}]",
             np.nan, np.inf, spent(i),
+            int(args[0][PANEL_NODES * i]) if args else None,
         )
     val_k = half[:, None] * (_WK @ y)
     val_g = half[:, None] * (_WG @ y[:, 1::2])  # Gauss nodes: odd slots
@@ -191,6 +198,7 @@ def _adapt(f, lo, hi, owner, tol, abs_floor, max_evaluations):
         raise QuadratureConvergenceError(
             f"{peak // PANEL_NODES} initial panels exceed the evaluation "
             "budget", np.nan, np.inf, 0,
+            int(np.argmax(initial)) if batch else None,
         )
     val, err, scalar = _gk15(
         f, lo, hi,
@@ -201,9 +209,9 @@ def _adapt(f, lo, hi, owner, tol, abs_floor, max_evaluations):
 
     def failure(message, i):
         return QuadratureConvergenceError(
-            f"integral {ids[i]}: {message}" if batch else message,
-            _unpack(total_val[i], scalar), _unpack(total_err[i], scalar),
-            int(np.atleast_1d(evals)[i]))
+            message, _unpack(total_val[i], scalar),
+            _unpack(total_err[i], scalar), int(np.atleast_1d(evals)[i]),
+            int(ids[i]) if batch else None)
 
     while True:
         if batch:
@@ -388,22 +396,14 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-9, abs_floor=1e-30,
     interval below x = scale.  f must decay faster than 1/x beyond the
     scale for the transformed integrand to remain integrable.
 
-    With an array `scale` of K entries, column k is mapped with
-    scale[k]: f is called with an (N, K) array of abscissae, column k
-    holding x = scale[k] * t / (1 - t) on the shared partition in t, and
-    must return an (N, K) array.
-
     Returns
     -------
     QuadratureResult
     """
-    scale = np.asarray(scale, dtype=float)
-    if np.any(scale <= 0.0):
+    if not scale > 0.0:
         raise ValueError(f"decay scale must be positive, got {scale}")
 
     def g(t):
-        if scale.ndim:
-            t = t[:, None]
         one_minus = 1.0 - t
         x = scale * t / one_minus
         return f(x) * (scale / one_minus**2)
@@ -439,7 +439,7 @@ def integrate_batch(f, lo, hi, owner, tol=1e-9, abs_floor=1e-30,
     for a scalar integrand, else (n, K), and whose evaluations is an
     ndarray of the n per-integral counts.  An integral that exhausts its
     budget raises :class:`QuadratureConvergenceError` with its own value,
-    estimate and count, whatever the state of the others.
+    estimate, count and index, whatever the state of the others.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)

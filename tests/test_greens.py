@@ -422,9 +422,8 @@ class TestFresnel:
 
 
 class TestLockStepKernel:
-    # the imaginary-axis kernel integrates every point of a call on its
-    # own partition, all points refined together, one integrand call a
-    # round
+    # both trace kernels integrate every point of a call on its own
+    # partition, all points refined together, one integrand call a round
 
     @staticmethod
     def count_rule_calls(monkeypatch):
@@ -454,6 +453,66 @@ class TestLockStepKernel:
             assert np.array_equal(alone[:, 0], batch[:, k])
             assert np.array_equal(alone_err[:, 0], batch_err[:, k])
         assert 1 < rounds <= slowest + 1
+
+    def test_real_axis_call_costs_the_rounds_of_its_slowest_point(
+            self, lossy_halfspace, monkeypatch):
+        # perf guard: 7 distances, zt from 0.05 to 60, both columns.  At
+        # rel_tol 1e-10 this reads 5 rule calls, its slowest distance 5
+        calls = self.count_rule_calls(monkeypatch)
+        z = zt_to_z(np.geomspace(0.05, 60.0, 7))
+        duals = (False, True)
+        batch, batch_err = greens._trace_e_real_axis(
+            lossy_halfspace, z, W10, 1e-10, 100_000, 0, duals)
+        rounds = len(calls)
+        slowest = 0
+        for k, zk in enumerate(z):
+            calls.clear()
+            alone, alone_err = greens._trace_e_real_axis(
+                lossy_halfspace, z[k:k + 1], W10, 1e-10, 100_000, 0, duals)
+            slowest = max(slowest, len(calls))
+            assert np.array_equal(alone[:, 0], batch[:, k])
+            assert np.array_equal(alone_err[:, 0], batch_err[:, k])
+        assert 1 < rounds <= slowest + 1
+
+    @pytest.mark.parametrize("axis", ["real", "imaginary"])
+    def test_a_failure_names_its_point(self, lossy_halfspace, axis):
+        # a budget too small for one point of the call: zt = 60 of three
+        # distances on the real axis, xi = 1e12 rad/s of five on the
+        # imaginary one
+        if axis == "real":
+            points = zt_to_z(np.array([0.3, 2.0, 60.0]))
+            failing, budget = 2, 900
+            point = f"z = {points[failing]:.6g} m, w = {W10:.6g} rad/s"
+
+            def kernel(z):
+                return greens._trace_e_real_axis(
+                    lossy_halfspace, z, W10, 1e-12, budget, 0, (False, True))
+        else:
+            z = zt_to_z(0.7)
+            points, failing, budget = np.geomspace(1e12, 1e18, 5), 0, 450
+            point = f"z = {z:.6g} m, xi = {points[failing]:.6g} rad/s"
+
+            def kernel(xi):
+                return greens._trace_e_imag_axis(
+                    lossy_halfspace, z, xi, 1e-12, budget, 0, (False, True))
+        with pytest.raises(quadrature.QuadratureConvergenceError) as err:
+            kernel(points)
+        message = str(err.value)
+        assert f"{axis}-axis trace at {point}: quadrature did not " \
+               "converge within the evaluation budget" in message
+        assert "integral" not in message
+        # the failing point's own value, estimate and count: the same as
+        # its call alone, which fails the same way
+        with pytest.raises(quadrature.QuadratureConvergenceError) as one:
+            kernel(points[failing:failing + 1])
+        assert str(one.value) == message
+        assert np.array_equal(err.value.value, one.value.value)
+        assert np.array_equal(err.value.abs_error_estimate,
+                              one.value.abs_error_estimate)
+        assert err.value.evaluations == one.value.evaluations <= budget
+        # every other point fits the budget on its own
+        for k in np.delete(np.arange(points.size), failing):
+            kernel(points[k:k + 1])
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_broadcast_z_matches_single_points(self, lossy_halfspace,
@@ -570,9 +629,9 @@ class TestHalfspaceDerivatives:
     @pytest.mark.parametrize("order", [0, 1])
     def test_z_vector_real_axis_matches_scalar_calls(self, lossy_halfspace,
                                                      order):
-        # one shared partition for all z: the farthest sets the initial
-        # panels of the propagating segment, each column its own map
-        # scale on the evanescent one
+        # each distance is its own contour integral of one lock-step
+        # batch, with its own initial panels and map scale: the same bits
+        # as its single-z call
         z = zt_to_z(np.array([0.3, 0.9, 2.5, 7.0, 25.0]))
         tol = 1e-10
         (te,), (err,) = greens._trace_e_real_axis(lossy_halfspace, z, W10,
@@ -580,7 +639,8 @@ class TestHalfspaceDerivatives:
         for k, zk in enumerate(z):
             ((t1,),), ((e1,),) = greens._trace_e_real_axis(
                 lossy_halfspace, np.array([zk]), W10, tol, 100_000, order)
-            assert abs(te[k] - t1) <= err[k] + e1
+            assert te[k] == t1
+            assert err[k] == e1
 
     @pytest.mark.parametrize("freq", [W10, 1j * W10])
     def test_d_dz_traces_share_integrals_between_traces(
@@ -593,12 +653,67 @@ class TestHalfspaceDerivatives:
                             lambda *a: calls.append(1) or engine(*a))
         geo = PlanarGeometry(lossy_halfspace, zt_to_z(1.0))
         de, dm, err = d_dz_traces(geo, freq)
-        # both traces on one partition; real axis: propagating and
-        # evanescent segments
-        assert len(calls) == (2 if np.isreal(freq) else 1)
+        # both traces on one partition, on either axis one contour
+        # integral: on the real axis the evanescent and propagating
+        # segments are its two halves
+        assert len(calls) == 1
         tr_de, tr_dm, _ = d_dz_traces(geo, freq, rel_tol=1e-10)
         assert abs(de - tr_de) <= err
         assert abs(dm - tr_dm) <= err
+
+
+class TestRealAxisMpmathAudit:
+    # Tr G1 of lossy_halfspace (False) and of its dual (True) at w10 and
+    # order 0 or 1: the separate A and B integrals of the
+    # _trace_e_real_axis docstring, (i w / 4 pi c) ((i k)^n A_n
+    # - i (-k)^n B_n) with k = 2 w / c, by 30-digit mp.quad of the plain
+    # Fresnel quotients, eps(w) taken from the model in double
+    # precision, A split into floor(zt / pi) + 2 equal pieces and B at
+    # 1 / zt, 1, 10 (/ zt); tanh-sinh and Gauss-Legendre agree to 1e-19
+    REFERENCE = {
+        (0.1, 0, False): complex(1711435910.7914086377,
+                                 176947492.29007588835),
+        (0.1, 0, True): complex(13859778.279222495708,
+                                6474008.1235510829207),
+        (0.1, 1, False): complex(-852990932531279786.77,
+                                 -87243947797779162.457),
+        (0.1, 1, True): complex(-2625400696059259.8092,
+                                -703755683774845.92696),
+        (1.0, 0, False): complex(1955967.8953297378762,
+                                 742526.73555996067855),
+        (1.0, 0, True): complex(-71636.127368629653367,
+                                992613.79432206671361),
+        (1.0, 1, False): complex(-97757949302999.597195,
+                                 -21995923953347.422098),
+        (1.0, 1, True): complex(-16395859733063.694453,
+                                -24287154195297.928971),
+        (10.0, 0, False): complex(28182.585698858518856,
+                                  37242.796374801029723),
+        (10.0, 0, True): complex(-31245.740146707895413,
+                                 -39059.488000655529154),
+        (10.0, 1, False): complex(-650375486278.31226807,
+                                  400238327862.82891888),
+        (10.0, 1, True): complex(696041115687.20955348,
+                                 -442615867281.46195492),
+        (30.0, 0, False): complex(-5563.3395855828718545,
+                                  15012.598042354453607),
+        (30.0, 0, True): complex(5584.1189601326767135,
+                                 -15144.937977881224735),
+        (30.0, 1, False): complex(-246738720361.17418175,
+                                  -100857088165.15179403),
+        (30.0, 1, True): complex(248912891602.13008389,
+                                 101424144348.55891602),
+    }
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("zt", [0.1, 1.0, 10.0, 30.0])
+    def test_within_reported_error(self, lossy_halfspace, zt, order):
+        values, errs = greens._trace_e_real_axis(
+            lossy_halfspace, np.array([zt_to_z(zt)]), W10, 1e-10, 100_000,
+            order, (False, True))
+        for dual, (value,), (err,) in zip((False, True), values, errs):
+            assert abs(value - self.REFERENCE[zt, order, dual]) <= err
+            assert err <= 1e-10 * abs(value)
 
 
 class TestMirrorMpmathAudit:

@@ -196,24 +196,6 @@ def test_vector_finite_integral_equals_scalar_calls():
     assert abs(vec.value[3] - (np.exp(3j) - 1.0) / 1j) <= 1e-10
 
 
-def test_vector_semi_infinite_integral_with_column_scales():
-    rates = np.array([1.0, 1e-2, 50.0, 3e4])
-    seen = []
-
-    def f(x):
-        seen.append(x.shape)
-        return np.exp(-x * rates) * (1.0 + np.cos(x * rates))
-
-    vec = integrate_semi_infinite(f, scale=1.0 / rates, tol=1e-10)
-    assert all(len(shape) == 2 and shape[1] == rates.size for shape in seen)
-    scalars = [integrate_semi_infinite(
-        lambda x, r=r: np.exp(-x * r) * (1.0 + np.cos(x * r)),
-        scale=1.0 / r, tol=1e-10) for r in rates]
-    _assert_columns_match_scalar_calls(vec, scalars, 1e-10)
-    # Int_0^inf e^{-r x}(1 + cos r x) dx = 3 / (2 r)
-    assert np.all(np.abs(vec.value * rates - 1.5) <= 1e-9)
-
-
 # --------------------------------------------------------------------------
 # the lock-step batch: n independent integrals, one integrand call a round
 
@@ -324,6 +306,9 @@ def test_one_exhausted_budget_raises_with_its_own_count():
     assert batch.value.evaluations == alone.value.evaluations <= 300
     assert batch.value.value == alone.value.value
     assert batch.value.abs_error_estimate == alone.value.abs_error_estimate
+    assert (batch.value.index, alone.value.index) == (1, None)
+    assert batch.value.reason == alone.value.reason \
+        == "quadrature did not converge within the evaluation budget"
 
 
 def _bumps(amplitudes):
@@ -385,6 +370,7 @@ def test_batch_non_finite_integrand():
                        match="non-finite") as err:
         integrate_batch(f, np.zeros(4), np.ones(4), np.arange(4))
     assert err.value.evaluations == 15
+    assert err.value.index == 2
 
 
 def test_batch_input_validation():
