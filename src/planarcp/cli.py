@@ -126,8 +126,12 @@ def _require(cfg, key, context):
 
 
 def _parse_oscillators(entries, context):
+    if not isinstance(entries, (list, tuple)):
+        raise ScenarioError(f"{context}: must be a list")
     out = []
     for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise ScenarioError(f"{context}[{i}]: must be an object")
         sign = e.get("sign", "absorbing")
         if sign not in ("absorbing", "amplifying"):
             raise ScenarioError(
@@ -142,7 +146,7 @@ def _parse_oscillators(entries, context):
                     _require(e, "damping_rad_s", f"{context}[{i}]")),
                 amplifying=(sign == "amplifying"),
             ))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{context}[{i}]: {exc}") from exc
     return tuple(out)
 
@@ -183,6 +187,19 @@ def _parse_sweep(cfg):
     return tuple(float(z) for z in grid)
 
 
+def _check_tolerances(tol):
+    # type(...) rather than isinstance: JSON true/false are no numbers
+    for key in ("relative", "sommerfeld_relative"):
+        if type(tol[key]) not in (int, float) or not 0.0 < tol[key] < 1.0:
+            raise ScenarioError(
+                f"tolerances: {key} must be a number in (0, 1), "
+                f"got {tol[key]!r}")
+    budget = tol["max_evaluations"]
+    if type(budget) is not int or budget < 1:
+        raise ScenarioError("tolerances: max_evaluations must be a positive "
+                            f"integer, got {budget!r}")
+
+
 def load_scenario(path, tol_override=None, units_override=None):
     """Load and validate a scenario file."""
     try:
@@ -193,6 +210,8 @@ def load_scenario(path, tol_override=None, units_override=None):
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ScenarioError("scenario must be a JSON object")
 
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -228,9 +247,13 @@ def load_scenario(path, tol_override=None, units_override=None):
         raise ScenarioError(f"units must be 'si' or 'reduced', got {units!r}")
 
     tolerances = dict(_DEFAULT_TOLERANCES)
-    tolerances.update(cfg.get("tolerances", {}))
+    given = cfg.get("tolerances", {})
+    if not isinstance(given, dict):
+        raise ScenarioError("tolerances must be an object")
+    tolerances.update(given)
     if tol_override is not None:
         tolerances["relative"] = float(tol_override)
+    _check_tolerances(tolerances)
 
     digest = hashlib.sha256(
         json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()

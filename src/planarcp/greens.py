@@ -316,8 +316,9 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
     if material.is_vacuum:
         return np.zeros(shape), np.zeros(shape)
 
-    z, xi = np.broadcast_arrays(np.asarray(z, dtype=float),
-                                np.asarray(xi, dtype=float))
+    # at least 1-d, so that eps and mu are arrays for scalar z and xi too
+    z, xi = np.broadcast_arrays(np.atleast_1d(z).astype(float),
+                                np.atleast_1d(xi).astype(float))
     eps = material.epsilon(1j * xi).real
     mu = material.mu(1j * xi).real
     bad = (eps <= 0.0) | (mu <= 0.0)

@@ -399,6 +399,8 @@ def atom_model_from_dict(data):
         raise ValueError("'transitions' must be a list")
     transitions = []
     for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ValueError(f"transition {i}: must be an object")
         unknown = set(entry) - set(_TRANSITION_KEYS)
         if unknown:
             raise ValueError(

@@ -12,18 +12,19 @@ of abscissae and return either one value per abscissa (a scalar
 integral) or a row of K values per abscissa, shape (N, K) (K integrals
 on one shared partition).  Values may be real or complex.  The
 abscissae of one call come panel by panel, PANEL_NODES consecutive
-nodes per panel.  integrate_finite and integrate_semi_infinite are the
-engine at n = 1.  integrate_batch runs n integrals, each with its own
+nodes per panel.  integrate_batch runs n integrals, each with its own
 initial panels, in lock-step: its integrand also receives, for every
-abscissa, the index of the integral it belongs to.
+abscissa, the index of the integral it belongs to.  integrate_finite
+and integrate_semi_infinite take the same path as a batch of one.
 
 Refinement is batched: all initial panels are evaluated in one
 integrand call, and every round bisects, again in one call, each panel
 whose error in any unconverged column exceeds that column's equal
 share of its integral's target, (tol * |value_k| + abs_floor) / panels.
-An integral whose columns all meet their targets leaves the batch with
-its result, so a round costs one call whatever n is, and a batch as
-many rounds as its slowest integral.
+An integral whose columns all meet their targets has no such panel, so
+it is neither split nor evaluated again and its result stays as it is;
+a round costs one call whatever n is, and a batch as many rounds as
+its slowest integral.
 
 The error contract holds for every column k of every integral: on
 success the reported absolute error estimate satisfies
@@ -80,6 +81,9 @@ _XK = np.concatenate([-_X[:0:-1], _X])
 _WK = np.concatenate([_W[:0:-1], _W])
 _WG = np.concatenate([_G[:0:-1], _G])
 PANEL_NODES = _XK.size  # abscissae per panel
+# initial panels of the mapped half line t in [0, 1]: four equal ones,
+# x = 0, scale/3, scale, 3 scale, infinity
+_HALF_LINE = np.linspace(0.0, 1.0, 5)
 
 
 @dataclass(frozen=True)
@@ -132,18 +136,18 @@ class NonFiniteIntegrandError(QuadratureConvergenceError, ValueError):
     """
 
 
-def _gk15(f, lo, hi, spent, *args):
+def _gk15(f, lo, hi, owner, spent):
     """G7/K15 on every panel [lo_i, hi_i] from one integrand call
-    f(x, *args).
+    f(x, index), index holding the integral owner_i of each abscissa.
 
     Returns the K15 values and the |K15 - G7| error estimates, each of
     shape (panels, K), and whether the integrand is scalar (K = 1).
-    spent(i) is the evaluation count to report when panel i is not
-    finite.
+    spent() gives the per-integral evaluation counts to report when a
+    panel is not finite.
     """
     half = 0.5 * (hi - lo)
     x = (0.5 * (hi + lo))[:, None] + half[:, None] * _XK
-    y = np.asarray(f(x.ravel(), *args))
+    y = np.asarray(f(x.ravel(), owner.repeat(PANEL_NODES)))
     if y.ndim not in (1, 2) or y.shape[0] != x.size:
         raise ValueError(
             f"integrand returned shape {y.shape} for {x.size} abscissae; "
@@ -155,9 +159,7 @@ def _gk15(f, lo, hi, spent, *args):
         i = np.argmin(np.isfinite(y).all(axis=(1, 2)))
         raise NonFiniteIntegrandError(
             f"integrand returned a non-finite value on [{lo[i]}, {hi[i]}]",
-            np.nan, np.inf, spent(i),
-            int(args[0][PANEL_NODES * i]) if args else None,
-        )
+            np.nan, np.inf, int(spent()[owner[i]]), int(owner[i]))
     val_k = half[:, None] * (_WK @ y)
     val_g = half[:, None] * (_WG @ y[:, 1::2])  # Gauss nodes: odd slots
     # |K15 - G7| estimates the G7 error and so bounds the K15 error
@@ -167,102 +169,61 @@ def _gk15(f, lo, hi, spent, *args):
 
 
 def _adapt(f, lo, hi, owner, tol, abs_floor, max_evaluations):
-    """Lock-step G7/K15 refinement of n integrals from their initial
-    panels [lo_j, hi_j].
+    """Lock-step G7/K15 refinement of n >= 1 integrals from their
+    initial panels [lo_j, hi_j].
 
-    owner is None for a single integral with integrand f(x), else the
-    integral 0..n-1 that each initial panel belongs to, every integral
-    owning at least one, and the integrand is f(x, index), index holding
-    the integral of each abscissa.  Returns the values and the error
-    estimates, each of shape (n, K), the evaluations (an int for a single
-    integral, else an ndarray of n counts), and whether the integrand is
-    scalar.
+    owner holds the integral 0..n-1 that each initial panel belongs to,
+    every integral owning at least one; the integrand is f(x, index),
+    index holding the integral of each abscissa.  Returns the values and
+    the error estimates, each of shape (n, K), the n evaluation counts
+    and whether the integrand is scalar.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"relative tolerance must be in (0, 1), got {tol}")
-    batch = owner is not None
-    args = ()
-    if batch:
-        initial = np.bincount(owner)
-        if not initial.all():
-            raise ValueError("every integral needs an initial panel")
-        # owner indexes the per-integral arrays of the integrals still
-        # refining; ids maps them to the caller's numbers
-        ids = np.arange(initial.size)
-        args = (owner.repeat(PANEL_NODES),)
-        peak = PANEL_NODES * initial.max()
-    else:
-        initial = lo.size
-        peak = PANEL_NODES * initial
-    if peak > max_evaluations:
-        raise QuadratureConvergenceError(
-            f"{peak // PANEL_NODES} initial panels exceed the evaluation "
-            "budget", np.nan, np.inf, 0,
-            int(np.argmax(initial)) if batch else None,
-        )
-    val, err, scalar = _gk15(
-        f, lo, hi,
-        lambda i: PANEL_NODES * (initial[owner[i]] if batch else initial),
-        *args)
-    finished = []  # (ids, values, errors, evaluations) as integrals leave
-    leaving = False
+    initial = np.bincount(owner)
+    if not initial.all():
+        raise ValueError("every integral needs an initial panel")
+    n = initial.size
+
+    def evaluations():
+        # initial panels once, then two panels a bisection
+        return PANEL_NODES * (2 * np.bincount(owner, minlength=n) - initial)
 
     def failure(message, i):
         return QuadratureConvergenceError(
             message, _unpack(total_val[i], scalar),
-            _unpack(total_err[i], scalar), int(np.atleast_1d(evals)[i]),
-            int(ids[i]) if batch else None)
+            _unpack(total_err[i], scalar), int(evaluations()[i]), int(i))
 
+    if PANEL_NODES * initial.max() > max_evaluations:
+        raise QuadratureConvergenceError(
+            f"{initial.max()} initial panels exceed the evaluation budget",
+            np.nan, np.inf, 0, int(np.argmax(initial)))
+    val, err, scalar = _gk15(f, lo, hi, owner, evaluations)
+    # abscissae of all integrals: exact for one, a bound on each of many
+    spent = PANEL_NODES * lo.size
     while True:
-        if batch:
-            counts = np.bincount(owner, minlength=ids.size)
-            total_val = _per_integral(val, owner, ids.size)
-            total_err = _per_integral(err, owner, ids.size)
-        else:
-            counts = lo.size
-            total_val = val.sum(axis=0, keepdims=True)
-            total_err = err.sum(axis=0, keepdims=True)
-        # initial panels once, then two panels a bisection
-        evals = PANEL_NODES * (2 * counts - initial)
+        total_val = _per_integral(val, owner, n)
+        total_err = _per_integral(err, owner, n)
         target = tol * np.abs(total_val) + abs_floor
         failing = total_err > target
-        if not batch:
-            if not failing.any():
-                break
-            share = target / counts
-            peak = evals
-        else:
-            running = failing.any(axis=1)
-            leaving = not running.all()
-            if leaving:
-                # converged integrals leave the batch with their results;
-                # having no failing column, none of their panels splits,
-                # and the merge below drops them
-                done = ~running
-                finished.append((ids[done], total_val[done], total_err[done],
-                                 evals[done]))
-                if not running.any():
-                    break
-            share = (target / counts[:, None])[owner]
-            failing = failing[owner]
-            peak = evals.max()
-        # a failing column has at least one panel above its equal share
-        ratio = np.where(failing, err / share, 0.0)
+        if not failing.any():
+            break
+        # a failing column has at least one panel above its equal share;
+        # a converged integral has none, so it is never split again
+        share = target / np.bincount(owner, minlength=n)[:, None]
+        ratio = np.where(failing[owner], err / share[owner], 0.0)
         split = (ratio > 1.0).any(axis=1)
-        n_split = np.count_nonzero(split)
-        if peak + 2 * PANEL_NODES * n_split > max_evaluations:
-            # the budget runs short for some integral: bisect the worst
-            # panels that fit, or give up when none fits
-            wanted = (np.bincount(owner[split], minlength=ids.size) if batch
-                      else np.array([n_split]))
-            room = (max_evaluations - np.atleast_1d(evals)) \
-                // (2 * PANEL_NODES)
+        if spent + 2 * PANEL_NODES * np.count_nonzero(split) \
+                > max_evaluations:
+            # the budget may run short for some integral: bisect its
+            # worst panels that fit, or give up when none fits
+            wanted = np.bincount(owner[split], minlength=n)
+            room = (max_evaluations - evaluations()) // (2 * PANEL_NODES)
             for i in np.flatnonzero(wanted > room):
                 if room[i] == 0:
                     raise failure("quadrature did not converge within the "
                                   "evaluation budget", i)
-                mine = (np.flatnonzero(owner == i) if batch
-                        else np.arange(lo.size))
+                mine = np.flatnonzero(owner == i)
                 worst = np.argsort(ratio[mine].max(axis=1), kind="stable")
                 split[mine] = False
                 split[mine[worst[-room[i]:]]] = True
@@ -272,48 +233,26 @@ def _adapt(f, lo, hi, owner, tol, abs_floor, max_evaluations):
         if stalled.any():
             # interval at floating-point resolution; cannot refine further
             raise failure("quadrature stalled on an unresolvable interval",
-                          owner[split][np.argmax(stalled)] if batch else 0)
+                          owner[split][np.argmax(stalled)])
+        # kept panels first, then the left and the right halves, so each
+        # integral's panels stay in order for the sums above
+        keep = ~split
         new_lo = np.concatenate([left, mid])
         new_hi = np.concatenate([mid, right])
-        if batch:
-            parent = owner[split]
-            new_owner = np.concatenate([parent, parent])
-            args = (ids[new_owner].repeat(PANEL_NODES),)
-
-            def spent(i):
-                j = new_owner[i]
-                return evals[j] + PANEL_NODES * np.count_nonzero(
-                    new_owner == j)
-        else:
-            def spent(i):
-                return evals + PANEL_NODES * new_lo.size
-        new_val, new_err, _ = _gk15(f, new_lo, new_hi, spent, *args)
-        keep = ~split
-        if leaving:
-            keep &= running[owner]
+        parent = owner[split]
+        new_owner = np.concatenate([parent, parent])
+        owner = np.concatenate([owner[keep], new_owner])
+        new_val, new_err, _ = _gk15(f, new_lo, new_hi, new_owner,
+                                    evaluations)
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
-        if batch:
-            owner = np.concatenate([owner[keep], new_owner])
-            if leaving:
-                owner = (np.cumsum(running) - 1)[owner]
-                ids, initial = ids[running], initial[running]
+        spent += PANEL_NODES * new_lo.size
 
-    if not batch:
-        values, errors, evaluations = total_val, total_err, evals
-    elif len(finished) == 1:
-        _, values, errors, evaluations = finished[0]
-    else:
-        ids, values, errors, evaluations = (np.concatenate(part)
-                                            for part in zip(*finished))
-        by_id = np.argsort(ids)
-        values, errors = values[by_id], errors[by_id]
-        evaluations = evaluations[by_id]
-    if np.iscomplexobj(values) and not np.any(values.imag):
-        values = values.real
-    return values, errors, evaluations, scalar
+    if np.iscomplexobj(total_val) and not np.any(total_val.imag):
+        total_val = total_val.real
+    return total_val, total_err, evaluations(), scalar
 
 
 def _per_integral(a, owner, n):
@@ -335,11 +274,18 @@ def _unpack(column_values, scalar):
 
 
 def _single(f, lo, hi, tol, abs_floor, max_evaluations):
-    """QuadratureResult of one integral over the initial panels."""
-    values, errors, evaluations, scalar = _adapt(
-        f, lo, hi, None, tol, abs_floor, max_evaluations)
+    """QuadratureResult of one integral over the initial panels: the
+    engine on a batch of one."""
+    try:
+        values, errors, evaluations, scalar = _adapt(
+            lambda x, index: f(x), lo, hi, np.zeros(lo.size, np.intp), tol,
+            abs_floor, max_evaluations)
+    except QuadratureConvergenceError as exc:
+        # a single integral has no index
+        raise type(exc)(exc.reason, exc.value, exc.abs_error_estimate,
+                        exc.evaluations) from None
     return QuadratureResult(_unpack(values[0], scalar),
-                            _unpack(errors[0], scalar), evaluations)
+                            _unpack(errors[0], scalar), int(evaluations[0]))
 
 
 def integrate_finite(f, a, b, tol=1e-9, abs_floor=1e-30,
@@ -378,12 +324,9 @@ def integrate_finite(f, a, b, tol=1e-9, abs_floor=1e-30,
     # an oscillatory integrand can fool a single G7/K15 panel into a
     # deceptively small error estimate; callers that know the phase span
     # request enough initial panels to resolve it
-    if initial_intervals > 1:
-        edges = np.linspace(a, b, int(initial_intervals) + 1)
-        lo, hi = edges[:-1], edges[1:]
-    else:
-        lo, hi = np.array([float(a)]), np.array([float(b)])
-    return _single(f, lo, hi, tol, abs_floor, max_evaluations)
+    edges = np.linspace(a, b, max(int(initial_intervals), 1) + 1)
+    return _single(f, edges[:-1], edges[1:], tol, abs_floor,
+                   max_evaluations)
 
 
 def integrate_semi_infinite(f, scale=1.0, tol=1e-9, abs_floor=1e-30,
@@ -391,10 +334,12 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-9, abs_floor=1e-30,
     """Integrate a vectorised integrand f over (0, infinity).
 
     The half line is mapped onto (0, 1) through x = scale * t / (1 - t)
-    and the image is integrated adaptively.  `scale` should be the
-    characteristic decay scale of f: the map places half of the unit
-    interval below x = scale.  f must decay faster than 1/x beyond the
-    scale for the transformed integrand to remain integrable.
+    and the image is integrated adaptively from four equal panels in t,
+    whose edges are x = 0, scale/3, scale, 3 scale and infinity.
+    `scale` should be the characteristic decay scale of f: the map places
+    half of the unit interval below x = scale.  f must decay faster than
+    1/x beyond the scale for the transformed integrand to remain
+    integrable.
 
     Returns
     -------
@@ -408,7 +353,7 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-9, abs_floor=1e-30,
         x = scale * t / one_minus
         return f(x) * (scale / one_minus**2)
 
-    return _single(g, np.array([0.0]), np.array([1.0]), tol, abs_floor,
+    return _single(g, _HALF_LINE[:-1], _HALF_LINE[1:], tol, abs_floor,
                    max_evaluations)
 
 

@@ -403,6 +403,29 @@ class TestExitCodes:
         assert main(["greens", "--scenario",
                      write_scenario(reflector=reflector)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("cfg", [
+        [base_config()],
+        base_config(reflector={"model": "drude-lorentz",
+                               "epsilon_oscillators": [3]}),
+        base_config(tolerances=[1, 2]),
+        base_config(tolerances={"relative": "tight"}),
+        base_config(tolerances={"relative": 1.5}),
+        base_config(tolerances={"sommerfeld_relative": True}),
+        base_config(tolerances={"max_evaluations": "many"}),
+        base_config(tolerances={"max_evaluations": 0}),
+        base_config(atom={"state_label": "excited", "transitions": [3]}),
+    ], ids=["list", "oscillator", "tolerance-list", "relative-string",
+            "relative-above-one", "sommerfeld-bool", "budget-string",
+            "budget-zero", "transition"])
+    def test_malformed_shapes_are_configuration_errors(self, tmp_path,
+                                                       capsys, cfg):
+        # rejected while parsing; most once escaped as a traceback, exit 1
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["cp-potential", "--scenario", str(path)]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_numerical_failure_exit_code(self, write_scenario):
         # starve the quadrature budget on a half-space evaluation
         reflector = {"model": "drude-lorentz", "epsilon_oscillators": [

@@ -716,6 +716,45 @@ class TestRealAxisMpmathAudit:
             assert err <= 1e-10 * abs(value)
 
 
+class TestImagAxisMpmathAudit:
+    # xi^2 Tr G1(i xi) of lossy_halfspace (False) and of its dual (True)
+    # at xi = w10, so y = zt, and order 0 or 1: the v-integral of the
+    # _trace_e_imag_axis docstring, (xi^3 / 4 pi c) (-2 xi / c)^n
+    # Int_1^inf dv v^n e^{-y v} [r_s - (2 v^2 - 1) r_p], r_s and r_p
+    # exchanged for the dual, by 30-digit mp.quad of the plain Fresnel
+    # quotients, eps(i xi) taken from the model in double precision and
+    # the line cut at 1 + 1 / y, 1 + 10 / y and 1 + 100 / y; tanh-sinh
+    # and Gauss-Legendre agree to 1e-25
+    REFERENCE = {
+        (0.1, 0, False): -5.0321614954078935693e+39,
+        (0.1, 0, True): 2.6320433778020128461e+37,
+        (0.1, 1, False): 2.5258892453581935527e+48,
+        (0.1, 1, True): -5.0479147857524746864e+45,
+        (1.0, 0, False): -3.8636992014832602648e+36,
+        (1.0, 0, True): 8.3046518742662559626e+35,
+        (1.0, 1, False): 2.1969058374512519937e+44,
+        (1.0, 1, True): -3.0138249137369120984e+43,
+        (10.0, 0, False): -7.4683055820392154494e+30,
+        (10.0, 0, True): 6.8683705564325005623e+30,
+        (10.0, 1, False): 1.4029119659835013498e+38,
+        (10.0, 1, True): -1.2739845658875825805e+38,
+        (30.0, 0, False): -4.3430727683494869469e+21,
+        (30.0, 0, True): 4.2932127460100787547e+21,
+        (30.0, 1, False): 7.5035413254983891633e+28,
+        (30.0, 1, True): -7.4121990144083440827e+28,
+    }
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("zt", [0.1, 1.0, 10.0, 30.0])
+    def test_within_reported_error(self, lossy_halfspace, zt, order):
+        values, errs = greens._trace_e_imag_axis(
+            lossy_halfspace, zt_to_z(zt), W10, 1e-10, 100_000, order,
+            (False, True))
+        for dual, value, err in zip((False, True), values, errs):
+            assert abs(value - self.REFERENCE[zt, order, dual]) <= err
+            assert err <= 1e-10 * abs(value)
+
+
 class TestMirrorMpmathAudit:
     # the closed form of the greens module docstring at 30 digits,
     # differentiated in z by mp.diff; both mirrors on both axes

@@ -24,6 +24,7 @@ from planarcp import (
     Transition,
     d_dz_traces,
     duality_transform,
+    halfspace_green_traces,
     nonresonant_potential,
     resonant_potential,
     resonant_weights,
@@ -146,7 +147,7 @@ class TestHalfspaceNonresonant:
         # perf guard: G7/K15 rule calls (one integrand call each) of the
         # README's nearest point at default tolerances.  The inner
         # Sommerfeld integrals of an outer round refine in lock-step from
-        # decay-graded panels, so this reads 24; one 15-xi chunk after
+        # decay-graded panels, so this reads 16; one 15-xi chunk after
         # another, each from one panel, read 90.
         calls = []
         rule = quadrature_module._gk15
@@ -365,6 +366,61 @@ class TestDualityProperty:
             assert abs(u - ud) <= err + err_d
             assert (u == 0.0) == (part is potentials_module._resonant
                                   and atom.is_ground_state)
+
+
+_TWO_LEVEL = st.builds(
+    Transition,
+    omega_nk=st.floats(0.5 * W10, 2.0 * W10).flatmap(
+        lambda w: st.sampled_from([w, -w])),
+    dipole_sq=st.floats(0.1 * D2, D2),
+    magnetic_sq=st.just(0.0) | st.floats(0.1 * D2 * C_LIGHT**2,
+                                         D2 * C_LIGHT**2))
+
+
+class TestTwoLevelProperties:
+    """Random two-level atoms, over vacuum and over random absorbing
+    Lorentz half-spaces."""
+
+    TOL = 1e-6
+
+    @settings(max_examples=6, deadline=None, derandomize=True,
+              database=None)
+    @given(transition=_TWO_LEVEL, zt=st.floats(0.05, 30.0),
+           order=st.sampled_from([0, 1]))
+    def test_vacuum_gives_exact_zeros(self, transition, zt, order):
+        vacuum = MaterialResponse("drude-lorentz")
+        atom = AtomModel("drawn", (transition,))
+        z = zt_to_z(zt)
+        for part in (potentials_module._nonresonant,
+                     potentials_module._resonant):
+            values, _ = part(atom, vacuum, [z], self.TOL, 100_000, order)
+            assert values.tolist() == [0.0]
+        w = abs(transition.omega_nk)
+        for freq in (w, 1j * w):
+            tr = halfspace_green_traces(PlanarGeometry(vacuum, z), freq)
+            assert (tr.trace_e, tr.trace_m) == (0.0, 0.0)
+
+    @settings(max_examples=6, deadline=None, derandomize=True,
+              database=None)
+    @given(eps=_lorentz_oscillators((0.1, 3.0), 1),
+           mu=_lorentz_oscillators((0.05, 1.0), 0),
+           transition=_TWO_LEVEL, zt=st.floats(0.3, 5.0),
+           order=st.sampled_from([0, 1]))
+    def test_nonresonant_part_odd_in_the_transition_frequency(
+            self, eps, mu, transition, zt, order):
+        # alpha(i xi) and beta(i xi) are odd in omega_nk, and so is U_nr
+        material = MaterialResponse("drude-lorentz", eps_oscillators=eps,
+                                    mu_oscillators=mu)
+        flipped = Transition(-transition.omega_nk, transition.dipole_sq,
+                             transition.magnetic_sq)
+        (u,), (err,) = potentials_module._nonresonant(
+            AtomModel("drawn", (transition,)), material, [zt_to_z(zt)],
+            self.TOL, 100_000, order)
+        (uf,), (err_f,) = potentials_module._nonresonant(
+            AtomModel("flipped", (flipped,)), material, [zt_to_z(zt)],
+            self.TOL, 100_000, order)
+        assert u != 0.0
+        assert abs(u + uf) <= err + err_f
 
 
 class TestGradient:

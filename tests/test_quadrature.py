@@ -362,6 +362,43 @@ def test_short_budget_bisects_the_worst_panels_first(batch):
         assert split == worst[k]
 
 
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("f, scalar", [
+    (lambda x: np.cos(10.0 * x) / (1.0 + x), True),
+    (lambda x: _rows(x, 3.0), False),
+], ids=["scalar", "complex-rows"])
+def test_single_integral_is_a_batch_of_one(f, scalar, m):
+    # bit for bit: the engine has one path for one integral and for many
+    single = integrate_finite(f, 0.5, 2.0, tol=1e-11, initial_intervals=m)
+    edges = np.linspace(0.5, 2.0, m + 1)
+    batch = integrate_batch(lambda x, index: f(x), edges[:-1], edges[1:],
+                            np.zeros(m, dtype=int), tol=1e-11)
+    assert np.array_equal(single.value, batch.value[0])
+    assert np.array_equal(single.abs_error_estimate,
+                          batch.abs_error_estimate[0])
+    assert single.evaluations == batch.evaluations[0]
+    assert type(single.evaluations) is int
+    if scalar:
+        assert type(single.value) is float
+        assert type(single.abs_error_estimate) is float
+
+
+def test_half_line_starts_from_four_panels():
+    # x = 0, scale/3, scale, 3 scale, infinity: 15 abscissae in each
+    # quarter of the mapped line t = x / (scale + x)
+    calls = []
+    scale = 2.0
+
+    def f(x):
+        calls.append(x)
+        return np.exp(-x / scale)
+
+    integrate_semi_infinite(f, scale=scale)
+    t = calls[0] / (scale + calls[0])
+    assert np.bincount(np.floor(4.0 * t).astype(int)).tolist() \
+        == [quadrature.PANEL_NODES] * 4
+
+
 def test_batch_non_finite_integrand():
     def f(x, index):
         return np.where((index == 2) & (x > 0.5), np.nan, x)
