@@ -76,7 +76,7 @@ from .forces import (
     force_decomposition,
     mirror_force_bracket,
 )
-from .greens import PlanarGeometry, _pec_phase_polynomial, _trace_sweep
+from .greens import PlanarGeometry, halfspace_green_traces
 from .materials import (
     AtomModel,
     LorentzOscillator,
@@ -84,7 +84,7 @@ from .materials import (
     atom_model_from_dict,
     load_atom_model,
 )
-from .potentials import _nonresonant, _resonant
+from .potentials import total_potential
 from .quadrature import QuadratureConvergenceError
 
 EXIT_OK = 0
@@ -168,9 +168,12 @@ def _parse_reflector(cfg):
 
 
 def _parse_sweep(cfg):
-    z_min = float(_require(cfg, "z_min_m", "sweep"))
-    z_max = float(_require(cfg, "z_max_m", "sweep"))
-    points = int(_require(cfg, "points", "sweep"))
+    try:
+        z_min = float(_require(cfg, "z_min_m", "sweep"))
+        z_max = float(_require(cfg, "z_max_m", "sweep"))
+        points = int(_require(cfg, "points", "sweep"))
+    except (TypeError, OverflowError) as exc:
+        raise ScenarioError(f"sweep: {exc}") from exc
     spacing = cfg.get("spacing", "linear")
     if not (0.0 < z_min < z_max < math.inf):
         raise ScenarioError(
@@ -226,7 +229,7 @@ def load_scenario(path, tol_override=None, units_override=None):
             atom = load_atom_model(os.path.join(base, atom_cfg["file"]))
         else:
             atom = atom_model_from_dict(atom_cfg)
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise ScenarioError(f"atom: {exc}") from exc
 
     reflector = _parse_reflector(_require(cfg, "reflector", "scenario"))
@@ -234,9 +237,12 @@ def load_scenario(path, tol_override=None, units_override=None):
 
     slab_thickness = slab_density = None
     if "slab" in cfg:
-        slab_thickness = float(_require(cfg["slab"], "thickness_m", "slab"))
-        slab_density = float(
-            _require(cfg["slab"], "number_density_m3", "slab"))
+        slab = cfg["slab"]
+        try:
+            slab_thickness = float(_require(slab, "thickness_m", "slab"))
+            slab_density = float(_require(slab, "number_density_m3", "slab"))
+        except TypeError as exc:
+            raise ScenarioError(f"slab: {exc}") from exc
         if not (0.0 < slab_thickness < math.inf
                 and 0.0 < slab_density < math.inf):
             raise ScenarioError(
@@ -351,20 +357,18 @@ def cmd_greens(scenario, out_path):
     units = _make_units(scenario)
     w0 = abs(scenario.atom.transitions[0].omega_nk)
     tol = scenario.tolerances
+    geometry = PlanarGeometry(scenario.reflector, scenario.sweep[0])
+    z = np.array(scenario.sweep)
     # one kernel call per frequency axis for the whole sweep
-    reflector, distances = scenario.reflector, np.array(scenario.sweep)
-    budget = (tol["sommerfeld_relative"], tol["max_evaluations"])
-    te_w, _, err_w, _ = _trace_sweep(reflector, distances, complex(w0),
-                                     *budget)
-    te_ix, tm_ix, err_e_ix, err_m_ix = _trace_sweep(reflector, distances,
-                                                    1j * w0, *budget)
-    rows = [[z * units.length, 2.0 * w0 * z / C_LIGHT,
-             np.real(e_w) * units.trace_e, np.imag(e_w) * units.trace_e,
-             np.real(e_ix) * units.trace_e, np.real(m_ix) * units.trace_m,
-             d_w * units.trace_e, d_e * units.trace_e, d_m * units.trace_m]
-            for z, e_w, e_ix, m_ix, d_w, d_e, d_m in zip(
-                scenario.sweep, te_w.tolist(), te_ix.tolist(), tm_ix.tolist(),
-                err_w.tolist(), err_e_ix.tolist(), err_m_ix.tolist())]
+    real, imag = (halfspace_green_traces(
+        geometry, freq, tol["sommerfeld_relative"], tol["max_evaluations"],
+        z_atom=z) for freq in (w0, 1j * w0))
+    rows = zip(z * units.length, 2.0 * w0 * z / C_LIGHT,
+               real.trace_e.real * units.trace_e,
+               real.trace_e.imag * units.trace_e,
+               imag.trace_e * units.trace_e, imag.trace_m * units.trace_m,
+               real.err_e * units.trace_e, imag.err_e * units.trace_e,
+               imag.err_m * units.trace_m)
     comments = _provenance(scenario, "greens") + [
         f"reference_frequency_rad_s = {w0!r}",
         "imaginary-axis columns evaluated at xi = reference frequency",
@@ -380,15 +384,14 @@ def cmd_cp_potential(scenario, out_path):
     """Single-atom potential decomposition along the sweep."""
     units = _make_units(scenario)
     tol = scenario.tolerances
-    args = (scenario.atom, scenario.reflector, np.array(scenario.sweep),
-            tol["relative"], tol["max_evaluations"])
-    u_nr, err_nr = _nonresonant(*args)
-    u_r, err_r = _resonant(*args)
-    rows = [[z * units.length, nr * units.potential, r * units.potential,
-             (nr + r) * units.potential, (e_nr + e_r) * units.potential]
-            for z, nr, r, e_nr, e_r in zip(scenario.sweep, u_nr.tolist(),
-                                           u_r.tolist(), err_nr.tolist(),
-                                           err_r.tolist())]
+    geometry = PlanarGeometry(scenario.reflector, scenario.sweep[0])
+    z = np.array(scenario.sweep)
+    res = total_potential(scenario.atom, geometry, z_atom=z,
+                          rel_tol=tol["relative"],
+                          max_evaluations=tol["max_evaluations"])
+    rows = zip(z * units.length, *(part * units.potential for part in (
+        res.u_nonresonant, res.u_resonant, res.u_total,
+        res.quadrature_error)))
     header = ["z", "u_nonresonant", "u_resonant", "u_total",
               "quadrature_error"]
     _write_csv(out_path, _provenance(scenario, "cp-potential"),
@@ -444,8 +447,8 @@ def _fig3_curves():
 
     In reduced units the slab curve is 2 [W(zt + dt) - W(zt)] / dt with
     W(zt) = bracket(zt)/zt^3 = Re e^{i zt} Q_0(zt), dt = 2 w0 d / c, and
-    the single-atom curve is its dt -> 0 limit 2 W'(zt) =
-    2 Re e^{i zt} Q_1(zt), both read from the mirror trace's closed form.
+    the single-atom curve is its dt -> 0 limit 2 W'(zt), both read from
+    the mirror trace's closed form (mirror_force_bracket).
     """
     n = int(round((_FIG3_ZT_MAX - _FIG3_ZT_MIN) / _FIG3_ZT_STEP)) + 1
     zt = _FIG3_ZT_MIN + _FIG3_ZT_STEP * np.arange(n)
@@ -457,7 +460,7 @@ def _fig3_curves():
     for fac in _FIG3_THICKNESS_FACTORS:
         dt = 2.0 * fac
         curves[fac] = 2.0 * (w_of(zt + dt) - w_of(zt)) / dt
-    single = 2.0 * _pec_phase_polynomial(zt, 1).real / zt**4
+    single = 2.0 * mirror_force_bracket(zt, order=1) / zt**4
     return zt, curves, single
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 from scipy.constants import mu_0
 
-from .greens import PlanarGeometry, _pec_phase_polynomial
+from .greens import PlanarGeometry, _distances, _pec_phase_polynomial
 from .materials import (
     PERFECT_ELECTRIC_MIRROR,
     AtomModel,
@@ -120,10 +120,11 @@ def _force_result(f_r, f_nr, d, quadrature_error):
                        float(quadrature_error))
 
 
-def mirror_force_bracket(zt):
+def mirror_force_bracket(zt, order=0):
     """(2 - zt^2) cos zt + 2 zt sin zt = zt^3 W(zt), the antiderivative
-    bracket of the mirror-trace derivative; vectorised."""
-    return _pec_phase_polynomial(np.asarray(zt, dtype=float), 0).real
+    bracket of the mirror-trace derivative, or zt^4 W'(zt) for order 1,
+    the bracket of the single-atom force; vectorised."""
+    return _pec_phase_polynomial(np.asarray(zt, dtype=float), order).real
 
 
 def _require_two_level_electric_pec(scenario):
@@ -221,11 +222,7 @@ def force_decomposition(scenario, z_grid, rel_tol=DEFAULT_POTENTIAL_TOL,
 
     Returns a list of ForceResult in grid order.
     """
-    z_grid = np.asarray(z_grid, dtype=float)
-    if not np.isfinite(z_grid).all():
-        raise ValueError("grid positions must be finite")
-    if (z_grid <= 0.0).any():
-        raise ValueError("grid positions must be > 0")
+    z_grid = _distances(z_grid)
     if (np.diff(z_grid) <= 0.0).any():
         raise ValueError("grid must be strictly increasing")
     edges, index = np.unique(np.concatenate([z_grid, z_grid + scenario.d]),

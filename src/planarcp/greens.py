@@ -101,21 +101,16 @@ class PlanarGeometry:
     """A single planar reflector filling z < 0 plus an observation point.
 
     reflector : MaterialResponse
-    z_atom : observation distance above the interface, m, strictly > 0.
+    z_atom : observation distance above the interface, m, finite and > 0.
     """
 
     reflector: MaterialResponse
     z_atom: float
 
     def __post_init__(self):
-        if not self.z_atom > 0.0:
-            raise ValueError(
-                f"observation distance must be > 0, got {self.z_atom}"
-            )
-
-    def with_distance(self, z_atom):
-        """Same reflector, observation point moved to z_atom."""
-        return PlanarGeometry(self.reflector, z_atom)
+        if np.ndim(self.z_atom) != 0:
+            raise ValueError("observation distance must be one float")
+        _distances(self.z_atom)
 
     def dual(self):
         """Geometry with eps and mu of the reflector exchanged."""
@@ -124,18 +119,18 @@ class PlanarGeometry:
 
 @dataclass(frozen=True)
 class GreenTrace:
-    """Scattering-trace pair at one complex frequency.
+    """Scattering-trace pair at one complex frequency, or its
+    z-derivatives (d_dz_traces): Python scalars at one distance, arrays
+    along an array of distances.
 
-    err_e (1/m) and err_m (1/m^3) bound the quadrature errors of trace_e
-    and trace_m, each in its own trace's units; abs_error is their plain
-    sum err_e + err_m, a bound on both.  All are 0 for the closed-form
-    mirrors and for vacuum.
+    err_e and err_m bound the quadrature errors of trace_e and trace_m,
+    each in its own trace's units (1/m and 1/m^3, one more 1/m for the
+    derivatives); both are 0 for the closed-form mirrors and for vacuum.
     """
 
     freq: complex
     trace_e: complex
     trace_m: complex
-    abs_error: float = 0.0
     err_e: float = 0.0
     err_m: float = 0.0
 
@@ -156,11 +151,23 @@ def _validate_freq(freq):
     return w
 
 
-def _validate_distance(z_atom):
-    z = float(z_atom)
-    if not z > 0.0 or not math.isfinite(z):
-        raise ValueError(f"distance above the mirror must be > 0, got {z}")
+def _distances(z_atom):
+    """z_atom, a float or a 1-d array of distances in m, as a 1-d float
+    array; every entry must satisfy 0 < z < inf, which NaN does not."""
+    z = np.atleast_1d(np.asarray(z_atom, dtype=float))
+    if z.ndim > 1:
+        raise ValueError("distances must be a float or a 1-d array")
+    bad = ~((z > 0.0) & (z < math.inf))
+    if bad.any():
+        raise ValueError(
+            f"distance must be finite and > 0, got {z[bad][0]}")
     return z
+
+
+def _like(z_atom, values):
+    """values along the distances of z_atom: a Python scalar for a
+    scalar z_atom, the 1-d array itself for an array."""
+    return values.item() if np.ndim(z_atom) == 0 else values
 
 
 # --------------------------------------------------------------------------
@@ -180,13 +187,6 @@ def _mirror_rows(value, duals):
     if duals == (False,):
         return value[None]
     return np.stack([-value if dual else value for dual in duals])
-
-
-def _power(z, n):
-    """z^n of a Python float or, elementwise with the same bits, of an
-    array: numpy's vectorised power differs from libm's pow in the last
-    bit of about one value in twenty, float_power does not."""
-    return np.float_power(z, n) if isinstance(z, np.ndarray) else z**n
 
 
 def _pec_phase_polynomial(zt, order):
@@ -302,13 +302,16 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
     partition.
     """
     if material.is_perfect_mirror:
+        # float_power is libm's pow for a float and an array alike, so a
+        # distance gets the same bits in either; numpy's vectorised power
+        # differs from it in the last bit of about one value in twenty
         sign = 1.0 if material.model == PERFECT_ELECTRIC_MIRROR else -1.0
         y = (2.0 * z / C_LIGHT) * np.asarray(xi, dtype=float)
         if order == 0:
-            pref = -sign * C_LIGHT**2 / (16.0 * np.pi * _power(z, 3))
+            pref = -sign * C_LIGHT**2 / (16.0 * np.pi * np.float_power(z, 3))
             poly = 2.0 + y * (2.0 + y)
         else:
-            pref = sign * C_LIGHT**2 / (16.0 * np.pi * _power(z, 4))
+            pref = sign * C_LIGHT**2 / (16.0 * np.pi * np.float_power(z, 4))
             poly = 6.0 + y * (6.0 + y * (3.0 + y))
         return (_mirror_rows(pref * np.exp(-y) * poly, duals),
                 np.zeros((len(duals),) + y.shape))
@@ -432,38 +435,35 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
 
 
 # --------------------------------------------------------------------------
-# traces at one point
+# traces along distances
 
 
-def _trace_sweep(reflector, z, w, rel_tol, max_evaluations, order=0):
-    """(trace_e, trace_m, err_e, err_m), arrays over an array of
-    distances z at one validated frequency w, or their z-derivatives for
-    order 1; each error in its own trace's units.
+def _trace_sweep(geometry, freq, rel_tol, max_evaluations, z_atom, order):
+    """GreenTrace of trace_e and trace_m, or of their z-derivatives for
+    order 1, at the geometry's distance or along z_atom; each error in
+    its own trace's units.
 
-    One kernel call gives the reflector's column and its dual's for the
-    whole sweep; trace_m(w; eps, mu) = -(w/c)^2 trace_e(w; mu, eps), and
-    the imaginary-axis kernel returns xi^2-weighted traces, so there
+    One kernel call gives the reflector's column and its dual's for all
+    the distances; trace_m(w; eps, mu) = -(w/c)^2 trace_e(w; mu, eps),
+    and the imaginary-axis kernel returns xi^2-weighted traces, so there
     trace_m = [xi^2 trace_e(mu, eps)] / c^2.
     """
+    w = _validate_freq(freq)
+    if z_atom is None:
+        z_atom = geometry.z_atom
+    z = _distances(z_atom)
     if w.real == 0.0:
         values, errs = _trace_e_imag_axis(
-            reflector, z, np.array([w.imag]), rel_tol, max_evaluations,
-            order, duals=(False, True))
+            geometry.reflector, z, np.array([w.imag]), rel_tol,
+            max_evaluations, order, duals=(False, True))
         scale = np.array([[1.0 / w.imag**2], [1.0 / C_LIGHT**2]])
     else:
         values, errs = _trace_e_real_axis(
-            reflector, z, w.real, rel_tol, max_evaluations, order,
+            geometry.reflector, z, w.real, rel_tol, max_evaluations, order,
             duals=(False, True))
         scale = np.array([[1.0], [-((w.real / C_LIGHT) ** 2)]])
-    (te, tm), (err_e, err_m) = scale * values, abs(scale) * errs
-    return te, tm, err_e, err_m
-
-
-def _traces(geometry, w, rel_tol, max_evaluations, order):
-    """_trace_sweep at the geometry's distance alone, as Python scalars."""
-    return tuple(part.item() for part in _trace_sweep(
-        geometry.reflector, np.array([geometry.z_atom]), w, rel_tol,
-        max_evaluations, order))
+    return GreenTrace(w, *(_like(z_atom, part) for part in (
+        *(scale * values), *(abs(scale) * errs))))
 
 
 def mirror_green_components(z_atom, freq):
@@ -474,7 +474,7 @@ def mirror_green_components(z_atom, freq):
     latter case the continuation is taken and all components come out
     exactly real.
     """
-    z = _validate_distance(z_atom)
+    (z,) = _distances(z_atom).tolist()
     w = _validate_freq(freq)
     zt = 2.0 * w * z / C_LIGHT
     phase = np.exp(1j * zt)
@@ -487,8 +487,7 @@ def mirror_green_components(z_atom, freq):
 def mirror_trace_e(z_atom, freq):
     """Tr G1 of the perfect electric mirror, = 2 G_xx + G_zz; real on the
     imaginary axis."""
-    geometry = PlanarGeometry(_PEC, _validate_distance(z_atom))
-    return halfspace_green_traces(geometry, freq).trace_e
+    return halfspace_green_traces(PlanarGeometry(_PEC, z_atom), freq).trace_e
 
 
 def mirror_curlcurl_trace(z_atom, freq):
@@ -498,52 +497,49 @@ def mirror_curlcurl_trace(z_atom, freq):
     magnetic mirror, i.e. +(w/c)^2 * mirror_trace_e.  On the imaginary
     axis the value is real and positive (mirror repels magnetic dipoles).
     """
-    geometry = PlanarGeometry(_PEC, _validate_distance(z_atom))
-    return halfspace_green_traces(geometry, freq).trace_m
+    return halfspace_green_traces(PlanarGeometry(_PEC, z_atom), freq).trace_m
 
 
 def halfspace_green_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
-                           max_evaluations=100_000):
+                           max_evaluations=100_000, z_atom=None):
     """Scattering traces of the geometry's reflector at `freq`.
 
-    One call of the trace kernel, at a one-element array, for the
-    reflector's column and its dual's: closed forms for the perfect
-    mirrors, exact zeros for vacuum, the transverse-wavevector integral
-    for a material half-space.  freq must be purely imaginary, or real with the
+    z_atom, a float or a 1-d array of distances, overrides the
+    geometry's observation distance when given.  One call of the trace
+    kernel for all the distances, for the reflector's column and its
+    dual's: closed forms for the perfect mirrors, exact zeros for
+    vacuum, the transverse-wavevector integral for a material
+    half-space.  freq must be purely imaginary, or real with the
     reflector lossy there (perfect mirrors are exempt from the loss
     requirement).
 
     Returns
     -------
     GreenTrace with trace_e, trace_m and their achieved quadrature
-    errors.  Both traces are exactly real on the imaginary frequency
-    axis.
+    errors, Python scalars at one distance and arrays along an array.
+    Both traces are exactly real on the imaginary frequency axis.
     """
-    w = _validate_freq(freq)
-    te, tm, err_e, err_m = _traces(geometry, w, rel_tol, max_evaluations, 0)
-    return GreenTrace(w, te, tm, err_e + err_m, err_e, err_m)
+    return _trace_sweep(geometry, freq, rel_tol, max_evaluations, z_atom, 0)
 
 
 def d_dz_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
-                max_evaluations=100_000):
-    """d(trace_e)/dz and d(trace_m)/dz at the geometry's distance.
+                max_evaluations=100_000, z_atom=None):
+    """d(trace_e)/dz and d(trace_m)/dz, as halfspace_green_traces gives
+    the traces, with the same arguments.
 
-    The order-1 trace kernels, as halfspace_green_traces uses the
-    order-0 ones: perfect mirrors differentiate the closed forms (zero
-    reported error), vacuum gives zeros, and material half-spaces
-    differentiate under the transverse-wavevector integral, where z
-    enters only through the exponential: the derivative multiplies the
-    integrand by -2 xi v / c on the imaginary axis and by 2 i w gamma / c
-    along the real-axis contour.  Both derivatives cost the integral of
-    one trace pair, one kernel call on a shared partition.
+    The order-1 trace kernels: perfect mirrors differentiate the closed
+    forms (zero reported error), vacuum gives zeros, and material
+    half-spaces differentiate under the transverse-wavevector integral,
+    where z enters only through the exponential: the derivative
+    multiplies the integrand by -2 xi v / c on the imaginary axis and by
+    2 i w gamma / c along the real-axis contour.  Both derivatives cost
+    the integral of one trace pair, one kernel call on a shared
+    partition.
 
     Returns
     -------
-    (d_trace_e, d_trace_m, abs_error), where abs_error adds the error of
-    d_trace_e, in 1/m^2, to that of d_trace_m, in 1/m^4, as
-    GreenTrace.abs_error does for the traces: it bounds both errors but
-    is in neither's units.
+    GreenTrace whose trace_e and trace_m are the derivatives, in 1/m^2
+    and 1/m^4, and whose err_e and err_m bound their errors, each in its
+    own derivative's units.
     """
-    de, dm, err_e, err_m = _traces(geometry, _validate_freq(freq), rel_tol,
-                                   max_evaluations, 1)
-    return de, dm, err_e + err_m
+    return _trace_sweep(geometry, freq, rel_tol, max_evaluations, z_atom, 1)

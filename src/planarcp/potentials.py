@@ -20,7 +20,8 @@ structural zero; no Green function is evaluated.
 
 Each part is one routine, _nonresonant or _resonant, giving arrays
 (values, abs_errors) of U, or of dU/dz for order 1, at an array of
-distances; the public functions call it at a one-element array.
+distances.  The public functions take one distance or a 1-d array of
+them and call each routine they need once for all of them.
 
 Forces follow from F = -dU/dz (the force module integrates that over a
 slab).  Both parts are invariant under the global duality exchange
@@ -36,6 +37,7 @@ from scipy.constants import c as C_LIGHT
 from scipy.constants import hbar, mu_0
 
 from . import greens
+from .greens import _distances, _like
 from .materials import AtomModel, Transition, _response_ixi, resonant_weights
 from .quadrature import integrate_semi_infinite
 
@@ -57,7 +59,8 @@ _ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class PotentialResult:
-    """Resonant/nonresonant split of the potential at one distance, in J.
+    """Resonant/nonresonant split of the potential, in J: Python floats
+    at one distance, arrays along an array of distances.
 
     u_total = u_nonresonant + u_resonant holds exactly by construction.
     quadrature_error bounds the numerical error of the sum; closed-form
@@ -160,15 +163,15 @@ def _resonant(atom, material, z_values, rel_tol, max_evaluations, order=0):
                               _ROUNDING_FLOOR * np.abs(values))
 
 
-def _at_point(part, atom, geometry, z_atom, rel_tol, max_evaluations):
-    """(value, abs_error) of one potential part at the geometry's
-    distance, or at z_atom when given."""
-    if z_atom is not None:
-        geometry = geometry.with_distance(z_atom)
-    (value,), (err,) = part(atom, geometry.reflector,
-                            np.array([geometry.z_atom]), rel_tol,
-                            max_evaluations)
-    return float(value), float(err)
+def _part(part, atom, geometry, z_atom, rel_tol, max_evaluations):
+    """(values, abs_errors) of one potential part at the geometry's
+    distance or along z_atom, one routine call for all the distances;
+    Python floats for a scalar distance."""
+    if z_atom is None:
+        z_atom = geometry.z_atom
+    values, errs = part(atom, geometry.reflector, _distances(z_atom),
+                        rel_tol, max_evaluations)
+    return _like(z_atom, values), _like(z_atom, errs)
 
 
 def nonresonant_potential(atom, geometry, z_atom=None,
@@ -176,39 +179,37 @@ def nonresonant_potential(atom, geometry, z_atom=None,
                           max_evaluations=100_000):
     """Nonresonant (imaginary-frequency) potential in J.
 
-    z_atom overrides the geometry's observation distance when given.
-    The single-atom potential is independent of any slab density.
+    z_atom, a float or a 1-d array of distances, overrides the
+    geometry's observation distance when given; the result is a float or
+    an array accordingly.  The single-atom potential is independent of
+    any slab density.
     """
-    return _at_point(_nonresonant, atom, geometry, z_atom, rel_tol,
-                     max_evaluations)[0]
+    return _part(_nonresonant, atom, geometry, z_atom, rel_tol,
+                 max_evaluations)[0]
 
 
 def resonant_potential(atom, geometry, z_atom=None,
                        rel_tol=DEFAULT_POTENTIAL_TOL,
                        max_evaluations=100_000):
-    """Resonant potential in J; zero for ground-state atoms.
+    """Resonant potential in J, a float or an array as for
+    nonresonant_potential; zero for ground-state atoms.
 
     At each downward transition frequency the reflector must be a
     perfect mirror, vacuum, or lossy (absorbing) material.
     """
-    return _at_point(_resonant, atom, geometry, z_atom, rel_tol,
-                     max_evaluations)[0]
+    return _part(_resonant, atom, geometry, z_atom, rel_tol,
+                 max_evaluations)[0]
 
 
 def total_potential(atom, geometry, z_atom=None,
                     rel_tol=DEFAULT_POTENTIAL_TOL,
                     max_evaluations=100_000):
-    """Both potential parts and their sum as a PotentialResult."""
-    u_nr, err_nr = _at_point(_nonresonant, atom, geometry, z_atom, rel_tol,
-                             max_evaluations)
-    u_r, err_r = _at_point(_resonant, atom, geometry, z_atom, rel_tol,
-                           max_evaluations)
-    return PotentialResult(
-        u_nonresonant=u_nr,
-        u_resonant=u_r,
-        u_total=u_nr + u_r,
-        quadrature_error=err_nr + err_r,
-    )
+    """Both potential parts and their sum as a PotentialResult, of floats
+    or arrays as for nonresonant_potential."""
+    args = (atom, geometry, z_atom, rel_tol, max_evaluations)
+    u_nr, err_nr = _part(_nonresonant, *args)
+    u_r, err_r = _part(_resonant, *args)
+    return PotentialResult(u_nr, u_r, u_nr + u_r, err_nr + err_r)
 
 
 def duality_transform(atom, geometry):

@@ -1,14 +1,17 @@
 """CLI: scenario handling, CSV provenance, units, exit codes."""
 
+import ast
 import csv
 import json
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.constants import c as C_LIGHT
 from scipy.constants import mu_0
 
+import planarcp.cli as cli_module
 import planarcp.greens as greens_module
 import planarcp.potentials as potentials_module
 from planarcp import (
@@ -414,9 +417,18 @@ class TestExitCodes:
         base_config(tolerances={"max_evaluations": "many"}),
         base_config(tolerances={"max_evaluations": 0}),
         base_config(atom={"state_label": "excited", "transitions": [3]}),
+        base_config(slab={"thickness_m": [1e-7], "number_density_m3": ETA}),
+        base_config(atom={"state_label": "excited", "transitions": [
+            {"omega_nk_rad_s": [W10], "dipole_sq_C2m2": D2}]}),
+        base_config(sweep={"z_min_m": 1e-8, "z_max_m": 1e-7,
+                           "points": [3]}),
+        base_config(sweep={"z_min_m": None, "z_max_m": 1e-7, "points": 3}),
+        base_config(sweep={"z_min_m": 1e-8, "z_max_m": 1e-7,
+                           "points": float("inf")}),
     ], ids=["list", "oscillator", "tolerance-list", "relative-string",
             "relative-above-one", "sommerfeld-bool", "budget-string",
-            "budget-zero", "transition"])
+            "budget-zero", "transition", "thickness-list", "omega-list",
+            "points-list", "z-min-null", "points-infinite"])
     def test_malformed_shapes_are_configuration_errors(self, tmp_path,
                                                        capsys, cfg):
         # rejected while parsing; most once escaped as a traceback, exit 1
@@ -465,3 +477,30 @@ class TestFig3Command:
         for col in ("per_thickness_d_0.1", "per_thickness_d_1.0",
                     "per_thickness_d_5.0"):
             assert np.all(data[col][short] < 0.0)
+
+
+class TestPublicNamesOnly:
+    def test_cli_uses_no_private_name_of_another_module(self):
+        # cli is a client of the package's public API: no underscored
+        # name imported from another planarcp module, nor reached as an
+        # attribute of one
+        tree = ast.parse(Path(cli_module.__file__).read_text())
+        imported, private = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.startswith("planarcp")):
+                for alias in node.names:
+                    imported.add(alias.asname or alias.name)
+                    if alias.name.startswith("_"):
+                        private.append(f"{node.module}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.split(".")[0]
+                                for alias in node.names
+                                if alias.name.startswith("planarcp"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in imported \
+                    and node.attr.startswith("_"):
+                private.append(f"{node.value.id}.{node.attr}")
+        assert private == []

@@ -15,6 +15,7 @@ from scipy.constants import c as C_LIGHT
 
 from planarcp import greens, quadrature
 from planarcp import (
+    GreenTrace,
     LorentzOscillator,
     MaterialResponse,
     PlanarGeometry,
@@ -142,7 +143,7 @@ class TestHalfspace:
         tr = halfspace_green_traces(geo, 1j * W10)
         assert tr.trace_e == 0.0
         assert tr.trace_m == 0.0
-        assert tr.abs_error == 0.0
+        assert tr.err_e == tr.err_m == 0.0
 
     def test_perfect_mirror_models_use_closed_forms(self, pec, pmc):
         z = zt_to_z(0.7)
@@ -151,7 +152,7 @@ class TestHalfspace:
         assert tr_pec.trace_e == mirror_trace_e(z, 1j * W10)
         assert tr_pmc.trace_e == -tr_pec.trace_e
         assert tr_pmc.trace_m == -tr_pec.trace_m
-        assert tr_pec.abs_error == 0.0
+        assert tr_pec.err_e == tr_pec.err_m == 0.0
 
     @pytest.mark.parametrize("y", [0.1, 1.0, 10.0])
     def test_mirror_limit_frozen_deviation(self, y):
@@ -333,22 +334,66 @@ class TestTraceAndDualColumns:
 
     @pytest.mark.parametrize("freq", [W10, 1j * W10])
     def test_errors_per_trace(self, lossy_halfspace, freq):
-        # each error in its own trace's units: it bounds the deviation
-        # from a tight run and stays below the trace.  The sum abs_error
-        # mixes units: for the derivatives at the real frequency it reads
-        # 5.2e19 against |d trace_e/dz| = 1.0e14
+        # each error in its own trace's units, for the traces and their
+        # derivatives: it bounds the deviation from a tight run and stays
+        # below the trace
         geo = PlanarGeometry(lossy_halfspace, zt_to_z(1.0))
-        tr = halfspace_green_traces(geo, freq)
-        tight = halfspace_green_traces(geo, freq, rel_tol=1e-11)
-        assert tr.abs_error == tr.err_e + tr.err_m
-        assert abs(tr.trace_e - tight.trace_e) <= tr.err_e < abs(tr.trace_e)
-        assert abs(tr.trace_m - tight.trace_m) <= tr.err_m < abs(tr.trace_m)
-        w = complex(freq)
-        de, dm, err_e, err_m = greens._traces(geo, w, 1e-7, 100_000, 1)
-        de_t, dm_t, _, _ = greens._traces(geo, w, 1e-11, 100_000, 1)
-        assert d_dz_traces(geo, freq) == (de, dm, err_e + err_m)
-        assert abs(de - de_t) <= err_e < abs(de)
-        assert abs(dm - dm_t) <= err_m < abs(dm)
+        for traces in (halfspace_green_traces, d_dz_traces):
+            tr = traces(geo, freq)
+            tight = traces(geo, freq, rel_tol=1e-11)
+            assert abs(tr.trace_e - tight.trace_e) \
+                <= tr.err_e < abs(tr.trace_e)
+            assert abs(tr.trace_m - tight.trace_m) \
+                <= tr.err_m < abs(tr.trace_m)
+
+
+class TestDistances:
+    """The trace functions take one distance or a 1-d array of them, and
+    every entry point shares one distance check, 0 < z < inf."""
+
+    ZT = np.array([0.3, 1.0, 4.0])
+
+    @pytest.mark.parametrize("freq", [W10, 1j * W10])
+    @pytest.mark.parametrize("reflector", ["pec", "pmc", "lossy_halfspace"])
+    @pytest.mark.parametrize("traces", [halfspace_green_traces, d_dz_traces])
+    def test_scalar_and_array_calls_agree_bit_for_bit(self, request, traces,
+                                                      reflector, freq):
+        material = request.getfixturevalue(reflector)
+        geo = PlanarGeometry(material, zt_to_z(5.0))
+        z = zt_to_z(self.ZT)
+        sweep = traces(geo, freq, z_atom=z)
+        assert sweep.trace_e.shape == sweep.err_m.shape == z.shape
+        value_type = float if freq.imag else complex
+        for k, zk in enumerate(z.tolist()):
+            one = traces(geo, freq, z_atom=zk)
+            assert one == traces(PlanarGeometry(material, zk), freq)
+            parts = (one.trace_e, one.trace_m, one.err_e, one.err_m)
+            assert [type(p) for p in parts] == [value_type] * 2 + [float] * 2
+            assert parts == (sweep.trace_e[k], sweep.trace_m[k],
+                             sweep.err_e[k], sweep.err_m[k])
+
+    @pytest.mark.parametrize("bad", [0.0, float("inf"), float("nan")])
+    def test_one_distance_check(self, pec, lossy_halfspace, bad):
+        # at inf a geometry once passed, giving NaN traces with zero error
+        for call in (lambda: PlanarGeometry(pec, bad),
+                     lambda: mirror_green_components(bad, W10),
+                     lambda: mirror_trace_e(bad, 1j * W10),
+                     lambda: mirror_curlcurl_trace(bad, W10)):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                call()
+        geo = PlanarGeometry(lossy_halfspace, zt_to_z(1.0))
+        for z in (bad, np.array([zt_to_z(1.0), bad])):
+            for traces in (halfspace_green_traces, d_dz_traces):
+                for freq in (W10, 1j * W10):
+                    with pytest.raises(ValueError, match="finite and > 0"):
+                        traces(geo, freq, z_atom=z)
+
+    def test_distances_are_a_float_or_a_1d_array(self, pec):
+        with pytest.raises(ValueError, match="one float"):
+            PlanarGeometry(pec, np.array([1e-7]))
+        with pytest.raises(ValueError, match="1-d"):
+            halfspace_green_traces(PlanarGeometry(pec, 1e-7), W10,
+                                   z_atom=np.full((2, 2), 1e-7))
 
 
 class TestFresnel:
@@ -555,8 +600,9 @@ class TestDerivatives:
         freq = freq_maker()
         z = zt_to_z(zt)
         geo = PlanarGeometry(pec, z)
-        de, dm, err = d_dz_traces(geo, freq)
-        assert err == 0.0
+        d = d_dz_traces(geo, freq)
+        de, dm = d.trace_e, d.trace_m
+        assert d.err_e == d.err_m == 0.0
         h = 1e-6 * z
 
         def fd(f):
@@ -571,23 +617,24 @@ class TestDerivatives:
 
     def test_derivative_vanishes_far_away(self, pec):
         geo = PlanarGeometry(pec, zt_to_z(45.0))
-        de, dm, _ = d_dz_traces(geo, 1j * W10)
-        near, _, _ = d_dz_traces(PlanarGeometry(pec, zt_to_z(1.0)), 1j * W10)
+        de = d_dz_traces(geo, 1j * W10).trace_e
+        near = d_dz_traces(PlanarGeometry(pec, zt_to_z(1.0)),
+                           1j * W10).trace_e
         assert abs(de) < 1e-15 * abs(near)
 
     def test_halfspace_fd_against_mirror_limit(self):
         geo = PlanarGeometry(eps_halfspace(4e8), zt_to_z(1.0))
-        de, dm, err = d_dz_traces(geo, 1j * W10, rel_tol=1e-9)
+        d = d_dz_traces(geo, 1j * W10, rel_tol=1e-9)
         pec_geo = PlanarGeometry(MaterialResponse("perfect-electric-mirror"),
                                  zt_to_z(1.0))
-        de_pec, dm_pec, _ = d_dz_traces(pec_geo, 1j * W10)
-        assert rel_diff(de, np.real(de_pec)) < 1e-3
-        assert rel_diff(dm, np.real(dm_pec)) < 1e-3
-        assert err > 0.0
+        d_pec = d_dz_traces(pec_geo, 1j * W10)
+        assert rel_diff(d.trace_e, np.real(d_pec.trace_e)) < 1e-3
+        assert rel_diff(d.trace_m, np.real(d_pec.trace_m)) < 1e-3
+        assert d.err_e > 0.0 and d.err_m > 0.0
 
     def test_vacuum_derivatives_zero(self, vacuum):
         geo = PlanarGeometry(vacuum, zt_to_z(1.0))
-        assert d_dz_traces(geo, 1j * W10) == (0.0, 0.0, 0.0)
+        assert d_dz_traces(geo, 1j * W10) == GreenTrace(1j * W10, 0.0, 0.0)
 
 
 class TestHalfspaceDerivatives:
@@ -652,14 +699,14 @@ class TestHalfspaceDerivatives:
         monkeypatch.setattr(quadrature, "_adapt",
                             lambda *a: calls.append(1) or engine(*a))
         geo = PlanarGeometry(lossy_halfspace, zt_to_z(1.0))
-        de, dm, err = d_dz_traces(geo, freq)
+        d = d_dz_traces(geo, freq)
         # both traces on one partition, on either axis one contour
         # integral: on the real axis the evanescent and propagating
         # segments are its two halves
         assert len(calls) == 1
-        tr_de, tr_dm, _ = d_dz_traces(geo, freq, rel_tol=1e-10)
-        assert abs(de - tr_de) <= err
-        assert abs(dm - tr_dm) <= err
+        tight = d_dz_traces(geo, freq, rel_tol=1e-10)
+        assert abs(d.trace_e - tight.trace_e) <= d.err_e
+        assert abs(d.trace_m - tight.trace_m) <= d.err_m
 
 
 class TestRealAxisMpmathAudit:
@@ -789,8 +836,8 @@ class TestMirrorMpmathAudit:
         for zt in self.ZT:
             z = zt_to_z(zt)
             geo = PlanarGeometry(MaterialResponse(model), z)
-            tr = halfspace_green_traces(geo, freq)
-            got = {0: (tr.trace_e, tr.trace_m), 1: d_dz_traces(geo, freq)[:2]}
+            tr, d = halfspace_green_traces(geo, freq), d_dz_traces(geo, freq)
+            got = {0: (tr.trace_e, tr.trace_m), 1: (d.trace_e, d.trace_m)}
             if sign == 1:
                 assert mirror_trace_e(z, freq) == tr.trace_e
                 assert mirror_curlcurl_trace(z, freq) == tr.trace_m

@@ -7,6 +7,8 @@ potential -|d|^2 / (48 pi eps0 z^3) of a ground-state atom in front of
 a perfect mirror.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -433,9 +435,10 @@ class TestGradient:
         lines = resonant_weights(excited_atom)
         analytic = 0.0
         for line in lines:
-            de, dm, _ = d_dz_traces(geo, line.omega)
-            analytic += (line.electric_weight * line.omega**2 * np.real(de)
-                         - line.magnetic_weight * np.real(dm))
+            d = d_dz_traces(geo, line.omega)
+            analytic += (line.electric_weight * line.omega**2
+                         * np.real(d.trace_e)
+                         - line.magnetic_weight * np.real(d.trace_m))
         analytic *= -hbar * mu_0 / np.pi
 
         h = 1e-6 * z
@@ -487,6 +490,44 @@ class TestSharedRoutine:
                 atom, material, [zk], 1e-9, 100_000, order)
             assert abs(values[k] - v) <= errs[k] + e
             assert (v == 0.0) == atom.is_ground_state
+
+    @pytest.mark.parametrize("reflector", ["pec", "pmc", "lossy_halfspace"])
+    def test_public_scalar_and_array_calls_agree_bit_for_bit(
+            self, request, magnetoelectric_atom, reflector):
+        # one array call against one call per distance: the same values
+        # and errors, Python floats for a scalar distance
+        material = request.getfixturevalue(reflector)
+        geo = PlanarGeometry(material, zt_to_z(5.0))
+        z = np.array([zt_to_z(zt) for zt in self.ZTS])
+        kw = dict(rel_tol=1e-7)
+        sweep = total_potential(magnetoelectric_atom, geo, z_atom=z, **kw)
+        parts = {part: part(magnetoelectric_atom, geo, z_atom=z, **kw)
+                 for part in (nonresonant_potential, resonant_potential)}
+        assert np.array_equal(parts[nonresonant_potential],
+                              sweep.u_nonresonant)
+        assert np.array_equal(parts[resonant_potential], sweep.u_resonant)
+        for k, zk in enumerate(z.tolist()):
+            one = total_potential(magnetoelectric_atom, geo, z_atom=zk, **kw)
+            assert one == total_potential(
+                magnetoelectric_atom, PlanarGeometry(material, zk), **kw)
+            fields = astuple(one)
+            assert [type(f) for f in fields] == [float] * 4
+            assert fields == tuple(f[k] for f in astuple(sweep))
+            for part, values in parts.items():
+                value = part(magnetoelectric_atom, geo, z_atom=zk, **kw)
+                assert type(value) is float and value == values[k]
+
+    @pytest.mark.parametrize("bad", [0.0, float("inf"), float("nan")])
+    def test_distance_check(self, magnetoelectric_atom, lossy_halfspace,
+                            bad):
+        # at inf the half-space once failed deep inside the kernel with
+        # "negative dimensions are not allowed"
+        geo = PlanarGeometry(lossy_halfspace, zt_to_z(1.0))
+        for z in (bad, np.array([zt_to_z(1.0), bad])):
+            for potential in (nonresonant_potential, resonant_potential,
+                              total_potential):
+                with pytest.raises(ValueError, match="finite and > 0"):
+                    potential(magnetoelectric_atom, geo, z_atom=z)
 
     def test_public_functions_are_the_parts_at_one_distance(
             self, magnetoelectric_atom, lossy_halfspace):
