@@ -39,8 +39,11 @@ Scenario schema (all frequencies rad/s, lengths m, densities 1/m^3)::
                      "max_evaluations": 100000}
     }
 
-The atom model schema is the one documented at
-:func:`planarcp.materials.atom_model_from_dict`.
+Numbers must be finite JSON numbers (not strings, true/false or NaN);
+"points" and "max_evaluations" are integers, with "points" at most
+MAX_SWEEP_POINTS = 10000.  Unknown fields are rejected, and a malformed
+field exits 2 naming its JSON path.  The atom model schema is the one
+documented at :func:`planarcp.materials.atom_model_from_dict`.
 
 Reduced units (selected with "units": "reduced" or --units reduced) use
 the atom's first transition, w0 = |omega_nk|, d0^2 = dipole_sq:
@@ -61,7 +64,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -82,7 +84,8 @@ from .materials import (
     LorentzOscillator,
     MaterialResponse,
     atom_model_from_dict,
-    load_atom_model,
+    config_object,
+    config_value,
 )
 from .potentials import total_potential
 from .quadrature import QuadratureConvergenceError
@@ -92,7 +95,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 SCHEMA_VERSION = 1
+MAX_SWEEP_POINTS = 10_000
 
+_SCENARIO_KEYS = ("schema_version", "atom", "reflector", "sweep", "slab",
+                  "units", "tolerances")
+_REFLECTOR_KEYS = ("model", "epsilon_oscillators", "mu_oscillators")
+_SLAB_KEYS = ("thickness_m", "number_density_m3")
+_OSCILLATOR_KEYS = ("strength", "resonance_rad_s", "damping_rad_s", "sign")
 _DEFAULT_TOLERANCES = {
     "relative": 1e-9,
     "sommerfeld_relative": 1e-7,
@@ -118,148 +127,111 @@ class Scenario:
     digest: str
 
 
-def _require(cfg, key, context):
+def _read_json(path, what):
     try:
-        return cfg[key]
-    except (KeyError, TypeError):
-        raise ScenarioError(f"{context}: missing required key {key!r}")
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {what}: {exc}") from exc
+    # RecursionError: nesting deeper than the JSON decoder's stack
+    except (ValueError, RecursionError) as exc:
+        raise ScenarioError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def _parse_oscillators(entries, context):
-    if not isinstance(entries, (list, tuple)):
-        raise ScenarioError(f"{context}: must be a list")
-    out = []
-    for i, e in enumerate(entries):
-        if not isinstance(e, dict):
-            raise ScenarioError(f"{context}[{i}]: must be an object")
-        sign = e.get("sign", "absorbing")
-        if sign not in ("absorbing", "amplifying"):
-            raise ScenarioError(
-                f"{context}[{i}]: sign must be 'absorbing' or 'amplifying'"
-            )
-        try:
-            out.append(LorentzOscillator(
-                strength=float(_require(e, "strength", f"{context}[{i}]")),
-                resonance=float(
-                    _require(e, "resonance_rad_s", f"{context}[{i}]")),
-                damping=float(
-                    _require(e, "damping_rad_s", f"{context}[{i}]")),
-                amplifying=(sign == "amplifying"),
-            ))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{context}[{i}]: {exc}") from exc
-    return tuple(out)
-
-
-def _parse_reflector(cfg):
-    model = _require(cfg, "model", "reflector")
+def _oscillator(entry, where):
+    config_object(entry, where, _OSCILLATOR_KEYS)
+    fields = [config_value(entry, key, where, float)
+              for key in _OSCILLATOR_KEYS[:3]]
+    sign = config_value(entry, "sign", where, str, "absorbing")
+    if sign not in ("absorbing", "amplifying"):
+        raise ScenarioError(
+            f"{where}.sign: must be 'absorbing' or 'amplifying'")
     try:
-        return MaterialResponse(
-            model=model,
-            eps_oscillators=_parse_oscillators(
-                cfg.get("epsilon_oscillators", ()),
-                "reflector.epsilon_oscillators"),
-            mu_oscillators=_parse_oscillators(
-                cfg.get("mu_oscillators", ()),
-                "reflector.mu_oscillators"),
-        )
+        return LorentzOscillator(*fields, amplifying=sign == "amplifying")
     except ValueError as exc:
-        raise ScenarioError(f"reflector: {exc}") from exc
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _parse_sweep(cfg):
-    try:
-        z_min = float(_require(cfg, "z_min_m", "sweep"))
-        z_max = float(_require(cfg, "z_max_m", "sweep"))
-        points = int(_require(cfg, "points", "sweep"))
-    except (TypeError, OverflowError) as exc:
-        raise ScenarioError(f"sweep: {exc}") from exc
-    spacing = cfg.get("spacing", "linear")
-    if not (0.0 < z_min < z_max < math.inf):
+    config_object(cfg, "sweep", ("z_min_m", "z_max_m", "points", "spacing"))
+    z_min, z_max = (config_value(cfg, key, "sweep", float)
+                    for key in ("z_min_m", "z_max_m"))
+    points = config_value(cfg, "points", "sweep", int)
+    spacing = {"linear": np.linspace, "log": np.geomspace}.get(
+        config_value(cfg, "spacing", "sweep", str, "linear"))
+    if not 0.0 < z_min < z_max:
         raise ScenarioError(
-            f"sweep: need 0 < z_min < z_max < inf, got {z_min}, {z_max}")
-    if points < 2:
-        raise ScenarioError(f"sweep: points must be >= 2, got {points}")
-    if spacing == "linear":
-        grid = np.linspace(z_min, z_max, points)
-    elif spacing == "log":
-        grid = np.geomspace(z_min, z_max, points)
-    else:
-        raise ScenarioError(
-            f"sweep: spacing must be 'linear' or 'log', got {spacing!r}")
-    return tuple(float(z) for z in grid)
-
-
-def _check_tolerances(tol):
-    # type(...) rather than isinstance: JSON true/false are no numbers
-    for key in ("relative", "sommerfeld_relative"):
-        if type(tol[key]) not in (int, float) or not 0.0 < tol[key] < 1.0:
-            raise ScenarioError(
-                f"tolerances: {key} must be a number in (0, 1), "
-                f"got {tol[key]!r}")
-    budget = tol["max_evaluations"]
-    if type(budget) is not int or budget < 1:
-        raise ScenarioError("tolerances: max_evaluations must be a positive "
-                            f"integer, got {budget!r}")
+            f"sweep: need 0 < z_min < z_max, got {z_min}, {z_max}")
+    if not 2 <= points <= MAX_SWEEP_POINTS:
+        raise ScenarioError(f"sweep.points: must be in [2, "
+                            f"{MAX_SWEEP_POINTS}], got {points}")
+    if spacing is None:
+        raise ScenarioError("sweep.spacing: must be 'linear' or 'log'")
+    return tuple(float(z) for z in spacing(z_min, z_max, points))
 
 
 def load_scenario(path, tol_override=None, units_override=None):
-    """Load and validate a scenario file."""
+    """Load and validate a scenario file; a malformed, non-finite or
+    unknown field raises a ScenarioError naming its JSON path."""
+    cfg = _read_json(path, "scenario file")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-        cfg = json.loads(raw)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ScenarioError("scenario must be a JSON object")
+        return _scenario(cfg, os.path.dirname(os.path.abspath(path)),
+                         tol_override, units_override)
+    except ValueError as exc:  # config readers and dataclass checks
+        raise ScenarioError(str(exc)) from exc
 
-    version = cfg.get("schema_version")
+
+def _scenario(cfg, base, tol_override, units_override):
+    config_object(cfg, "scenario", _SCENARIO_KEYS)
+    version = config_value(cfg, "schema_version", "", int)
     if version != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"unsupported schema_version {version!r}; this build reads "
-            f"version {SCHEMA_VERSION}")
+        raise ScenarioError(f"schema_version: this build reads version "
+                            f"{SCHEMA_VERSION}, got {version}")
 
-    atom_cfg = _require(cfg, "atom", "scenario")
-    try:
-        if isinstance(atom_cfg, dict) and "file" in atom_cfg:
-            base = os.path.dirname(os.path.abspath(path))
-            atom = load_atom_model(os.path.join(base, atom_cfg["file"]))
-        else:
-            atom = atom_model_from_dict(atom_cfg)
-    except (OSError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"atom: {exc}") from exc
+    atom_cfg = config_value(cfg, "atom", "", dict)
+    if "file" in atom_cfg:
+        config_object(atom_cfg, "atom", ("file",))
+        atom_cfg = _read_json(os.path.join(
+            base, config_value(atom_cfg, "file", "atom", str)), "atom file")
+    atom = atom_model_from_dict(atom_cfg)
 
-    reflector = _parse_reflector(_require(cfg, "reflector", "scenario"))
-    sweep = _parse_sweep(_require(cfg, "sweep", "scenario"))
+    refl = config_object(config_value(cfg, "reflector", "", dict),
+                         "reflector", _REFLECTOR_KEYS)
+    eps, mu = (tuple(_oscillator(entry, f"reflector.{key}[{i}]")
+                     for i, entry in enumerate(
+                         config_value(refl, key, "reflector", list, [])))
+               for key in _REFLECTOR_KEYS[1:])
+    reflector = MaterialResponse(
+        config_value(refl, "model", "reflector", str), eps, mu)
+    sweep = _parse_sweep(config_value(cfg, "sweep", "", dict))
 
     slab_thickness = slab_density = None
     if "slab" in cfg:
-        slab = cfg["slab"]
-        try:
-            slab_thickness = float(_require(slab, "thickness_m", "slab"))
-            slab_density = float(_require(slab, "number_density_m3", "slab"))
-        except TypeError as exc:
-            raise ScenarioError(f"slab: {exc}") from exc
-        if not (0.0 < slab_thickness < math.inf
-                and 0.0 < slab_density < math.inf):
-            raise ScenarioError(
-                "slab: thickness and density must be finite and > 0")
+        slab = config_object(config_value(cfg, "slab", "", dict), "slab",
+                             _SLAB_KEYS)
+        slab_thickness, slab_density = (config_value(slab, key, "slab", float)
+                                        for key in _SLAB_KEYS)
+        if not (slab_thickness > 0.0 and slab_density > 0.0):
+            raise ScenarioError("slab: thickness and density must be > 0")
 
-    units = units_override or cfg.get("units", "si")
+    units = config_value(cfg, "units", "", str, "si")
     if units not in ("si", "reduced"):
         raise ScenarioError(f"units must be 'si' or 'reduced', got {units!r}")
 
-    tolerances = dict(_DEFAULT_TOLERANCES)
-    given = cfg.get("tolerances", {})
-    if not isinstance(given, dict):
-        raise ScenarioError("tolerances must be an object")
-    tolerances.update(given)
+    given = config_object(config_value(cfg, "tolerances", "", dict, {}),
+                          "tolerances", _DEFAULT_TOLERANCES)
+    tolerances = {key: config_value(given, key, "tolerances", type(default),
+                                    default)
+                  for key, default in _DEFAULT_TOLERANCES.items()}
     if tol_override is not None:
         tolerances["relative"] = float(tol_override)
-    _check_tolerances(tolerances)
+    for key in ("relative", "sommerfeld_relative"):
+        if not 0.0 < tolerances[key] < 1.0:
+            raise ScenarioError(f"tolerances.{key}: must be in (0, 1), "
+                                f"got {tolerances[key]!r}")
+    if tolerances["max_evaluations"] < 1:
+        raise ScenarioError("tolerances.max_evaluations: must be >= 1, "
+                            f"got {tolerances['max_evaluations']}")
 
     digest = hashlib.sha256(
         json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
@@ -267,7 +239,8 @@ def load_scenario(path, tol_override=None, units_override=None):
 
     return Scenario(atom=atom, reflector=reflector, sweep=sweep,
                     slab_thickness=slab_thickness,
-                    slab_density=slab_density, units=units,
+                    slab_density=slab_density,
+                    units=units_override or units,
                     tolerances=tolerances, digest=digest)
 
 
@@ -598,7 +571,7 @@ def main(argv=None):
     except QuadratureConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ScenarioError, ValueError) as exc:
+    except ValueError as exc:  # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -71,8 +73,9 @@ class Transition:
             raise ValueError(
                 f"degenerate transition rejected: omega_nk={self.omega_nk}"
             )
-        if self.dipole_sq < 0.0 or self.magnetic_sq < 0.0:
-            raise ValueError("squared matrix elements must be >= 0")
+        if not all(0.0 <= m < math.inf
+                   for m in (self.dipole_sq, self.magnetic_sq)):
+            raise ValueError("squared matrix elements must be finite, >= 0")
         if self.dipole_sq == 0.0 and self.magnetic_sq == 0.0:
             raise ValueError(
                 "transition must carry an electric or a magnetic moment"
@@ -258,12 +261,9 @@ class LorentzOscillator:
     amplifying: bool = False
 
     def __post_init__(self):
-        if self.strength <= 0.0:
-            raise ValueError("oscillator strength must be > 0")
-        if self.resonance <= 0.0:
-            raise ValueError("resonance frequency must be > 0")
-        if self.damping <= 0.0:
-            raise ValueError("oscillator damping must be > 0")
+        for name in ("strength", "resonance", "damping"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"oscillator {name} must be finite and > 0")
 
     def contribution(self, omega):
         """Oscillator term of the susceptibility at complex omega."""
@@ -370,7 +370,40 @@ class MaterialResponse:
 
 
 # --------------------------------------------------------------------------
-# atom-model configuration files
+# configuration files
+
+_KIND_NAMES = {str: "a string", list: "a list", dict: "an object",
+               int: "an integer", float: "a finite number"}
+
+
+def config_value(cfg, key, where, kind, default=None):
+    """Leaf `key` of the JSON object `cfg`, or `default` when absent,
+    checked to be of `kind`: str, list, dict, int, or float for any
+    finite JSON number (returned as a float).  Errors are ValueErrors
+    naming the JSON path of the leaf; JSON null is never a value.
+    """
+    path = f"{where}.{key}" if where else key
+    value = cfg.get(key, default)
+    # JSON true/false are no numbers; the bound rejects nan, inf and
+    # ints too large for a float without converting them
+    if isinstance(value, (int, float) if kind is float else kind) \
+            and not isinstance(value, bool) \
+            and (kind is not float or abs(value) <= sys.float_info.max):
+        return float(value) if kind is float else value
+    got = reprlib.repr(value) if key in cfg else "nothing"
+    raise ValueError(f"{path}: expected {_KIND_NAMES[kind]}, got {got}")
+
+
+def config_object(value, where, keys):
+    """`value` checked to be a JSON object with no key outside `keys`."""
+    if not isinstance(value, dict):
+        raise ValueError(
+            f"{where}: expected an object, got {reprlib.repr(value)}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValueError(f"{where}: unknown fields {unknown}")
+    return value
+
 
 _TRANSITION_KEYS = ("omega_nk_rad_s", "dipole_sq_C2m2", "magnetic_sq_A2m4")
 
@@ -383,40 +416,32 @@ def atom_model_from_dict(data):
         {
           "state_label": "<name of the prepared state>",
           "transitions": [
-            {"omega_nk_rad_s": <signed float>,
+            {"omega_nk_rad_s": <signed float, nonzero>,
              "dipole_sq_C2m2": <float >= 0>,
              "magnetic_sq_A2m4": <float >= 0, optional, default 0>},
             ...
           ]
         }
+
+    Numbers must be finite JSON numbers (true and false are not), the
+    label a string; unknown fields are rejected.  Errors are ValueErrors
+    naming the JSON path, e.g. ``atom.transitions[0].dipole_sq_C2m2``.
     """
-    try:
-        label = data["state_label"]
-        raw = data["transitions"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"atom model config misses field: {exc}") from exc
-    if not isinstance(raw, (list, tuple)):
-        raise ValueError("'transitions' must be a list")
+    config_object(data, "atom", ("state_label", "transitions"))
     transitions = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ValueError(f"transition {i}: must be an object")
-        unknown = set(entry) - set(_TRANSITION_KEYS)
-        if unknown:
-            raise ValueError(
-                f"transition {i}: unknown fields {sorted(unknown)}"
-            )
-        if "omega_nk_rad_s" not in entry or "dipole_sq_C2m2" not in entry:
-            raise ValueError(
-                f"transition {i}: 'omega_nk_rad_s' and 'dipole_sq_C2m2' "
-                "are required"
-            )
-        transitions.append(Transition(
-            omega_nk=float(entry["omega_nk_rad_s"]),
-            dipole_sq=float(entry["dipole_sq_C2m2"]),
-            magnetic_sq=float(entry.get("magnetic_sq_A2m4", 0.0)),
-        ))
-    return AtomModel(state_label=str(label), transitions=tuple(transitions))
+    for i, entry in enumerate(config_value(data, "transitions", "atom",
+                                           list)):
+        where = f"atom.transitions[{i}]"
+        config_object(entry, where, _TRANSITION_KEYS)
+        fields = (config_value(entry, "omega_nk_rad_s", where, float),
+                  config_value(entry, "dipole_sq_C2m2", where, float),
+                  config_value(entry, "magnetic_sq_A2m4", where, float, 0.0))
+        try:
+            transitions.append(Transition(*fields))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+    return AtomModel(config_value(data, "state_label", "atom", str),
+                     tuple(transitions))
 
 
 def atom_model_to_dict(atom):

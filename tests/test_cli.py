@@ -1,6 +1,7 @@
 """CLI: scenario handling, CSV provenance, units, exit codes."""
 
 import ast
+import copy
 import csv
 import json
 import typing
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 from scipy.constants import mu_0
 
@@ -25,7 +28,10 @@ from planarcp.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    MAX_SWEEP_POINTS,
     Scenario,
+    ScenarioError,
+    load_scenario,
     main,
 )
 from planarcp.forces import PLATE_FORCE_TRACE_CONSTANT
@@ -57,6 +63,17 @@ def base_config(**overrides):
         "tolerances": {"relative": 1e-9},
     }
     cfg.update(overrides)
+    return cfg
+
+
+def with_leaf(path, value, cfg=None):
+    """A copy of `cfg` (default base_config()) with the node at `path`,
+    a sequence of keys and list indices, replaced by `value`."""
+    cfg = copy.deepcopy(cfg or base_config())
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
     return cfg
 
 
@@ -365,6 +382,37 @@ class TestUnits:
         assert any("relative_tolerance = 1e-06" in c for c in comments)
 
 
+# every field of the schema set once
+_FULL_CONFIG = base_config(
+    atom={"state_label": "excited", "transitions": [
+        {"omega_nk_rad_s": W10, "dipole_sq_C2m2": D2,
+         "magnetic_sq_A2m4": 1e-44}]},
+    reflector={"model": "drude-lorentz", "epsilon_oscillators": [
+        {"strength": 1.0, "resonance_rad_s": W10,
+         "damping_rad_s": 0.1 * W10, "sign": "amplifying"}],
+        "mu_oscillators": [{"strength": 0.5, "resonance_rad_s": 2.0 * W10,
+                            "damping_rad_s": 0.2 * W10}]},
+    tolerances={"relative": 1e-9, "sommerfeld_relative": 1e-7,
+                "max_evaluations": 1000})
+
+
+def _node_paths(node, path=()):
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+_NODE_PATHS = list(_node_paths(_FULL_CONFIG))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+
 class TestExitCodes:
     def test_missing_scenario_file(self, tmp_path):
         assert main(["greens", "--scenario",
@@ -406,37 +454,144 @@ class TestExitCodes:
         assert main(["greens", "--scenario",
                      write_scenario(reflector=reflector)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("cfg", [
-        [base_config()],
-        base_config(reflector={"model": "drude-lorentz",
-                               "epsilon_oscillators": [3]}),
-        base_config(tolerances=[1, 2]),
-        base_config(tolerances={"relative": "tight"}),
-        base_config(tolerances={"relative": 1.5}),
-        base_config(tolerances={"sommerfeld_relative": True}),
-        base_config(tolerances={"max_evaluations": "many"}),
-        base_config(tolerances={"max_evaluations": 0}),
-        base_config(atom={"state_label": "excited", "transitions": [3]}),
-        base_config(slab={"thickness_m": [1e-7], "number_density_m3": ETA}),
-        base_config(atom={"state_label": "excited", "transitions": [
-            {"omega_nk_rad_s": [W10], "dipole_sq_C2m2": D2}]}),
-        base_config(sweep={"z_min_m": 1e-8, "z_max_m": 1e-7,
-                           "points": [3]}),
-        base_config(sweep={"z_min_m": None, "z_max_m": 1e-7, "points": 3}),
-        base_config(sweep={"z_min_m": 1e-8, "z_max_m": 1e-7,
-                           "points": float("inf")}),
-    ], ids=["list", "oscillator", "tolerance-list", "relative-string",
-            "relative-above-one", "sommerfeld-bool", "budget-string",
-            "budget-zero", "transition", "thickness-list", "omega-list",
-            "points-list", "z-min-null", "points-infinite"])
+    @pytest.mark.parametrize("cfg, message", [
+        pytest.param([base_config()], "scenario: expected an object",
+                     id="list"),
+        pytest.param(base_config(reflector={
+            "model": "drude-lorentz", "epsilon_oscillators": [3]}),
+            "reflector.epsilon_oscillators[0]: expected an object",
+            id="oscillator"),
+        pytest.param(base_config(tolerances=[1, 2]),
+                     "tolerances: expected an object", id="tolerance-list"),
+        pytest.param(base_config(tolerances={"relative": "tight"}),
+                     "tolerances.relative: expected a finite number",
+                     id="relative-string"),
+        pytest.param(base_config(tolerances={"relative": 1.5}),
+                     "tolerances.relative: must be in (0, 1)",
+                     id="relative-above-one"),
+        pytest.param(base_config(tolerances={"sommerfeld_relative": True}),
+                     "tolerances.sommerfeld_relative: expected a finite",
+                     id="sommerfeld-bool"),
+        pytest.param(base_config(tolerances={"max_evaluations": "many"}),
+                     "tolerances.max_evaluations: expected an integer",
+                     id="budget-string"),
+        pytest.param(base_config(tolerances={"max_evaluations": 0}),
+                     "tolerances.max_evaluations: must be >= 1",
+                     id="budget-zero"),
+        pytest.param(with_leaf(("atom", "transitions", 0), 3),
+                     "atom.transitions[0]: expected an object",
+                     id="transition"),
+        pytest.param(with_leaf(("slab", "thickness_m"), [1e-7]),
+                     "slab.thickness_m: expected a finite number",
+                     id="thickness-list"),
+        pytest.param(with_leaf(("atom", "transitions", 0, "omega_nk_rad_s"),
+                               [W10]),
+                     "atom.transitions[0].omega_nk_rad_s: expected a finite",
+                     id="omega-list"),
+        pytest.param(with_leaf(("sweep", "points"), [3]),
+                     "sweep.points: expected an integer", id="points-list"),
+        pytest.param(with_leaf(("sweep", "z_min_m"), None),
+                     "sweep.z_min_m: expected a finite number, got None",
+                     id="z-min-null"),
+        pytest.param(with_leaf(("sweep", "points"), float("inf")),
+                     "sweep.points: expected an integer",
+                     id="points-infinite"),
+        pytest.param(with_leaf(("sweep", "points"), 3.7),
+                     "sweep.points: expected an integer, got 3.7",
+                     id="points-fraction"),
+        pytest.param(with_leaf(("sweep", "points"), 1e12),
+                     "sweep.points: expected an integer",
+                     id="points-float-huge"),
+        pytest.param(with_leaf(("sweep", "points"), 10**12),
+                     f"sweep.points: must be in [2, {MAX_SWEEP_POINTS}]",
+                     id="points-above-cap"),
+        pytest.param(with_leaf(("sweep", "z_min_m"), "6e-9"),
+                     "sweep.z_min_m: expected a finite number, got '6e-9'",
+                     id="z-min-string"),
+        pytest.param(with_leaf(("atom", "transitions", 0, "omega_nk_rad_s"),
+                               True),
+                     "atom.transitions[0].omega_nk_rad_s: expected a finite",
+                     id="omega-bool"),
+        pytest.param(with_leaf(("atom", "transitions", 0, "dipole_sq_C2m2"),
+                               float("nan")),
+                     "atom.transitions[0].dipole_sq_C2m2: expected a finite",
+                     id="dipole-nan"),
+        pytest.param(with_leaf(("atom", "transitions", 0, "dipole_sq_C2m2"),
+                               -D2),
+                     "atom.transitions[0]: squared matrix elements",
+                     id="dipole-negative"),
+        pytest.param(with_leaf(("atom", "state_label"), 3),
+                     "atom.state_label: expected a string",
+                     id="state-label-number"),
+        pytest.param(base_config(reflector={
+            "model": "drude-lorentz", "epsilon_oscillators": [
+                {"strength": "1.0", "resonance_rad_s": W10,
+                 "damping_rad_s": 0.1 * W10}]}),
+            "reflector.epsilon_oscillators[0].strength: expected a finite",
+            id="strength-string"),
+        pytest.param(base_config(reflector={
+            "model": "drude-lorentz", "mu_oscillators": [
+                {"strength": 1.0, "resonance_rad_s": W10,
+                 "damping_rad_s": float("inf")}]}),
+            "reflector.mu_oscillators[0].damping_rad_s: expected a finite",
+            id="damping-infinite"),
+        pytest.param(base_config(tolerance={"relative": 1e-6}),
+                     "scenario: unknown fields ['tolerance']",
+                     id="tolerances-misspelt"),
+        pytest.param(with_leaf(("sweep", "step"), 2),
+                     "sweep: unknown fields ['step']", id="sweep-unknown"),
+        pytest.param(base_config(schema_version=1.0),
+                     "schema_version: expected an integer",
+                     id="schema-version-float"),
+        pytest.param(base_config(schema_version=True),
+                     "schema_version: expected an integer",
+                     id="schema-version-bool"),
+    ])
     def test_malformed_shapes_are_configuration_errors(self, tmp_path,
-                                                       capsys, cfg):
-        # rejected while parsing; most once escaped as a traceback, exit 1
+                                                       capsys, cfg,
+                                                       message):
+        # rejected while parsing with one error line naming the JSON path;
+        # once these escaped as a traceback (exit 1), ran on converted or
+        # default values (exit 0), or failed in the quadrature (exit 3)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(cfg))
         assert main(["cp-potential", "--scenario", str(path)]) \
             == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("atom_file", [False, True],
+                             ids=["inline", "atom-file"])
+    def test_deep_nesting_is_a_configuration_error(self, tmp_path, capsys,
+                                                   atom_file):
+        # the JSON decoder raises RecursionError, once a traceback (exit 1)
+        path = tmp_path / "scenario.json"
+        deep = "[" * 100_000
+        if atom_file:
+            (tmp_path / "atom.json").write_text(deep)
+            path.write_text(json.dumps(base_config(atom={"file": "atom.json"})))
+        else:
+            path.write_text(deep)
+        assert main(["cp-potential", "--scenario", str(path)]) \
+            == EXIT_CONFIG
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_replaced_node_loads_or_is_rejected(self, tmp_path_factory,
+                                                    data):
+        # one node of a valid scenario, a leaf or a whole section, becomes
+        # an arbitrary JSON value: the scenario still loads or is rejected
+        # as a configuration error, never with another exception
+        path = data.draw(st.sampled_from(_NODE_PATHS))
+        value = data.draw(_JSON_VALUES)
+        scenario = tmp_path_factory.getbasetemp() / "replaced-node.json"
+        scenario.write_text(json.dumps(with_leaf(path, value, _FULL_CONFIG)))
+        try:
+            assert isinstance(load_scenario(str(scenario)), Scenario)
+        except ScenarioError:
+            pass
 
     def test_numerical_failure_exit_code(self, write_scenario):
         # starve the quadrature budget on a half-space evaluation

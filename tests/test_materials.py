@@ -215,6 +215,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             Transition(W10, 0.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: Transition(v, D2),
+        lambda v: Transition(W10, v),
+        lambda v: Transition(W10, D2, v),
+        lambda v: LorentzOscillator(v, W10, 0.1 * W10),
+        lambda v: LorentzOscillator(1.0, v, 0.1 * W10),
+        lambda v: LorentzOscillator(1.0, W10, v),
+    ], ids=["omega", "dipole", "magnetic", "strength", "resonance",
+            "damping"])
+    def test_non_finite_values_rejected(self, make, value):
+        # a NaN or infinite moment or oscillator parameter once
+        # constructed and failed later inside the quadrature
+        with pytest.raises(ValueError):
+            make(value)
+
     def test_atom_needs_transitions(self):
         with pytest.raises(ValueError):
             AtomModel("empty", ())
