@@ -460,7 +460,12 @@ def atom_model_to_dict(atom):
 
 
 def load_atom_model(path):
-    """Load an AtomModel from a JSON file following the documented schema."""
+    """Load an AtomModel from a JSON file following the documented schema.
+    A file that is not valid JSON raises a ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        # RecursionError: nesting deeper than the JSON decoder's stack
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     return atom_model_from_dict(data)

@@ -50,6 +50,17 @@ def eps_halfspace(value):
     ))
 
 
+def readme_reflector(damping=1e14):
+    """The Lorentz reflector of the README scenario (strength 1, resonance
+    1e16 rad/s), its damping in rad/s.  At w10, eps = 2.07 + 0.0028 i for
+    the README's 1e14 rad/s: the medium branch point of v1 lies 1.4e-3
+    off the evanescent half of the real-axis contour, at b = 1.03, and
+    less loss brings it closer."""
+    return MaterialResponse("drude-lorentz", eps_oscillators=(
+        LorentzOscillator(strength=1.0, resonance=1e16, damping=damping),
+    ))
+
+
 class TestMirrorClosedForm:
     def test_re_gxx_at_unit_phase(self):
         z = zt_to_z(1.0)
@@ -519,6 +530,73 @@ class TestLockStepKernel:
             assert np.array_equal(alone_err[:, 0], batch_err[:, k])
         assert 1 < rounds <= slowest + 1
 
+    @staticmethod
+    def real_axis_rule_calls(calls, material, zt, order):
+        # rule calls of one single-distance call at rel_tol 1e-10, both
+        # columns
+        calls.clear()
+        greens._trace_e_real_axis(material, np.array([zt_to_z(zt)]), W10,
+                                  1e-10, 100_000, order, (False, True))
+        return len(calls)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("zt", [0.1, 1.0, 10.0])
+    def test_near_branch_point_costs_at_most_three_rounds(
+            self, monkeypatch, zt, order):
+        # perf guard: panels graded toward the branch point 1.4e-3 off
+        # the contour; bisecting toward it took 8 to 11 rule calls
+        calls = self.count_rule_calls(monkeypatch)
+        assert self.real_axis_rule_calls(
+            calls, readme_reflector(), zt, order) <= 3
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("zt", [0.1, 1.0, 10.0])
+    def test_rounds_do_not_grow_as_the_loss_falls(self, monkeypatch, zt,
+                                                  order):
+        # damping 1e14 down to 1e10 rad/s moves the branch point from
+        # 1.4e-3 to 1.4e-7 off the contour; bisecting toward it took
+        # about two more rule calls a decade
+        calls = self.count_rule_calls(monkeypatch)
+        counts = [self.real_axis_rule_calls(calls, readme_reflector(d), zt,
+                                            order)
+                  for d in (1e14, 1e13, 1e12, 1e11, 1e10)]
+        assert max(counts) == counts[0]
+
+    def test_propagating_branch_point_is_graded(self, monkeypatch):
+        # eps(w10) = 0.11 + 0.001 i puts the branch point on the
+        # propagating half, at gamma = 0.94, 5e-4 off it; bisecting
+        # toward it took 11 rule calls
+        near = MaterialResponse("drude-lorentz", eps_oscillators=(
+            LorentzOscillator(strength=0.5, resonance=0.8 * W10,
+                              damping=1e12),))
+        calls = self.count_rule_calls(monkeypatch)
+        assert self.real_axis_rule_calls(calls, near, 1.0, 0) <= 3
+        z = np.array([zt_to_z(1.0)])
+        value, err = greens._trace_e_real_axis(near, z, W10, 1e-10, 100_000)
+        tight, _ = greens._trace_e_real_axis(near, z, W10, 1e-13, 10**6)
+        assert abs(value - tight) <= err <= 1e-10 * abs(value)
+
+    def test_far_branch_point_keeps_the_panels(self, lossy_halfspace):
+        # offset / position = 0.14 for lossy_halfspace: no cut, so every
+        # distance starts from its mirrored Sommerfeld panels and its
+        # equal propagating panels alone, in order
+        zt = np.geomspace(0.05, 60.0, 7)
+        em1 = lossy_halfspace.epsilon(W10) * lossy_halfspace.mu(W10) - 1.0
+        lo, hi, owner = greens._contour_panels(zt, np.sqrt(em1))
+        evanescent = greens._sommerfeld_panels(zt)
+        propagating = [[], [], []]
+        for k, x in enumerate(zt):
+            edges = np.arange(int(x // np.pi) + 2) / (int(x // np.pi) + 1)
+            propagating[0] += list(edges[:-1])
+            propagating[1] += list(edges[1:])
+            propagating[2] += [k] * (edges.size - 1)
+        assert np.array_equal(lo, np.concatenate([-evanescent[1],
+                                                  propagating[0]]))
+        assert np.array_equal(hi, np.concatenate([-evanescent[0],
+                                                  propagating[1]]))
+        assert np.array_equal(owner, np.concatenate([evanescent[2],
+                                                     propagating[2]]))
+
     @pytest.mark.parametrize("axis", ["real", "imaginary"])
     def test_a_failure_names_its_point(self, lossy_halfspace, axis):
         # a budget too small for one point of the call: zt = 60 of three
@@ -758,6 +836,51 @@ class TestRealAxisMpmathAudit:
         values, errs = greens._trace_e_real_axis(
             lossy_halfspace, np.array([zt_to_z(zt)]), W10, 1e-10, 100_000,
             order, (False, True))
+        for dual, (value,), (err,) in zip((False, True), values, errs):
+            assert abs(value - self.REFERENCE[zt, order, dual]) <= err
+            assert err <= 1e-10 * abs(value)
+
+
+class TestRealAxisMpmathAuditNearBranchPoint:
+    # the audit above for readme_reflector(), whose medium branch point
+    # lies 1.4e-3 off the evanescent half at b = Re q = 1.0328,
+    # q = sqrt(eps mu - 1): the same A and B integrals, B split at
+    # Re q as well as at 1 / zt, 1, 10 and 10 / zt.  Tanh-sinh and
+    # Gauss-Legendre (the latter with B also cut at Re q -+ Im q 4^k,
+    # k = 0..4) agree to 6e-16
+    REFERENCE = {
+        (0.1, 0, False): complex(928556567.75467172136,
+                                 2342695.7186615165777),
+        (0.1, 0, True): complex(5684479.6570890781488,
+                                969788.28910328161218),
+        (0.1, 1, False): complex(-462874619547203822.32,
+                                 -816598124174659.26585),
+        (0.1, 1, True): complex(-993305326229454.83698,
+                                -15041725149346.657564),
+        (1.0, 0, False): complex(1132609.2612278918486,
+                                 300884.59225988659049),
+        (1.0, 0, True): complex(111269.30295894059308,
+                                440141.58913724714936),
+        (1.0, 1, False): complex(-54732977109318.905711,
+                                 -5208671753637.2500128),
+        (1.0, 1, True): complex(-10556915589767.764484,
+                                -7065322712190.3274129),
+        (10.0, 0, False): complex(15822.054796249596308,
+                                  16202.911233294979494),
+        (10.0, 0, True): complex(-18168.207017032443452,
+                                 -17295.652667152940101),
+        (10.0, 1, False): complex(-287107563834.1880912,
+                                  232533759616.85995148),
+        (10.0, 1, True): complex(317128152570.76694679,
+                                 -266794986700.88383619),
+    }
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("zt", [0.1, 1.0, 10.0])
+    def test_within_reported_error(self, zt, order):
+        values, errs = greens._trace_e_real_axis(
+            readme_reflector(), np.array([zt_to_z(zt)]), W10, 1e-10,
+            100_000, order, (False, True))
         for dual, (value,), (err,) in zip((False, True), values, errs):
             assert abs(value - self.REFERENCE[zt, order, dual]) <= err
             assert err <= 1e-10 * abs(value)

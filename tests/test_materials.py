@@ -331,3 +331,12 @@ class TestAtomModelIO:
         with pytest.raises(ValueError):
             atom_model_from_dict({"state_label": "e",
                                   "transitions": [{"dipole_sq_C2m2": D2}]})
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "{", "[1, 2"])
+    def test_malformed_file_is_a_value_error(self, tmp_path, text):
+        # a file nested deeper than the decoder's stack once let
+        # RecursionError escape
+        path = tmp_path / "atom.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="atom.json"):
+            load_atom_model(path)
