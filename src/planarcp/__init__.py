@@ -15,95 +15,19 @@ The package is organised along the computation chain:
 
 All functions are pure; values are immutable and freely shareable
 across threads.
+
+Each module's ``__all__`` is its public surface; the package exports
+their union.
 """
 
-from .forces import (
-    PLATE_FORCE_TRACE_CONSTANT,
-    ForceResult,
-    SlabScenario,
-    force_decomposition,
-    mirror_force_bracket,
-    plate_force_closed_form,
-    plate_force_quadrature,
-)
-from .greens import (
-    GreenTrace,
-    PlanarGeometry,
-    d_dz_traces,
-    halfspace_green_traces,
-    mirror_curlcurl_trace,
-    mirror_green_components,
-    mirror_trace_e,
-)
-from .materials import (
-    AtomModel,
-    DiluteLimitWarning,
-    LorentzOscillator,
-    MaterialResponse,
-    ResonantLine,
-    Transition,
-    atom_model_from_dict,
-    atom_model_to_dict,
-    clausius_mossotti,
-    load_atom_model,
-    magnetizability,
-    polarizability,
-    resonant_weights,
-)
-from .potentials import (
-    PotentialResult,
-    duality_transform,
-    nonresonant_potential,
-    resonant_potential,
-    total_potential,
-)
-from .quadrature import (
-    QuadratureConvergenceError,
-    QuadratureResult,
-    integrate_batch,
-    integrate_finite,
-    integrate_semi_infinite,
-)
+from . import forces, greens, materials, potentials, quadrature
+from .forces import *  # noqa: F401,F403
+from .greens import *  # noqa: F401,F403
+from .materials import *  # noqa: F401,F403
+from .potentials import *  # noqa: F401,F403
+from .quadrature import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomModel",
-    "DiluteLimitWarning",
-    "ForceResult",
-    "GreenTrace",
-    "LorentzOscillator",
-    "MaterialResponse",
-    "PLATE_FORCE_TRACE_CONSTANT",
-    "PlanarGeometry",
-    "PotentialResult",
-    "QuadratureConvergenceError",
-    "QuadratureResult",
-    "ResonantLine",
-    "SlabScenario",
-    "Transition",
-    "atom_model_from_dict",
-    "atom_model_to_dict",
-    "clausius_mossotti",
-    "d_dz_traces",
-    "duality_transform",
-    "force_decomposition",
-    "halfspace_green_traces",
-    "integrate_batch",
-    "integrate_finite",
-    "integrate_semi_infinite",
-    "load_atom_model",
-    "magnetizability",
-    "mirror_curlcurl_trace",
-    "mirror_force_bracket",
-    "mirror_green_components",
-    "mirror_trace_e",
-    "nonresonant_potential",
-    "plate_force_closed_form",
-    "plate_force_quadrature",
-    "polarizability",
-    "resonant_potential",
-    "resonant_weights",
-    "total_potential",
-    "__version__",
-]
+__all__ = [*forces.__all__, *greens.__all__, *materials.__all__,
+           *potentials.__all__, *quadrature.__all__, "__version__"]

@@ -78,7 +78,11 @@ from .forces import (
     force_decomposition,
     mirror_force_bracket,
 )
-from .greens import PlanarGeometry, halfspace_green_traces
+from .greens import (
+    DEFAULT_SOMMERFELD_TOL,
+    PlanarGeometry,
+    halfspace_green_traces,
+)
 from .materials import (
     AtomModel,
     LorentzOscillator,
@@ -87,8 +91,8 @@ from .materials import (
     config_object,
     config_value,
 )
-from .potentials import total_potential
-from .quadrature import QuadratureConvergenceError
+from .potentials import DEFAULT_POTENTIAL_TOL, total_potential
+from .quadrature import DEFAULT_MAX_EVALUATIONS, QuadratureConvergenceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,9 +107,9 @@ _REFLECTOR_KEYS = ("model", "epsilon_oscillators", "mu_oscillators")
 _SLAB_KEYS = ("thickness_m", "number_density_m3")
 _OSCILLATOR_KEYS = ("strength", "resonance_rad_s", "damping_rad_s", "sign")
 _DEFAULT_TOLERANCES = {
-    "relative": 1e-9,
-    "sommerfeld_relative": 1e-7,
-    "max_evaluations": 100_000,
+    "relative": DEFAULT_POTENTIAL_TOL,
+    "sommerfeld_relative": DEFAULT_SOMMERFELD_TOL,
+    "max_evaluations": DEFAULT_MAX_EVALUATIONS,
 }
 
 

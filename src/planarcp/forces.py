@@ -48,7 +48,7 @@ from .potentials import (
     _nonresonant,
     _resonant,
 )
-from .quadrature import integrate_finite
+from .quadrature import DEFAULT_MAX_EVALUATIONS, integrate_finite
 
 __all__ = [
     "SlabScenario",
@@ -157,7 +157,7 @@ def plate_force_closed_form(scenario):
 
 
 def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
-                           max_evaluations=100_000,
+                           max_evaluations=DEFAULT_MAX_EVALUATIONS,
                            include_nonresonant=True):
     """Slab force from direct quadrature of -eta dU/dz across the slab.
 
@@ -211,7 +211,7 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
 
 
 def force_decomposition(scenario, z_grid, rel_tol=DEFAULT_POTENTIAL_TOL,
-                        max_evaluations=100_000):
+                        max_evaluations=DEFAULT_MAX_EVALUATIONS):
     """Per-gap force decomposition along a grid of plate positions.
 
     Uses the antiderivative (boundary-difference) structure: each

@@ -75,7 +75,11 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 
 from .materials import PERFECT_ELECTRIC_MIRROR, MaterialResponse
-from .quadrature import QuadratureConvergenceError, integrate_batch
+from .quadrature import (
+    DEFAULT_MAX_EVALUATIONS,
+    QuadratureConvergenceError,
+    integrate_batch,
+)
 
 __all__ = [
     "PlanarGeometry",
@@ -85,9 +89,10 @@ __all__ = [
     "mirror_curlcurl_trace",
     "halfspace_green_traces",
     "d_dz_traces",
+    "DEFAULT_SOMMERFELD_TOL",
 ]
 
-# inner-integral tolerances default to one decade looser than potentials
+# default relative tolerance of the public trace functions
 DEFAULT_SOMMERFELD_TOL = 1e-7
 
 # initial cuts of an imaginary-axis integral: in w = y (v - 1), the
@@ -559,7 +564,8 @@ def mirror_curlcurl_trace(z_atom, freq):
 
 
 def halfspace_green_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
-                           max_evaluations=100_000, z_atom=None):
+                           max_evaluations=DEFAULT_MAX_EVALUATIONS,
+                           z_atom=None):
     """Scattering traces of the geometry's reflector at `freq`.
 
     z_atom, a float or a 1-d array of distances, overrides the
@@ -581,7 +587,7 @@ def halfspace_green_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
 
 
 def d_dz_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
-                max_evaluations=100_000, z_atom=None):
+                max_evaluations=DEFAULT_MAX_EVALUATIONS, z_atom=None):
     """d(trace_e)/dz and d(trace_m)/dz, as halfspace_green_traces gives
     the traces, with the same arguments.
 

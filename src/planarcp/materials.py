@@ -88,14 +88,11 @@ class AtomModel:
 
     state_label: str
     transitions: tuple[Transition, ...]
-    kind: str = "isotropic"
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", tuple(self.transitions))
         if not self.transitions:
             raise ValueError("atom model needs at least one transition")
-        if self.kind != "isotropic":
-            raise ValueError(f"unsupported atom kind {self.kind!r}")
 
     @property
     def is_ground_state(self):
@@ -209,7 +206,11 @@ def resonant_weights(atom):
     ]
 
 
-def clausius_mossotti(eta, atom, freq, broadening=0.0, guard=0.1):
+# |eps - 1| or |1 - 1/mu| at which the dilute expansion becomes doubtful
+_DILUTE_GUARD = 0.1
+
+
+def clausius_mossotti(eta, atom, freq, broadening=0.0):
     """Linearised Clausius-Mossotti susceptibilities of a dilute gas.
 
     Returns the pair (eps - 1, 1 - 1/mu) with
@@ -218,7 +219,7 @@ def clausius_mossotti(eta, atom, freq, broadening=0.0, guard=0.1):
         1 - 1/mu = mu0 * eta * beta_n(freq)
 
     valid to first order in the density eta (per m^3).  When
-    |eps - 1| or |1 - 1/mu| reaches guard the dilute expansion is
+    |eps - 1| or |1 - 1/mu| reaches 0.1 the dilute expansion is
     doubtful and a DiluteLimitWarning is emitted; the value is still
     returned.
     """
@@ -229,10 +230,10 @@ def clausius_mossotti(eta, atom, freq, broadening=0.0, guard=0.1):
     eps_m1 = eta * polarizability(atom, freq, broadening) / epsilon_0
     one_minus_inv_mu = mu_0 * eta * magnetizability(atom, freq, broadening)
     for name, chi in (("eps - 1", eps_m1), ("1 - 1/mu", one_minus_inv_mu)):
-        if abs(chi) >= guard:
+        if abs(chi) >= _DILUTE_GUARD:
             warnings.warn(
                 f"|{name}| = {abs(chi):.3g} exceeds the dilute guard "
-                f"{guard}; the linearised map is unreliable at this "
+                f"{_DILUTE_GUARD}; the linearised map is unreliable at this "
                 "density",
                 DiluteLimitWarning,
                 stacklevel=2,

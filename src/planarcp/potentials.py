@@ -39,7 +39,7 @@ from scipy.constants import hbar, mu_0
 from . import greens
 from .greens import _distances, _like
 from .materials import AtomModel, Transition, _response_ixi, resonant_weights
-from .quadrature import integrate_semi_infinite
+from .quadrature import DEFAULT_MAX_EVALUATIONS, integrate_semi_infinite
 
 __all__ = [
     "PotentialResult",
@@ -93,19 +93,16 @@ def _nonresonant(atom, material, z_values, rel_tol, max_evaluations,
         (True, not atom.is_purely_electric)) if coupled)
     omega_max = max(abs(t.omega_nk) for t in atom.transitions)
     pref = hbar * mu_0 / (2.0 * np.pi)
+    # mirrors and vacuum are closed forms; a half-space's inner
+    # quadratures are budgeted at rel_tol/10, which adds rel_tol |U|
+    inner_err = 0.0 if material.is_perfect_mirror or material.is_vacuum \
+        else rel_tol
     values = np.empty(z_values.shape)
     errs = np.empty(z_values.shape)
     for i, z in enumerate(z_values.tolist()):
-        # a reflector is a closed form (zero error at every xi) or a
-        # quadrature, so the first call's errors tell which
-        inexact = None
-
         def integrand(xi):
-            nonlocal inexact
-            traces, err = greens._trace_e_imag_axis(
+            traces, _ = greens._trace_e_imag_axis(
                 material, z, xi, inner_tol, max_evaluations, order, duals)
-            if inexact is None:
-                inexact = bool(err.any())
             out = np.zeros(xi.shape)
             for dual, xi2_t in zip(duals, traces):
                 if dual:
@@ -121,10 +118,7 @@ def _nonresonant(atom, material, z_values, rel_tol, max_evaluations,
             integrand, scale=max(omega_max, C_LIGHT / (2.0 * z)),
             tol=rel_tol, max_evaluations=max_evaluations)
         values[i] = pref * res.value
-        errs[i] = pref * res.abs_error_estimate
-        if inexact:
-            # inner quadratures budgeted at rel_tol/10
-            errs[i] += rel_tol * abs(values[i])
+        errs[i] = pref * res.abs_error_estimate + inner_err * abs(values[i])
     return values, np.maximum(errs, _ROUNDING_FLOOR * np.abs(values))
 
 
@@ -176,7 +170,7 @@ def _part(part, atom, geometry, z_atom, rel_tol, max_evaluations):
 
 def nonresonant_potential(atom, geometry, z_atom=None,
                           rel_tol=DEFAULT_POTENTIAL_TOL,
-                          max_evaluations=100_000):
+                          max_evaluations=DEFAULT_MAX_EVALUATIONS):
     """Nonresonant (imaginary-frequency) potential in J.
 
     z_atom, a float or a 1-d array of distances, overrides the
@@ -190,7 +184,7 @@ def nonresonant_potential(atom, geometry, z_atom=None,
 
 def resonant_potential(atom, geometry, z_atom=None,
                        rel_tol=DEFAULT_POTENTIAL_TOL,
-                       max_evaluations=100_000):
+                       max_evaluations=DEFAULT_MAX_EVALUATIONS):
     """Resonant potential in J, a float or an array as for
     nonresonant_potential; zero for ground-state atoms.
 
@@ -203,7 +197,7 @@ def resonant_potential(atom, geometry, z_atom=None,
 
 def total_potential(atom, geometry, z_atom=None,
                     rel_tol=DEFAULT_POTENTIAL_TOL,
-                    max_evaluations=100_000):
+                    max_evaluations=DEFAULT_MAX_EVALUATIONS):
     """Both potential parts and their sum as a PotentialResult, of floats
     or arrays as for nonresonant_potential."""
     args = (atom, geometry, z_atom, rel_tol, max_evaluations)
@@ -232,6 +226,5 @@ def duality_transform(atom, geometry):
             )
             for t in atom.transitions
         ),
-        kind=atom.kind,
     )
     return dual_atom, geometry.dual()

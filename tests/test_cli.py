@@ -18,6 +18,9 @@ import planarcp.cli as cli_module
 import planarcp.greens as greens_module
 import planarcp.potentials as potentials_module
 from planarcp import (
+    DEFAULT_MAX_EVALUATIONS,
+    DEFAULT_POTENTIAL_TOL,
+    DEFAULT_SOMMERFELD_TOL,
     PlanarGeometry,
     force_decomposition,
     halfspace_green_traces,
@@ -380,6 +383,19 @@ class TestUnits:
                      "--tol", "1e-6", "--out", str(out)]) == EXIT_OK
         comments, _ = read_csv(out)
         assert any("relative_tolerance = 1e-06" in c for c in comments)
+
+    def test_tolerances_default_to_the_library_constants(self, tmp_path):
+        # a scenario without a tolerances block runs at the library's
+        # defaults; the CLI keeps no copy of its own
+        cfg = base_config()
+        del cfg["tolerances"]
+        path = tmp_path / "defaults.json"
+        path.write_text(json.dumps(cfg))
+        assert load_scenario(str(path)).tolerances == {
+            "relative": DEFAULT_POTENTIAL_TOL,
+            "sommerfeld_relative": DEFAULT_SOMMERFELD_TOL,
+            "max_evaluations": DEFAULT_MAX_EVALUATIONS,
+        }
 
 
 # every field of the schema set once

@@ -235,12 +235,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             AtomModel("empty", ())
 
-    def test_atom_kind(self, excited_atom):
-        with pytest.raises(ValueError):
-            AtomModel("x", excited_atom.transitions, kind="anisotropic")
-        assert excited_atom.is_excited
-        assert not excited_atom.is_ground_state
-
 
 class TestMaterialResponse:
     def test_schwarz_reflection(self, lossy_halfspace):

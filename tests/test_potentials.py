@@ -457,16 +457,37 @@ class TestSharedRoutine:
     ZTS = (0.3, 1.0, 4.0)
 
     @pytest.mark.parametrize("order", [0, 1])
-    @pytest.mark.parametrize("reflector", ["pec", "pmc", "lossy_halfspace"])
+    @pytest.mark.parametrize("reflector", ["pec", "pmc", "vacuum",
+                                           "lossy_halfspace"])
     @pytest.mark.parametrize("atom", ["excited_atom", "ground_atom",
                                       "magnetoelectric_atom"])
     def test_nonresonant_array_is_per_distance_bit_for_bit(
-            self, request, atom, reflector, order):
+            self, request, monkeypatch, atom, reflector, order):
         atom = request.getfixturevalue(atom)
         material = request.getfixturevalue(reflector)
+        outer = []
+
+        def recorded(*args, **kwargs):
+            outer.append(quadrature_module.integrate_semi_infinite(
+                *args, **kwargs))
+            return outer[-1]
+
+        monkeypatch.setattr(potentials_module, "integrate_semi_infinite",
+                            recorded)
         z = [zt_to_z(zt) for zt in self.ZTS]
         values, errs = potentials_module._nonresonant(
             atom, material, z, 1e-7, 100_000, order)
+        # each error is the xi-integral's, plus rel_tol |U| for the inner
+        # quadratures of a half-space only (closed forms add nothing),
+        # and at least the rounding floor
+        pref = hbar * mu_0 / (2.0 * np.pi)
+        inner = 1e-7 if reflector == "lossy_halfspace" else 0.0
+        assert len(outer) == len(z)
+        for k, res in enumerate(outer):
+            assert values[k] == pref * res.value
+            assert errs[k] == max(
+                pref * res.abs_error_estimate + inner * abs(values[k]),
+                potentials_module._ROUNDING_FLOOR * abs(values[k]))
         for k, zk in enumerate(z):
             (v,), (e,) = potentials_module._nonresonant(
                 atom, material, [zk], 1e-7, 100_000, order)
