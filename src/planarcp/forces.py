@@ -25,6 +25,10 @@ single-atom force density eta * (-dU/dz) in the d -> 0 limit.
 Both numerical routes call each potential part over arrays of
 distances: plate_force_quadrature integrates dU/dz across the slab,
 force_decomposition differences U at the distinct edges of a sweep.
+The slab integral runs in u = ln z, as the integral of z dU/dz: there
+the power law dU/dz becomes a smooth exponential (nonresonant, from one
+panel) or keeps its oscillation in 2 w z / c (resonant, from the images
+of equal-phase panels).
 """
 
 from __future__ import annotations
@@ -36,7 +40,12 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 from scipy.constants import mu_0
 
-from .greens import PlanarGeometry, _distances, _pec_phase_polynomial
+from .greens import (
+    PlanarGeometry,
+    _distances,
+    _integrate_points,
+    _pec_phase_polynomial,
+)
 from .materials import (
     PERFECT_ELECTRIC_MIRROR,
     AtomModel,
@@ -48,7 +57,7 @@ from .potentials import (
     _nonresonant,
     _resonant,
 )
-from .quadrature import DEFAULT_MAX_EVALUATIONS, integrate_finite
+from .quadrature import DEFAULT_MAX_EVALUATIONS
 
 __all__ = [
     "SlabScenario",
@@ -166,31 +175,48 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
     atom and reflector within the potential preconditions.  With
     include_nonresonant=False only the resonant part is integrated and
     f_nonresonant is reported as zero.
+
+    Each part is integrated over u = ln(z / a) on [0, log1p(d / a)],
+    with integrand z dU/dz at z = a e^u.  dU/dz is a power law in z
+    (z^-4 to z^-5 for the nonresonant part): on equal panels in z it
+    needs many bisections toward the near edge, and for far or thick
+    slabs stops on the engine's absolute floor short of rel_tol.  In u
+    the nonresonant integrand is a smooth exponential, resolved from one
+    panel.  The resonant part oscillates with the phase 2 w z / c and
+    starts from the images in u of int(phase span) + 1 equal panels in
+    z.  The error is the slab quadrature error plus (b - a) = Int z du
+    times the largest inner error; a QuadratureConvergenceError names
+    the part and the slab.
     """
     material = scenario.geometry.reflector
     a, b = scenario.z, scenario.z + scenario.d
-    # the slab edge z + d is rounded to eps (z + d); the force inherits
-    # that as a relative error (z + d) / d larger, unseen by quadrature
+    # the slab edge z + d, reached as z exp(log1p(d / z)), is rounded to
+    # a few eps (z + d); the force inherits that as a relative error
+    # (z + d) / d larger, unseen by quadrature
     rounding = _ROUNDING_FLOOR * b / (b - a)
 
-    def slab_integral(part, inner_tol, initial_panels):
-        """-eta Int_a^b dU/dz of one potential part, taken at all the
-        abscissae of a refinement round in one call, and its error: the
-        slab quadrature error plus (b - a) times the largest inner one."""
+    def slab_integral(part, inner_tol, panels, name):
+        """-eta Int_a^b dU/dz of one potential part and its error, from
+        the images in u of `panels` equal panels in z; all the abscissae
+        of a refinement round are taken in one call."""
         inner_err = 0.0
 
-        def integrand(z_values):
+        def integrand(u, index):
             nonlocal inner_err
+            z_values = a * np.exp(u)
             vals, err = part(scenario.atom, material, z_values, inner_tol,
                              max_evaluations, order=1)
             inner_err = max(inner_err, float(err.max()))
-            return vals
+            return z_values * vals
 
-        res = integrate_finite(integrand, a, b, tol=rel_tol,
-                               max_evaluations=max_evaluations,
-                               initial_intervals=initial_panels)
-        return (-scenario.eta * res.value,
-                scenario.eta * (res.abs_error_estimate + (b - a) * inner_err))
+        edges = np.log1p(np.linspace(0.0, scenario.d / a, panels + 1))
+        res = _integrate_points(
+            integrand, (edges[:-1], edges[1:], np.zeros(panels, np.intp)),
+            rel_tol, max_evaluations,
+            lambda i: f"{name} slab integral over [{a:.6g}, {b:.6g}] m")
+        return (-scenario.eta * res.value[0],
+                scenario.eta * (res.abs_error_estimate[0]
+                                + (b - a) * inner_err))
 
     f_r, err_r = 0.0, 0.0
     if scenario.atom.is_excited:
@@ -199,12 +225,14 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
         omega_max = max(t.omega_nk for t in scenario.atom.transitions
                         if t.omega_nk > 0.0)
         phase_span = 2.0 * omega_max * scenario.d / C_LIGHT
-        f_r, err_r = slab_integral(_resonant, rel_tol, int(phase_span) + 1)
+        f_r, err_r = slab_integral(_resonant, rel_tol, int(phase_span) + 1,
+                                   "resonant")
         err_r = max(err_r, rounding * abs(f_r))
 
     f_nr, err_nr = 0.0, 0.0
     if include_nonresonant:
-        f_nr, err_nr = slab_integral(_nonresonant, rel_tol / 10.0, 1)
+        f_nr, err_nr = slab_integral(_nonresonant, rel_tol / 10.0, 1,
+                                     "nonresonant")
         err_nr = max(err_nr + rel_tol * abs(f_nr), rounding * abs(f_nr))
 
     return _force_result(f_r, f_nr, scenario.d, err_r + err_nr)

@@ -1,4 +1,5 @@
-"""Shared fixtures: canonical atoms, reflectors, geometry helpers."""
+"""Shared fixtures: canonical atoms, reflectors, geometry helpers and
+the rule-call counter of the perf guards."""
 
 import pytest
 from scipy.constants import c as C_LIGHT
@@ -10,6 +11,7 @@ from planarcp import (
     PlanarGeometry,
     Transition,
 )
+from planarcp import quadrature
 
 # canonical two-level parameters used throughout the suite
 W10 = 2.5e15          # rad/s
@@ -71,6 +73,17 @@ def pec_geometry(pec):
     def make(zt):
         return PlanarGeometry(pec, zt_to_z(zt))
     return make
+
+
+@pytest.fixture
+def rule_calls(monkeypatch):
+    """List that gains one entry per G7/K15 rule call of the quadrature
+    engine (one integrand call each) while the test runs."""
+    calls = []
+    rule = quadrature._gk15
+    monkeypatch.setattr(quadrature, "_gk15",
+                        lambda *a: calls.append(1) or rule(*a))
+    return calls
 
 
 def rel_diff(a, b):

@@ -1,13 +1,18 @@
 """Slab forces: closed form vs quadrature oracle, scaling, averaging."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 
 from planarcp import (
     AtomModel,
     DiluteLimitWarning,
     PlanarGeometry,
+    QuadratureConvergenceError,
     SlabScenario,
     Transition,
     force_decomposition,
@@ -122,6 +127,46 @@ class TestQuadratureRoute:
         assert abs(quad.f_resonant - f_bd) \
             <= quad.quadrature_error + ETA * (u[0][1][0] + u[1][1][0])
 
+    def test_far_thick_nonresonant_slab_meets_rel_tol(self, excited_atom,
+                                                      pec):
+        # the slab integral of dU_nr/dz is 4.6e-30 J, so the engine's
+        # 1e-30 J floor sets its target: in z it stopped 6.7e-4 off; in
+        # ln z its integrand is a smooth exponential that one panel
+        # resolves
+        sc = make_scenario(excited_atom, pec, 2.92, 24.3)
+        quad = plate_force_quadrature(sc)
+        grid = force_decomposition(sc, [sc.z])[0]
+        assert rel_diff(quad.f_nonresonant, grid.f_nonresonant) <= 1e-12
+
+    def test_halfspace_resonant_slab_meets_rel_tol(
+            self, magnetoelectric_atom, lossy_halfspace):
+        # the slab integral of dU_r/dz is 2.8e-27 J: in z it stopped on
+        # the floor at 2e-7 |f_r|, where 1e-9 was asked
+        z = zt_to_z(0.5)
+        sc = SlabScenario(z=z, d=C_LIGHT / W10, eta=ETA,
+                          atom=magnetoelectric_atom,
+                          geometry=PlanarGeometry(lossy_halfspace, z))
+        quad = plate_force_quadrature(sc, include_nonresonant=False)
+        grid = force_decomposition(sc, [z])[0]
+        assert quad.quadrature_error <= 1e-9 * abs(quad.f_resonant)
+        assert abs(quad.f_resonant - grid.f_resonant) \
+            <= quad.quadrature_error
+
+    def test_near_thick_slab_rule_calls(self, excited_atom, pec,
+                                        rule_calls):
+        # perf guard: zt 0.05, 2 w d / c = 60 at default tolerance reads
+        # 220 rule calls in ln z, 841 on equal panels in z
+        plate_force_quadrature(make_scenario(excited_atom, pec, 0.05, 30.0))
+        assert len(rule_calls) <= 300
+
+    def test_slab_failure_names_the_slab(self, excited_atom, pec):
+        # 2 w d / c = 60 asks for 61 initial panels, 915 abscissae
+        sc = make_scenario(excited_atom, pec, 1.0, 30.0)
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"resonant slab integral over \[") as exc:
+            plate_force_quadrature(sc, max_evaluations=900)
+        assert exc.value.index is None
+
     @pytest.mark.parametrize("part", ["_resonant", "_nonresonant"])
     def test_inner_errors_reach_the_slab_error(self, excited_atom,
                                                lossy_halfspace, monkeypatch,
@@ -154,6 +199,35 @@ class TestQuadratureRoute:
         r1 = plate_force_quadrature(sc1, include_nonresonant=False)
         r2 = plate_force_quadrature(sc2, include_nonresonant=False)
         assert r2.f_resonant == 2.0 * r1.f_resonant
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestRoutesAgreeProperty:
+    """plate_force_quadrature and force_decomposition agree within their
+    summed reported errors for ground, excited and magnetoelectric
+    atoms in front of either perfect mirror."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(zt=_log_uniform(0.05, 30.0), phase=_log_uniform(0.1, 60.0),
+           atom=st.sampled_from(["ground_atom", "excited_atom",
+                                 "magnetoelectric_atom"]),
+           mirror=st.sampled_from(["pec", "pmc"]))
+    def test_routes_agree(self, request, zt, phase, atom, mirror):
+        z = zt_to_z(zt)
+        sc = SlabScenario(z=z, d=zt_to_z(phase), eta=ETA,
+                          atom=request.getfixturevalue(atom),
+                          geometry=PlanarGeometry(
+                              request.getfixturevalue(mirror), z))
+        quad = plate_force_quadrature(sc)
+        grid = force_decomposition(sc, [z])[0]
+        assert abs(quad.f_resonant - grid.f_resonant) \
+            + abs(quad.f_nonresonant - grid.f_nonresonant) \
+            <= quad.quadrature_error + grid.quadrature_error
 
 
 class TestDecomposition:

@@ -481,51 +481,41 @@ class TestLockStepKernel:
     # both trace kernels integrate every point of a call on its own
     # partition, all points refined together, one integrand call a round
 
-    @staticmethod
-    def count_rule_calls(monkeypatch):
-        calls = []
-        rule = quadrature._gk15
-        monkeypatch.setattr(quadrature, "_gk15",
-                            lambda *a: calls.append(1) or rule(*a))
-        return calls
-
     def test_a_call_costs_the_rounds_of_its_slowest_point(
-            self, lossy_halfspace, monkeypatch):
+            self, lossy_halfspace, rule_calls):
         # perf guard: 45 xi over six decades at zt = 0.7, both columns
-        calls = self.count_rule_calls(monkeypatch)
         z = zt_to_z(0.7)
         xi = np.geomspace(1e12, 1e18, 45)
         duals = (False, True)
         batch, batch_err = greens._trace_e_imag_axis(
             lossy_halfspace, z, xi, 1e-12, 100_000, 0, duals)
-        rounds = len(calls)
+        rounds = len(rule_calls)
         slowest = 0
         for k, x in enumerate(xi):
-            calls.clear()
+            rule_calls.clear()
             alone, alone_err = greens._trace_e_imag_axis(
                 lossy_halfspace, z, [x], 1e-12, 100_000, 0, duals)
-            slowest = max(slowest, len(calls))
+            slowest = max(slowest, len(rule_calls))
             # a point's integral does not depend on the others'
             assert np.array_equal(alone[:, 0], batch[:, k])
             assert np.array_equal(alone_err[:, 0], batch_err[:, k])
         assert 1 < rounds <= slowest + 1
 
     def test_real_axis_call_costs_the_rounds_of_its_slowest_point(
-            self, lossy_halfspace, monkeypatch):
+            self, lossy_halfspace, rule_calls):
         # perf guard: 7 distances, zt from 0.05 to 60, both columns.  At
         # rel_tol 1e-10 this reads 5 rule calls, its slowest distance 5
-        calls = self.count_rule_calls(monkeypatch)
         z = zt_to_z(np.geomspace(0.05, 60.0, 7))
         duals = (False, True)
         batch, batch_err = greens._trace_e_real_axis(
             lossy_halfspace, z, W10, 1e-10, 100_000, 0, duals)
-        rounds = len(calls)
+        rounds = len(rule_calls)
         slowest = 0
         for k, zk in enumerate(z):
-            calls.clear()
+            rule_calls.clear()
             alone, alone_err = greens._trace_e_real_axis(
                 lossy_halfspace, z[k:k + 1], W10, 1e-10, 100_000, 0, duals)
-            slowest = max(slowest, len(calls))
+            slowest = max(slowest, len(rule_calls))
             assert np.array_equal(alone[:, 0], batch[:, k])
             assert np.array_equal(alone_err[:, 0], batch_err[:, k])
         assert 1 < rounds <= slowest + 1
@@ -542,35 +532,32 @@ class TestLockStepKernel:
     @pytest.mark.parametrize("order", [0, 1])
     @pytest.mark.parametrize("zt", [0.1, 1.0, 10.0])
     def test_near_branch_point_costs_at_most_three_rounds(
-            self, monkeypatch, zt, order):
+            self, rule_calls, zt, order):
         # perf guard: panels graded toward the branch point 1.4e-3 off
         # the contour; bisecting toward it took 8 to 11 rule calls
-        calls = self.count_rule_calls(monkeypatch)
         assert self.real_axis_rule_calls(
-            calls, readme_reflector(), zt, order) <= 3
+            rule_calls, readme_reflector(), zt, order) <= 3
 
     @pytest.mark.parametrize("order", [0, 1])
     @pytest.mark.parametrize("zt", [0.1, 1.0, 10.0])
-    def test_rounds_do_not_grow_as_the_loss_falls(self, monkeypatch, zt,
+    def test_rounds_do_not_grow_as_the_loss_falls(self, rule_calls, zt,
                                                   order):
         # damping 1e14 down to 1e10 rad/s moves the branch point from
         # 1.4e-3 to 1.4e-7 off the contour; bisecting toward it took
         # about two more rule calls a decade
-        calls = self.count_rule_calls(monkeypatch)
-        counts = [self.real_axis_rule_calls(calls, readme_reflector(d), zt,
-                                            order)
+        counts = [self.real_axis_rule_calls(rule_calls, readme_reflector(d),
+                                            zt, order)
                   for d in (1e14, 1e13, 1e12, 1e11, 1e10)]
         assert max(counts) == counts[0]
 
-    def test_propagating_branch_point_is_graded(self, monkeypatch):
+    def test_propagating_branch_point_is_graded(self, rule_calls):
         # eps(w10) = 0.11 + 0.001 i puts the branch point on the
         # propagating half, at gamma = 0.94, 5e-4 off it; bisecting
         # toward it took 11 rule calls
         near = MaterialResponse("drude-lorentz", eps_oscillators=(
             LorentzOscillator(strength=0.5, resonance=0.8 * W10,
                               damping=1e12),))
-        calls = self.count_rule_calls(monkeypatch)
-        assert self.real_axis_rule_calls(calls, near, 1.0, 0) <= 3
+        assert self.real_axis_rule_calls(rule_calls, near, 1.0, 0) <= 3
         z = np.array([zt_to_z(1.0)])
         value, err = greens._trace_e_real_axis(near, z, W10, 1e-10, 100_000)
         tight, _ = greens._trace_e_real_axis(near, z, W10, 1e-13, 10**6)

@@ -145,22 +145,18 @@ class TestHalfspaceNonresonant:
         assert err_nr <= 2e-9 * u_nr
         assert abs(u_nr - tight) <= err_nr
 
-    def test_readme_point_rule_calls(self, monkeypatch):
+    def test_readme_point_rule_calls(self, rule_calls):
         # perf guard: G7/K15 rule calls (one integrand call each) of the
         # README's nearest point at default tolerances.  The inner
         # Sommerfeld integrals of an outer round refine in lock-step from
         # decay-graded panels, so this reads 16; one 15-xi chunk after
         # another, each from one panel, read 90.
-        calls = []
-        rule = quadrature_module._gk15
-        monkeypatch.setattr(quadrature_module, "_gk15",
-                            lambda *a: calls.append(1) or rule(*a))
         atom = AtomModel("excited", (Transition(2.5e15, 7.2e-59),))
         medium = MaterialResponse("drude-lorentz", eps_oscillators=(
             LorentzOscillator(strength=1.0, resonance=1e16, damping=1e14),
         ))
         total_potential(atom, PlanarGeometry(medium, 6e-9))
-        assert len(calls) <= 30
+        assert len(rule_calls) <= 30
 
     def test_readme_point_error_counts_only_coupled_traces(self):
         # a purely electric atom: the resonant error comes from the
