@@ -42,6 +42,15 @@ the rounds of its slowest point, and a failure names its point.  On the
 real axis the initial panels are also graded toward the medium branch
 point of a weakly lossy reflector, which lies close to the contour.
 
+Which kernel feeds which potential: the real-axis kernel gives every
+resonant part, and the imaginary-axis kernel the nonresonant part of
+the perfect mirrors and vacuum.  The nonresonant part of a half-space
+does not call a kernel: it swaps the order of its xi- and
+kappa-integrals (potentials module docstring) and uses only _fresnel.
+The imaginary-axis Sommerfeld branch serves the public trace
+functions, and through them the nested route that tests hold the
+potentials against.
+
 The curl-curl trace is obtained by duality rather than by direct
 double-curl differentiation: exchanging eps and mu of the reflector
 exchanges the roles of the two polarisations, whence
@@ -208,22 +217,41 @@ def _pec_phase_polynomial(zt, order):
     return phase * (-1j * zt**3 + 3.0 * zt * zt + 6j * zt - 6.0)
 
 
-def _fresnel(eps, mu, v, v1):
+def _fresnel(eps, mu, v, v1, em1=None):
     """(r_s, r_p) = (a v - v1) / (a v + v1) for a = mu and a = eps, with
-    v1^2 = eps mu - 1 + v^2, in the rationalised form
+    v1^2 = em1 + v^2 and em1 = eps mu - 1 unless given, in the
+    rationalised form
 
-        ((a^2 - 1) v^2 - (eps mu - 1)) / (a v + v1)^2,
+        ((a^2 - 1) v^2 - em1) / (a v + v1)^2,
 
-    which does not cancel where v1 ~ v (large v, or a near 1).  The dual
-    reflector (eps and mu exchanged) has the same v1 and the pair
-    swapped, (r_p, r_s)."""
-    em1 = eps * mu - 1.0
+    which does not cancel where v1 ~ v (large v, or a near 1).  The form
+    is unchanged when v, v1 and sqrt(em1) are scaled together, so
+    v = 1, v1 = sqrt(1 + em1 s^2) with em1 s^2 in place of em1 gives the
+    pair at v = 1 / s, finite down to s = 0.  The dual reflector (eps
+    and mu exchanged) has the same v1 and the pair swapped, (r_p, r_s)."""
+    if em1 is None:
+        em1 = eps * mu - 1.0
     v2 = v * v
 
     def r(a):
         return ((a * a - 1.0) * v2 - em1) / (a * v + v1) ** 2
 
     return r(mu), r(eps)
+
+
+def _imag_axis_response(material, xi):
+    """eps(i xi) and mu(i xi) of a Drude-Lorentz material at an array
+    xi, real; both must be positive for the Fresnel pair to be."""
+    eps = material.epsilon(1j * xi).real
+    mu = material.mu(1j * xi).real
+    bad = (eps <= 0.0) | (mu <= 0.0)
+    if bad.any():
+        k = np.argmax(bad)
+        raise ValueError(
+            "eps(i xi) and mu(i xi) must be positive; the oscillator model "
+            f"gave eps={eps[k]:.3g}, mu={mu[k]:.3g} at xi={xi[k]:.3g}"
+        )
+    return eps, mu
 
 
 def _sommerfeld_panels(y):
@@ -382,15 +410,7 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
     # at least 1-d, so that eps and mu are arrays for scalar z and xi too
     z, xi = np.broadcast_arrays(np.atleast_1d(z).astype(float),
                                 np.atleast_1d(xi).astype(float))
-    eps = material.epsilon(1j * xi).real
-    mu = material.mu(1j * xi).real
-    bad = (eps <= 0.0) | (mu <= 0.0)
-    if bad.any():
-        k = np.argmax(bad)
-        raise ValueError(
-            "eps(i xi) and mu(i xi) must be positive; the oscillator model "
-            f"gave eps={eps[k]:.3g}, mu={mu[k]:.3g} at xi={xi[k]:.3g}"
-        )
+    eps, mu = _imag_axis_response(material, xi)
     y = 2.0 * xi * z / C_LIGHT
     scale = np.maximum(1.0 / y, 1.0)
     # per point: map scale, decay rate, eps, mu, eps mu - 1

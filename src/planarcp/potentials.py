@@ -23,6 +23,25 @@ Each part is one routine, _nonresonant or _resonant, giving arrays
 distances.  The public functions take one distance or a 1-d array of
 them and call each routine they need once for all of them.
 
+For perfect mirrors and vacuum the traces are closed forms, and U_nr is
+one xi-integral per distance.  For a Drude-Lorentz half-space each trace
+is a Sommerfeld integral over v = c kappa / xi; swapping the order of
+integration (Wylie & Sipe, PRA 30, 1185 (1984)) leaves z only in the
+exponential,
+
+    U_nr = (hbar mu0 / 8 pi^2) Int_0^inf dkappa e^{-2 kappa z} K(kappa),
+    K(kappa) = Int_0^{c kappa} dxi xi^2
+               [ alpha_n(i xi) B_e + beta_n(i xi) / c^2 B_m ]
+
+with B_e = r_s - (2 v^2 - 1) r_p and B_m its dual (r_s and r_p
+exchanged); dU_nr/dz multiplies the integrand by -2 kappa.  K does not
+depend on z, so the distances of a call share it: each is one
+kappa-integral of a lock-step batch, mapped at the power of two S at or
+above max(omega_max / c, 1 / 2z), so that distances of one octave of S
+start from the same nodes, and each round evaluates K once per distinct
+node, as one batch of inner integrals at rel_tol / 10.  The reported
+error is the kappa-integral's plus rel_tol |U| for the inner ones.
+
 Forces follow from F = -dU/dz (the force module integrates that over a
 slab).  Both parts are invariant under the global duality exchange
 alpha <-> beta / c^2 together with eps <-> mu of the reflector.
@@ -30,6 +49,7 @@ alpha <-> beta / c^2 together with eps <-> mu of the reflector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +59,11 @@ from scipy.constants import hbar, mu_0
 from . import greens
 from .greens import _distances, _like
 from .materials import AtomModel, Transition, _response_ixi, resonant_weights
-from .quadrature import DEFAULT_MAX_EVALUATIONS, integrate_semi_infinite
+from .quadrature import (
+    _HALF_LINE,
+    DEFAULT_MAX_EVALUATIONS,
+    integrate_semi_infinite,
+)
 
 __all__ = [
     "PotentialResult",
@@ -79,30 +103,46 @@ def _nonresonant(atom, material, z_values, rel_tol, max_evaluations,
     """Nonresonant potential in J, or its z-derivative in J/m for order
     1, at an array of distances; arrays (values, abs_errors).
 
-    One adaptive xi-integral per distance.  Each integrand call makes one
-    imaginary-axis kernel call for the columns the atom couples to: the
-    reflector's own for electric moments, the dual's for magnetic
-    moments.  The kernel returns xi^2 trace_e at unit scale, alpha(i xi)
-    and beta(i xi) / c^2 are applied here, and by duality
-    trace_m(i xi) = xi^2 trace_e(i xi; mu, eps) / c^2.
+    Perfect mirrors and vacuum take one adaptive xi-integral per
+    distance of the closed-form kernel (_xi_integrals); a half-space
+    takes the kappa-first form of the module docstring
+    (_kappa_integrals), where all the distances share K(kappa) node by
+    node.  A half-space's inner integrals run at rel_tol/10 and add
+    rel_tol |U| to the kappa-integral's error; closed forms add nothing.
     """
     z_values = np.asarray(z_values, dtype=float)
-    inner_tol = rel_tol / 10.0
+    if material.is_perfect_mirror or material.is_vacuum:
+        values, errs = _xi_integrals(atom, material, z_values, rel_tol,
+                                     max_evaluations, order)
+    else:
+        values, errs = _kappa_integrals(atom, material, z_values, rel_tol,
+                                        max_evaluations, order)
+        errs = errs + rel_tol * np.abs(values)
+    return values, np.maximum(errs, _ROUNDING_FLOOR * np.abs(values))
+
+
+def _xi_integrals(atom, material, z_values, rel_tol, max_evaluations, order):
+    """U_nr (or dU_nr/dz) of a perfect mirror or vacuum and its xi-error,
+    one adaptive xi-integral per distance.
+
+    Each integrand call makes one imaginary-axis kernel call for the
+    columns the atom couples to: the reflector's own for electric
+    moments, the dual's for magnetic moments.  The kernel returns
+    xi^2 trace_e at unit scale, alpha(i xi) and beta(i xi) / c^2 are
+    applied here, and by duality
+    trace_m(i xi) = xi^2 trace_e(i xi; mu, eps) / c^2.
+    """
     duals = tuple(dual for dual, coupled in (
         (False, not atom.is_purely_magnetic),
         (True, not atom.is_purely_electric)) if coupled)
     omega_max = max(abs(t.omega_nk) for t in atom.transitions)
     pref = hbar * mu_0 / (2.0 * np.pi)
-    # mirrors and vacuum are closed forms; a half-space's inner
-    # quadratures are budgeted at rel_tol/10, which adds rel_tol |U|
-    inner_err = 0.0 if material.is_perfect_mirror or material.is_vacuum \
-        else rel_tol
     values = np.empty(z_values.shape)
     errs = np.empty(z_values.shape)
     for i, z in enumerate(z_values.tolist()):
         def integrand(xi):
             traces, _ = greens._trace_e_imag_axis(
-                material, z, xi, inner_tol, max_evaluations, order, duals)
+                material, z, xi, rel_tol, max_evaluations, order, duals)
             out = np.zeros(xi.shape)
             for dual, xi2_t in zip(duals, traces):
                 if dual:
@@ -118,8 +158,117 @@ def _nonresonant(atom, material, z_values, rel_tol, max_evaluations,
             integrand, scale=max(omega_max, C_LIGHT / (2.0 * z)),
             tol=rel_tol, max_evaluations=max_evaluations)
         values[i] = pref * res.value
-        errs[i] = pref * res.abs_error_estimate + inner_err * abs(values[i])
-    return values, np.maximum(errs, _ROUNDING_FLOOR * np.abs(values))
+        errs[i] = pref * res.abs_error_estimate
+    return values, errs
+
+
+def _kappa_integrals(atom, material, z_values, rel_tol, max_evaluations,
+                     order):
+    """U_nr (or dU_nr/dz) of a Drude-Lorentz half-space and its
+    kappa-error, in the kappa-first form of the module docstring: one
+    lock-step batch of kappa-integrals, kappa = S t / (1 - t) from the
+    four initial panels of integrate_semi_infinite.  Each round
+    evaluates K once per distinct node at which some distance's
+    e^{-2 kappa z} is nonzero; a node's K does not depend on the other
+    nodes, so an entry of an array call has the bits of a single call.
+    """
+    omega_max = max(abs(t.omega_nk) for t in atom.transitions)
+    scale = np.exp2(np.ceil(np.log2(np.maximum(omega_max / C_LIGHT,
+                                               0.5 / z_values))))
+
+    def integrand(t, index):
+        one_minus = 1.0 - t
+        kappa = scale[index] * t / one_minus
+        weight = np.exp(-2.0 * kappa * z_values[index]) \
+            * (scale[index] / one_minus**2)
+        if order:
+            weight *= -2.0 * kappa
+        live = weight != 0.0
+        nodes, node = np.unique(kappa[live], return_inverse=True)
+        out = np.zeros(t.shape)
+        if nodes.size:
+            out[live] = weight[live] * _laplace_kernel(
+                atom, material, nodes, rel_tol / 10.0, max_evaluations)[node]
+        return out
+
+    n = z_values.size
+    res = greens._integrate_points(
+        integrand, (np.tile(_HALF_LINE[:-1], n), np.tile(_HALF_LINE[1:], n),
+                    np.arange(n).repeat(_HALF_LINE.size - 1)),
+        rel_tol, max_evaluations,
+        lambda i: "nonresonant kappa-integral" if i is None
+        else f"nonresonant kappa-integral at z = {z_values[i]:.6g} m")
+    pref = hbar * mu_0 / (8.0 * np.pi**2)
+    return pref * res.value, pref * res.abs_error_estimate
+
+
+def _laplace_kernel(atom, material, kappa, rel_tol, max_evaluations):
+    """K(kappa) of the kappa-first form at a sorted array of distinct
+    kappa > 0.  With xi = c kappa s,
+
+        K(kappa) = (c kappa)^3 Int_0^1 ds [alpha(i xi) B_e(s)
+                                           + beta(i xi) / c^2 B_m(s)],
+        B_e = s^2 r_s - (2 - s^2) r_p,   B_m = s^2 r_p - (2 - s^2) r_s,
+
+    with the Fresnel pair at v = 1 / s in the scaled form of
+    greens._fresnel, finite at s = 0; only the brackets the atom couples
+    to are evaluated.  The poles xi = +-i omega of the atomic and medium
+    frequencies and the branch point s = i / sqrt(eps mu - 1) crowd
+    toward s = 0 as kappa grows, so each integral starts from panels cut
+    at s = s_lo 2^k < 1, s_lo = min(omega_lo / c kappa, s_b) / 2, with
+    omega_lo the lowest of those frequencies and s_b the least branch
+    point distance: no singularity lies closer to a panel than the
+    panel is wide.  One lock-step batch at rel_tol, the integrand scaled
+    by the static response so that the engine's absolute floor never
+    binds.
+    """
+    electric = not atom.is_purely_magnetic
+    magnetic = not atom.is_purely_electric
+    oscillators = material.eps_oscillators + material.mu_oscillators
+    # an overdamped oscillator also turns at resonance^2 / damping
+    omega_lo = min([abs(t.omega_nk) for t in atom.transitions]
+                   + [o.resonance * min(1.0, o.resonance / o.damping)
+                      for o in oscillators])
+    static = [1.0 + sum(o.strength for o in group if not o.amplifying)
+              for group in (material.eps_oscillators,
+                            material.mu_oscillators)]
+    s_branch = 1.0 / math.sqrt(max(static[0] * static[1] - 1.0, 1.0))
+    unit = 3.0 * hbar / max((t.dipole_sq + t.magnetic_sq / C_LIGHT**2)
+                            / abs(t.omega_nk) for t in atom.transitions)
+
+    ck = C_LIGHT * kappa
+    s_lo = 0.5 * np.minimum(omega_lo / ck, s_branch)
+    # cuts at 1 and beyond collapse onto the end, leaving empty
+    # panels that are dropped
+    grading = np.exp2(np.arange(math.ceil(-math.log2(s_lo[-1]))))
+    edges = np.concatenate([np.zeros((ck.size, 1)),
+                            np.minimum(s_lo[:, None] * grading, 1.0),
+                            np.ones((ck.size, 1))], axis=1)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    owner = np.arange(ck.size).repeat(grading.size + 1)
+    keep = hi > lo
+
+    def integrand(s, index):
+        xi = ck[index] * s
+        eps, mu = greens._imag_axis_response(material, xi)
+        s2 = s * s
+        em1 = (eps * mu - 1.0) * s2
+        rs, rp = greens._fresnel(eps, mu, 1.0, np.sqrt(1.0 + em1), em1)
+        out = np.zeros(s.shape)
+        if electric:
+            out += (unit * _response_ixi(atom, xi)) \
+                * (s2 * rs - (2.0 - s2) * rp)
+        if magnetic:
+            out += (unit / C_LIGHT**2 * _response_ixi(atom, xi, True)) \
+                * (s2 * rp - (2.0 - s2) * rs)
+        return out
+
+    res = greens._integrate_points(
+        integrand, (lo[keep], hi[keep], owner[keep]), rel_tol,
+        max_evaluations,
+        lambda i: f"K(kappa) at kappa = {kappa[i]:.6g} 1/m")
+    return ck * ck * ck / unit * res.value
+
 
 
 def _resonant(atom, material, z_values, rel_tol, max_evaluations, order=0):

@@ -367,7 +367,10 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-9,
     def g(t):
         one_minus = 1.0 - t
         x = scale * t / one_minus
-        return f(x) * (scale / one_minus**2)
+        y = np.asarray(f(x))
+        # the Jacobian as a column, for integrands that return rows
+        jacobian = scale / one_minus**2
+        return y * (jacobian if y.ndim == 1 else jacobian[:, None])
 
     return _single(g, _HALF_LINE[:-1], _HALF_LINE[1:], tol, max_evaluations)
 

@@ -78,11 +78,16 @@ def pec_geometry(pec):
 @pytest.fixture
 def rule_calls(monkeypatch):
     """List that gains one entry per G7/K15 rule call of the quadrature
-    engine (one integrand call each) while the test runs."""
+    engine (one integrand call each) while the test runs: the number of
+    abscissae of that call."""
     calls = []
     rule = quadrature._gk15
-    monkeypatch.setattr(quadrature, "_gk15",
-                        lambda *a: calls.append(1) or rule(*a))
+
+    def counted(f, lo, *rest):
+        calls.append(quadrature.PANEL_NODES * lo.size)
+        return rule(f, lo, *rest)
+
+    monkeypatch.setattr(quadrature, "_gk15", counted)
     return calls
 
 

@@ -196,6 +196,23 @@ def test_vector_finite_integral_equals_scalar_calls():
     assert abs(vec.value[3] - (np.exp(3j) - 1.0) / 1j) <= 1e-10
 
 
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_semi_infinite_integrand_may_return_rows(columns):
+    # rows of e^{-(k+1) x}: the Jacobian of the half-line map multiplies
+    # every column, for K = 1 as for K > 1
+    rates = np.arange(1, columns + 1)
+    vec = integrate_semi_infinite(lambda x: np.exp(-np.outer(x, rates)),
+                                  scale=1.0, tol=1e-11)
+    assert vec.value.shape == vec.abs_error_estimate.shape == (columns,)
+    scalars = [integrate_semi_infinite(lambda x, r=r: np.exp(-r * x),
+                                       scale=1.0, tol=1e-11)
+               for r in rates]
+    for k, rate in enumerate(rates):
+        assert abs(vec.value[k] - 1.0 / rate) <= vec.abs_error_estimate[k]
+        assert vec.abs_error_estimate[k] <= 1e-11 * vec.value[k] + 1e-30
+    _assert_columns_match_scalar_calls(vec, scalars, 1e-11)
+
+
 # --------------------------------------------------------------------------
 # the lock-step batch: n independent integrals, one integrand call a round
 
