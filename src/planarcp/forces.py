@@ -28,7 +28,7 @@ force_decomposition differences U at the distinct edges of a sweep.
 The slab integral runs in u = ln z, as the integral of z dU/dz: there
 the power law dU/dz becomes a smooth exponential (nonresonant, from one
 panel) or keeps its oscillation in 2 w z / c (resonant, from the images
-of equal-phase panels).
+of equal panels in z of at most pi radians of phase each).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .greens import (
     _distances,
     _integrate_points,
     _pec_phase_polynomial,
+    _phase_panels,
 )
 from .materials import (
     PERFECT_ELECTRIC_MIRROR,
@@ -183,8 +184,9 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
     slabs stops on the engine's absolute floor short of rel_tol.  In u
     the nonresonant integrand is a smooth exponential, resolved from one
     panel.  The resonant part oscillates with the phase 2 w z / c and
-    starts from the images in u of int(phase span) + 1 equal panels in
-    z.  The error is the slab quadrature error plus (b - a) = Int z du
+    starts from the images in u of _phase_panels(phase span) equal
+    panels in z, at most pi radians each, the rule of the real-axis
+    contour.  The error is the slab quadrature error plus (b - a) = Int z du
     times the largest inner error; a QuadratureConvergenceError names
     the part and the slab.
     """
@@ -221,12 +223,12 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
     f_r, err_r = 0.0, 0.0
     if scenario.atom.is_excited:
         # the integrand oscillates with the trace phase 2 w z / c; start
-        # with about one panel per radian of phase across the slab
+        # with equal panels of at most pi radians of phase across the slab
         omega_max = max(t.omega_nk for t in scenario.atom.transitions
                         if t.omega_nk > 0.0)
         phase_span = 2.0 * omega_max * scenario.d / C_LIGHT
-        f_r, err_r = slab_integral(_resonant, rel_tol, int(phase_span) + 1,
-                                   "resonant")
+        f_r, err_r = slab_integral(_resonant, rel_tol,
+                                   int(_phase_panels(phase_span)), "resonant")
         err_r = max(err_r, rounding * abs(f_r))
 
     f_nr, err_nr = 0.0, 0.0

@@ -314,11 +314,18 @@ def _cut(lo, hi, owner, at):
     return where[:-1][keep], where[1:][keep], owners[:-1][keep]
 
 
+def _phase_panels(span):
+    """floor(span / pi) + 1: the number of equal panels, each at most pi
+    radians, that an oscillatory integral of phase span `span` (radians,
+    float or array) starts from."""
+    return (np.asarray(span) // np.pi).astype(np.intp) + 1
+
+
 def _contour_panels(zt, q):
     """Initial panels (lo, hi, owner) in u of one real-axis integral per
     point: _sommerfeld_panels(zt) mirrored onto [-1, 0], where the decay
-    is e^{-zt b}, and floor(zt / pi) + 1 equal panels on [0, 1], each
-    at most pi radians of the phase e^{i zt u}.
+    is e^{-zt b}, and _phase_panels(zt) equal panels on [0, 1], each at
+    most pi radians of the phase e^{i zt u}.
 
     q = sqrt(eps mu - 1) puts the medium branch point of v1 at
     gamma = +-i q, projected onto the evanescent half at b = Re q, offset
@@ -338,7 +345,7 @@ def _contour_panels(zt, q):
     s = np.maximum(1.0 / zt, 1.0)
     b = _branch_cuts(q.real, abs(q.imag), math.inf)
     lo, hi, owner = _cut(*_sommerfeld_panels(zt), b / (s[:, None] + b))
-    count = (zt // np.pi).astype(np.intp) + 1
+    count = _phase_panels(zt)
     ahead = np.arange(n).repeat(count)
     j = np.arange(ahead.size) - (np.cumsum(count) - count)[ahead]
     gamma = _branch_cuts(q.imag, q.real, 1.0)

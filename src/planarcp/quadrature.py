@@ -325,9 +325,10 @@ def integrate_finite(f, a, b, tol=1e-9,
         budget of abscissae before :class:`QuadratureConvergenceError`
         is raised; the initial panels count against it.
     initial_intervals : int
-        number of equal panels the interval starts from; raise it for
-        oscillatory integrands so no oscillation hides inside a single
-        15-point panel.
+        number of equal panels the interval starts from; for an
+        oscillatory integrand give floor(phase span / pi) + 1, at most
+        pi radians of phase a panel, so no oscillation hides inside a
+        single 15-point panel.
 
     Returns
     -------

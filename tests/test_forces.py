@@ -155,17 +155,40 @@ class TestQuadratureRoute:
     def test_near_thick_slab_rule_calls(self, excited_atom, pec,
                                         rule_calls):
         # perf guard: zt 0.05, 2 w d / c = 60 at default tolerance reads
-        # 220 rule calls in ln z, 841 on equal panels in z
+        # 221 rule calls in ln z, 841 on equal panels in z
         plate_force_quadrature(make_scenario(excited_atom, pec, 0.05, 30.0))
         assert len(rule_calls) <= 300
 
     def test_slab_failure_names_the_slab(self, excited_atom, pec):
-        # 2 w d / c = 60 asks for 61 initial panels, 915 abscissae
+        # 2 w d / c = 60 asks for 20 initial panels of at most pi
+        # radians, 300 abscissae
         sc = make_scenario(excited_atom, pec, 1.0, 30.0)
         with pytest.raises(QuadratureConvergenceError,
                            match=r"resonant slab integral over \[") as exc:
-            plate_force_quadrature(sc, max_evaluations=900)
+            plate_force_quadrature(sc, max_evaluations=290)
         assert exc.value.index is None
+
+    def test_halfspace_resonant_slab_abscissae(
+            self, magnetoelectric_atom, lossy_halfspace, monkeypatch,
+            rule_calls):
+        # perf guard: 2 w d / c = 2 fits one panel of at most pi radians,
+        # so the slab takes one rule call of 15 abscissae, one real-axis
+        # kernel call at 15 distances; 5,745 abscissae in all (17,445
+        # from one panel per radian)
+        original, slab_rounds = forces_module._resonant, []
+
+        def counted(*args, **kwargs):
+            slab_rounds.append(args[2].size)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(forces_module, "_resonant", counted)
+        z = zt_to_z(0.5)
+        sc = SlabScenario(z=z, d=C_LIGHT / W10, eta=ETA,
+                          atom=magnetoelectric_atom,
+                          geometry=PlanarGeometry(lossy_halfspace, z))
+        plate_force_quadrature(sc, include_nonresonant=False)
+        assert slab_rounds == [15]
+        assert sum(rule_calls) <= 8_000
 
     @pytest.mark.parametrize("part", ["_resonant", "_nonresonant"])
     def test_inner_errors_reach_the_slab_error(self, excited_atom,
@@ -208,7 +231,8 @@ def _log_uniform(lo, hi):
 class TestRoutesAgreeProperty:
     """plate_force_quadrature and force_decomposition agree within their
     summed reported errors for ground, excited and magnetoelectric
-    atoms in front of either perfect mirror."""
+    atoms in front of either perfect mirror, and for excited and
+    magnetoelectric atoms in front of the lossy half-space."""
 
     @settings(max_examples=30, deadline=None, derandomize=True,
               database=None,
@@ -223,6 +247,25 @@ class TestRoutesAgreeProperty:
                           atom=request.getfixturevalue(atom),
                           geometry=PlanarGeometry(
                               request.getfixturevalue(mirror), z))
+        quad = plate_force_quadrature(sc)
+        grid = force_decomposition(sc, [z])[0]
+        assert abs(quad.f_resonant - grid.f_resonant) \
+            + abs(quad.f_nonresonant - grid.f_nonresonant) \
+            <= quad.quadrature_error + grid.quadrature_error
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(zt=_log_uniform(0.05, 50.0), phase=_log_uniform(0.1, 40.0),
+           atom=st.sampled_from(["excited_atom", "magnetoelectric_atom"]))
+    def test_halfspace_routes_agree(self, request, lossy_halfspace, zt,
+                                    phase, atom):
+        # the resonant slab integral of real-axis traces, from panels of
+        # at most pi radians, against the boundary difference
+        z = zt_to_z(zt)
+        sc = SlabScenario(z=z, d=zt_to_z(phase), eta=ETA,
+                          atom=request.getfixturevalue(atom),
+                          geometry=PlanarGeometry(lossy_halfspace, z))
         quad = plate_force_quadrature(sc)
         grid = force_decomposition(sc, [z])[0]
         assert abs(quad.f_resonant - grid.f_resonant) \
