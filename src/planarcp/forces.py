@@ -45,7 +45,6 @@ from .greens import (
     _distances,
     _integrate_points,
     _pec_phase_polynomial,
-    _phase_panels,
 )
 from .materials import (
     PERFECT_ELECTRIC_MIRROR,
@@ -184,11 +183,10 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
     slabs stops on the engine's absolute floor short of rel_tol.  In u
     the nonresonant integrand is a smooth exponential, resolved from one
     panel.  The resonant part oscillates with the phase 2 w z / c and
-    starts from the images in u of _phase_panels(phase span) equal
-    panels in z, at most pi radians each, the rule of the real-axis
-    contour.  The error is the slab quadrature error plus (b - a) = Int z du
-    times the largest inner error; a QuadratureConvergenceError names
-    the part and the slab.
+    starts from the images in u of floor(phase span / pi) + 1 equal
+    panels in z, at most pi radians each.  The error is the slab
+    quadrature error plus (b - a) = Int z du times the largest inner
+    error; a QuadratureConvergenceError names the part and the slab.
     """
     material = scenario.geometry.reflector
     a, b = scenario.z, scenario.z + scenario.d
@@ -228,7 +226,7 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
                         if t.omega_nk > 0.0)
         phase_span = 2.0 * omega_max * scenario.d / C_LIGHT
         f_r, err_r = slab_integral(_resonant, rel_tol,
-                                   int(_phase_panels(phase_span)), "resonant")
+                                   int(phase_span // np.pi) + 1, "resonant")
         err_r = max(err_r, rounding * abs(f_r))
 
     f_nr, err_nr = 0.0, 0.0

@@ -34,13 +34,13 @@ so the xi -> 0 end of a frequency integral never divides by y^3.
 Vacuum gives zeros.  A material half-space is integrated over the
 transverse wavevector with its s- and p-polarised Fresnel coefficients.
 z enters that integrand only through e^{2 i k_z z}, so d/dz is one
-more factor 2 i k_z under the integral.  Every point of a kernel call,
-(z, xi) on the imaginary axis or z on the real one, is its own integral
-of one lock-step batch (quadrature.integrate_batch): each round refines
-the failing panels of all points in one integrand call, so a call costs
-the rounds of its slowest point, and a failure names its point.  On the
-real axis the initial panels are also graded toward the medium branch
-point of a weakly lossy reflector, which lies close to the contour.
+more factor 2 i k_z under the integral; at real w it runs along a ray
+where it decays as on the imaginary axis (_trace_e_real_axis).  Every
+point of a kernel call, (z, xi) on the imaginary axis or z on the real
+one, is its own integral of one lock-step batch
+(quadrature.integrate_batch): each round refines the failing panels of
+all points in one integrand call, so a call costs the rounds of its
+slowest point, and a failure names its point.
 
 Which kernel feeds which potential: the real-axis kernel gives every
 resonant part, and the imaginary-axis kernel the nonresonant part of
@@ -108,9 +108,6 @@ DEFAULT_SOMMERFELD_TOL = 1e-7
 # exponent of its decay, and in v - 1 below the first of those
 _DECAY_CUTS = np.array([0.5, 1.5, 3.0, 6.0, 12.0, 30.0])
 _HEAD_CUTS = 8.0 ** np.arange(21)
-# a medium branch point off the real-axis contour by less than this share
-# of its position along it grades the initial panels toward it
-_BRANCH_NEAR = 0.1
 
 _PEC = MaterialResponse(PERFECT_ELECTRIC_MIRROR)
 
@@ -256,7 +253,8 @@ def _imag_axis_response(material, xi):
 
 def _sommerfeld_panels(y):
     """Initial panels (lo, hi, owner) in t of one integral per point,
-    mapped by v - 1 = s t / (1 - t) with s = max(1/y, 1).
+    mapped by v - 1 = s t / (1 - t) with s = max(1/y, 1); on the real
+    axis y = zt, and the ray's s takes the place of v - 1.
 
     The panels end where w = y (v - 1) = 0.5, 1.5, 3, 6, 12, 30
     (_DECAY_CUTS): about doubling in the exponent of e^{-y v}, so each
@@ -282,77 +280,6 @@ def _sommerfeld_panels(y):
     owner = np.arange(y.size).repeat(edges.shape[1] - 1)
     keep = hi > lo
     return lo[keep], hi[keep], owner[keep]
-
-
-def _branch_cuts(position, offset, end):
-    """Cuts at position -+ offset 4^k in (0, end), for every k with
-    offset 4^k < position, toward a branch point that lies `offset` off
-    the contour at `position` along it; none unless the point is near,
-    offset < _BRANCH_NEAR position."""
-    if not 0.0 < offset < _BRANCH_NEAR * position:
-        return np.empty(0)
-    steps = offset * 4.0 ** np.arange(math.ceil(math.log(position / offset,
-                                                           4.0)))
-    cuts = np.concatenate([position - steps, position + steps])
-    return cuts[(cuts > 0.0) & (cuts < end)]
-
-
-def _cut(lo, hi, owner, at):
-    """The panels (lo, hi, owner) of n integrals, each integral's panels
-    in order and tiling its range, split at the positions at[i] inside
-    the range of integral i; at has shape (n, cuts).  Without cuts the
-    panels come back as they are."""
-    if not at.size:
-        return lo, hi, owner
-    owners = np.concatenate([owner, owner,
-                             np.arange(at.shape[0]).repeat(at.shape[1])])
-    where = np.concatenate([lo, hi, at.ravel()])
-    order = np.lexsort((where, owners))
-    owners, where = owners[order], where[order]
-    # every edge of a panel once, between the integral's two ends
-    keep = (owners[1:] == owners[:-1]) & (where[1:] > where[:-1])
-    return where[:-1][keep], where[1:][keep], owners[:-1][keep]
-
-
-def _phase_panels(span):
-    """floor(span / pi) + 1: the number of equal panels, each at most pi
-    radians, that an oscillatory integral of phase span `span` (radians,
-    float or array) starts from."""
-    return (np.asarray(span) // np.pi).astype(np.intp) + 1
-
-
-def _contour_panels(zt, q):
-    """Initial panels (lo, hi, owner) in u of one real-axis integral per
-    point: _sommerfeld_panels(zt) mirrored onto [-1, 0], where the decay
-    is e^{-zt b}, and _phase_panels(zt) equal panels on [0, 1], each at
-    most pi radians of the phase e^{i zt u}.
-
-    q = sqrt(eps mu - 1) puts the medium branch point of v1 at
-    gamma = +-i q, projected onto the evanescent half at b = Re q, offset
-    |Im q| off it, and onto the propagating half at gamma = Im q, offset
-    Re q.  A projection whose offset is below _BRANCH_NEAR times its
-    position cuts that half again at position -+ offset 4^k
-    (_branch_cuts), graded toward the point; one set of cuts serves all
-    points, on the evanescent half mapped to each point's
-    t = b / (s + b).  Only the evanescent projection can be near when
-    Re eps mu > 1, only the propagating one when 0 < Re eps mu < 1.
-    Without the cuts, Im eps = 3e-3 at Re eps = 2 costs up to eleven
-    rounds of bisection toward the point at rel_tol 1e-10, and each
-    decade less loss about two more.  A far branch point adds no cut and
-    leaves the panels as they are.
-    """
-    n = zt.size
-    s = np.maximum(1.0 / zt, 1.0)
-    b = _branch_cuts(q.real, abs(q.imag), math.inf)
-    lo, hi, owner = _cut(*_sommerfeld_panels(zt), b / (s[:, None] + b))
-    count = _phase_panels(zt)
-    ahead = np.arange(n).repeat(count)
-    j = np.arange(ahead.size) - (np.cumsum(count) - count)[ahead]
-    gamma = _branch_cuts(q.imag, q.real, 1.0)
-    p_lo, p_hi, p_owner = _cut(j / count[ahead], (j + 1) / count[ahead],
-                               ahead, np.tile(gamma, (n, 1)))
-    return (np.concatenate([-hi, p_lo]), np.concatenate([-lo, p_hi]),
-            np.concatenate([owner, p_owner]))
 
 
 def _integrate_points(integrand, panels, rel_tol, max_evaluations, point):
@@ -453,32 +380,34 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
 
     Perfect mirrors use the closed form (w / 2 pi c) (2 w / c)^n
     e^{i zt} Q_n(zt) of the module docstring, vacuum gives zeros; neither
-    has an error.  A Drude-Lorentz half-space, with gamma = k_z c / w
-    and zt = 2 w z / c, is one contour integral from i inf down the
-    evanescent waves (gamma = i b, decay e^{-zt b}) to the vacuum branch
-    point 0 and along the propagating ones (zt radians of phase) to 1:
+    has an error.  For a Drude-Lorentz half-space, with gamma = k_z c / w
+    and zt = 2 w z / c, the transverse-wavevector integral runs from
+    i inf down the evanescent waves to 0 and along the propagating ones
+    to 1; it is deformed onto the steepest-descent ray of e^{i zt gamma}
+    from gamma = 1, gamma = 1 + i s:
 
         trace_e = (i w / 4 pi c) Int_{i inf -> 0 -> 1} dgamma
                   e^{i zt gamma} [r_s + (1 - 2 gamma^2) r_p]
-                = (i w / 4 pi c) (A - i B),
-        A = Int_0^1  dgamma e^{i zt gamma} [r_s + (1 - 2 gamma^2) r_p]
-        B = Int_0^inf db     e^{-zt b}     [r_s + (1 + 2 b^2) r_p],
+                = (w / 4 pi c) Int_0^inf ds
+                  e^{i zt gamma} [r_s + (1 - 2 gamma^2) r_p],
 
     with _fresnel at v = gamma, v1 = sqrt(eps mu - 1 + gamma^2); the
     dual swaps r_s and r_p.  z enters only through the exponential, so
-    d/dz multiplies the integrand by 2 i w gamma / c.  The contour is
-    parametrised by u in [-1, 1]: gamma = i s (-u) / (1 + u), with
-    s = max(1/zt, 1) and Jacobian -i s / (1 + u)^2, for u < 0, and
-    gamma = u for u >= 0.  Each distance is its own integral of one
-    lock-step batch, started from the panels of _contour_panels; the
-    requested traces are its columns, on its own partition.
+    d/dz multiplies the integrand by 2 i w gamma / c.  On the ray the
+    exponential decays as e^{-zt s} without oscillating, so each
+    distance is mapped by s = S t / (1 - t) with S = max(1/zt, 1) and
+    started from the panels of _sommerfeld_panels(zt), as on the
+    imaginary axis; it is its own integral of one lock-step batch, and
+    the requested traces are its columns, on its own partition.
 
-    Loss moves the medium branch point gamma = +-i q of v1,
-    q = sqrt(eps mu - 1), and any surface-mode pole off the integration
-    path, which is why a half-space needs Im eps > 0 or Im mu > 0 at w.
-    Weak loss leaves the branch point near the path, so q is computed
-    once per call and _contour_panels grades the initial panels toward
-    it.
+    The deformation is exact when no singularity lies in the quarter
+    strip 0 < Re gamma < 1, Im gamma > 0 between the two paths, which
+    holds for a purely absorbing reflector: Im eps >= 0, Im mu >= 0 and
+    Im eps mu > 0 at w, required here.  Then eps mu - 1 + gamma^2 stays
+    in the upper half-plane across the strip, so v1 has no cut there,
+    and in 150,000 random such media no pole of r_s or r_p lay in it.
+    Gain can put a pole there (13 % of random media with gain), and
+    Im eps mu < 0 makes v1 a wave growing into the medium.
     """
     z = np.asarray(z, dtype=float)
     shape = (len(duals), z.size)
@@ -491,23 +420,23 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
         return _mirror_rows(value, duals), np.zeros(shape)
     if material.is_vacuum:
         return np.zeros(shape, dtype=complex), np.zeros(shape)
-    if not material.is_lossy_at(w):
-        raise ValueError(
-            "real-frequency half-space traces need a lossy reflector at "
-            f"that frequency; Im eps <= 0 and Im mu <= 0 at w={w:.4g}"
-        )
     eps = material.epsilon(w)
     mu = material.mu(w)
+    if not material.is_lossy_at(w):
+        raise ValueError(
+            "real-frequency half-space traces need a lossy (purely "
+            "absorbing) reflector at that frequency, Im eps >= 0, "
+            f"Im mu >= 0 and Im eps mu > 0; got eps={eps:.4g}, "
+            f"mu={mu:.4g} at w={w:.4g}"
+        )
     em1 = eps * mu - 1.0
     scale = np.maximum(1.0 / zt, 1.0)
 
-    def integrand(u, point):
+    def integrand(t, point):
         zt_p, s = zt[point], scale[point]
-        one_plus = 1.0 + u
-        evanescent = u < 0.0
-        gamma = np.where(evanescent, 1j * (s * -u / one_plus), u)
-        weight = np.where(evanescent, -1j * s / one_plus**2, 1.0) \
-            * np.exp(1j * zt_p * gamma)
+        one_minus = 1.0 - t
+        gamma = 1.0 + 1j * (s * t / one_minus)
+        weight = np.exp(1j * zt_p * gamma) * (s / one_minus**2)
         if order:
             weight *= gamma
         g2 = gamma * gamma
@@ -517,9 +446,9 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
                          else weight * (rs + pw * rp) for dual in duals])
 
     res = _integrate_points(
-        integrand, _contour_panels(zt, np.sqrt(em1)), rel_tol, max_evaluations,
+        integrand, _sommerfeld_panels(zt), rel_tol, max_evaluations,
         lambda i: f"real-axis trace at z = {z[i]:.6g} m, w = {w:.6g} rad/s")
-    pref = 1j * w / (4.0 * np.pi * C_LIGHT) * (1j * k) ** order
+    pref = w / (4.0 * np.pi * C_LIGHT) * (1j * k) ** order
     return (pref * res.value.T.reshape(shape),
             abs(pref) * res.abs_error_estimate.T.reshape(shape))
 
@@ -601,8 +530,8 @@ def halfspace_green_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
     dual's: closed forms for the perfect mirrors, exact zeros for
     vacuum, the transverse-wavevector integral for a material
     half-space.  freq must be purely imaginary, or real with the
-    reflector lossy there (perfect mirrors are exempt from the loss
-    requirement).
+    reflector purely absorbing there, Im eps >= 0, Im mu >= 0 and
+    Im eps mu > 0 (perfect mirrors are exempt).
 
     Returns
     -------
@@ -623,7 +552,7 @@ def d_dz_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
     half-spaces differentiate under the transverse-wavevector integral,
     where z enters only through the exponential: the derivative
     multiplies the integrand by -2 xi v / c on the imaginary axis and by
-    2 i w gamma / c along the real-axis contour.  Both derivatives cost
+    2 i w gamma / c along the real-axis ray.  Both derivatives cost
     the integral of one trace pair, one kernel call on a shared
     partition.
 

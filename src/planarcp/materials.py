@@ -341,10 +341,11 @@ class MaterialResponse:
         return out
 
     def is_lossy_at(self, omega):
-        """True when the material absorbs at the real frequency omega > 0."""
+        """True when the material purely absorbs at the real frequency
+        omega > 0: Im eps >= 0, Im mu >= 0 and Im eps mu > 0."""
         self._require_material()
-        return (self.epsilon(omega).imag > 0.0
-                or self.mu(omega).imag > 0.0)
+        eps, mu = self.epsilon(omega), self.mu(omega)
+        return eps.imag >= 0.0 and mu.imag >= 0.0 and (eps * mu).imag > 0.0
 
     def is_amplifying_at(self, omega):
         """True when Im eps < 0 or Im mu < 0 at the real frequency omega."""

@@ -276,7 +276,7 @@ def _resonant(atom, material, z_values, rel_tol, max_evaluations, order=0):
     at an array of distances; arrays (values, abs_errors).
 
     One real-axis kernel call per resonant line for all the distances
-    and the columns the line couples to (for a half-space one contour
+    and the columns the line couples to (for a half-space one ray
     integral per distance, all in one lock-step batch): w^2 |d|^2-weighted
     Re trace_e minus |m|^2-weighted Re trace_m, with trace_m(w) =
     -(w/c)^2 trace_e(w; mu, eps) from the dual column, each trace's error
@@ -338,7 +338,9 @@ def resonant_potential(atom, geometry, z_atom=None,
     nonresonant_potential; zero for ground-state atoms.
 
     At each downward transition frequency the reflector must be a
-    perfect mirror, vacuum, or lossy (absorbing) material.
+    perfect mirror, vacuum, or purely absorbing, the paper's absorbing
+    environment: Im eps >= 0, Im mu >= 0 and Im eps mu > 0 there, else
+    ValueError.
     """
     return _part(_resonant, atom, geometry, z_atom, rel_tol,
                  max_evaluations)[0]

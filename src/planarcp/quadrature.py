@@ -44,10 +44,10 @@ own.
 The floor is the engine constant 1e-30, in the units of the result.  It
 binds only where a whole integral is about floor / tol or less: the
 slab integrals of dU/dz, in J, of the force module.  They run in ln z,
-where the first panels of the nonresonant part already meet tol, so 76
+where the first panels of the nonresonant part already meet tol, so 97
 of the 300 slab integrals of one pass of perfbench's mirror-slab-oracle
-workload (seed 11) stop on the floor rather than on tol (157 on equal
-panels in z); the reported error still bounds the deviation.  A floor
+workload (seed 11; 43 resonant, 54 nonresonant) stop on the floor
+rather than on tol; the reported error still bounds the deviation.  A floor
 derived from the first-round estimate would be honest there, but costs
 work on that workload.
 """

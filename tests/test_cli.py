@@ -609,6 +609,24 @@ class TestExitCodes:
         except ScenarioError:
             pass
 
+    @pytest.mark.parametrize("reflector", [
+        # eps = 1 - 10 i, mu = 1.66 + 0.044 i at w10: gain in eps
+        _FULL_CONFIG["reflector"],
+        # eps = -11.8 + 0.27 i, mu = 1.67 + 0.46 i: Im eps mu < 0
+        {"model": "drude-lorentz", "epsilon_oscillators": [
+            {"strength": 3.0, "resonance_rad_s": 0.9 * W10,
+             "damping_rad_s": 1e13}],
+         "mu_oscillators": [{"strength": 0.3, "resonance_rad_s": 1.2 * W10,
+                             "damping_rad_s": 0.3 * W10}]},
+    ])
+    def test_resonant_force_needs_a_purely_absorbing_reflector(
+            self, write_scenario, capsys, reflector):
+        # the excited atom's resonant part needs Im eps >= 0, Im mu >= 0
+        # and Im eps mu > 0 at its transition frequency
+        path = write_scenario(reflector=reflector)
+        assert main(["plate-force", "--scenario", path]) == EXIT_CONFIG
+        assert "lossy" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, write_scenario):
         # starve the quadrature budget on a half-space evaluation
         reflector = {"model": "drude-lorentz", "epsilon_oscillators": [

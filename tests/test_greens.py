@@ -54,10 +54,21 @@ def readme_reflector(damping=1e14):
     """The Lorentz reflector of the README scenario (strength 1, resonance
     1e16 rad/s), its damping in rad/s.  At w10, eps = 2.07 + 0.0028 i for
     the README's 1e14 rad/s: the medium branch point of v1 lies 1.4e-3
-    off the evanescent half of the real-axis contour, at b = 1.03, and
-    less loss brings it closer."""
+    off the evanescent part of the real p axis, at b = 1.03, and less
+    loss brings it closer."""
     return MaterialResponse("drude-lorentz", eps_oscillators=(
         LorentzOscillator(strength=1.0, resonance=1e16, damping=damping),
+    ))
+
+
+def plasmonic_reflector(damping=1e13):
+    """A Lorentz reflector of strength 3 at 0.9 w10, its damping in rad/s.
+    At w10, eps = -11.78 + 0.27 i for 1e13 rad/s: the surface-mode pole
+    of r_p lies 3.8e-3 off the evanescent part of the real p axis, at
+    b = 0.304, and each decade less loss brings it ten times closer."""
+    return MaterialResponse("drude-lorentz", eps_oscillators=(
+        LorentzOscillator(strength=3.0, resonance=0.9 * W10,
+                          damping=damping),
     ))
 
 
@@ -266,6 +277,29 @@ class TestHalfspace:
         # on the imaginary axis the same reflector is fine
         tr = halfspace_green_traces(geo, 1j * W10)
         assert np.isfinite(tr.trace_e)
+
+    @pytest.mark.parametrize("eps_line, mu_line", [
+        # eps = 1 - 10 i, mu = 1.66 + 0.044 i: gain in eps, Im eps mu < 0
+        ((1.0, W10, 0.1 * W10, True), (0.5, 2.0 * W10, 0.2 * W10)),
+        # eps = -11.8 + 0.27 i, mu = 1.67 + 0.46 i: both absorb, yet
+        # Im eps mu < 0
+        ((3.0, 0.9 * W10, 1e13), (0.3, 1.2 * W10, 0.3 * W10)),
+    ])
+    def test_real_frequency_needs_a_purely_absorbing_reflector(
+            self, eps_line, mu_line):
+        # Im eps > 0 or Im mu > 0 is not enough: on these media the ray
+        # would differ from the real-p integral by 0.37 and 0.41 of its
+        # value at zt = 0.1 (electric trace, order 0)
+        material = MaterialResponse(
+            "drude-lorentz", eps_oscillators=(LorentzOscillator(*eps_line),),
+            mu_oscillators=(LorentzOscillator(*mu_line),))
+        eps, mu = material.epsilon(W10), material.mu(W10)
+        assert max(eps.imag, mu.imag) > 0.0 > (eps * mu).imag
+        assert not material.is_lossy_at(W10)
+        with pytest.raises(ValueError, match="lossy") as err:
+            halfspace_green_traces(PlanarGeometry(material, zt_to_z(1.0)),
+                                   W10)
+        assert "eps=" in str(err.value) and "mu=" in str(err.value)
 
     def test_geometry_validation(self, pec):
         with pytest.raises(ValueError):
@@ -504,7 +538,7 @@ class TestLockStepKernel:
     def test_real_axis_call_costs_the_rounds_of_its_slowest_point(
             self, lossy_halfspace, rule_calls):
         # perf guard: 7 distances, zt from 0.05 to 60, both columns.  At
-        # rel_tol 1e-10 this reads 5 rule calls, its slowest distance 5
+        # rel_tol 1e-10 this reads 3 rule calls, its slowest distance 3
         z = zt_to_z(np.geomspace(0.05, 60.0, 7))
         duals = (False, True)
         batch, batch_err = greens._trace_e_real_axis(
@@ -533,8 +567,9 @@ class TestLockStepKernel:
     @pytest.mark.parametrize("zt", [0.1, 1.0, 10.0])
     def test_near_branch_point_costs_at_most_three_rounds(
             self, rule_calls, zt, order):
-        # perf guard: panels graded toward the branch point 1.4e-3 off
-        # the contour; bisecting toward it took 8 to 11 rule calls
+        # perf guard: the branch point 1.4e-3 off the real p axis is far
+        # from the ray; bisecting toward it on the real p axis took 8 to
+        # 11 rule calls
         assert self.real_axis_rule_calls(
             rule_calls, readme_reflector(), zt, order) <= 3
 
@@ -543,17 +578,20 @@ class TestLockStepKernel:
     def test_rounds_do_not_grow_as_the_loss_falls(self, rule_calls, zt,
                                                   order):
         # damping 1e14 down to 1e10 rad/s moves the branch point from
-        # 1.4e-3 to 1.4e-7 off the contour; bisecting toward it took
-        # about two more rule calls a decade
+        # 1.4e-3 to 1.4e-7 off the real p axis, but not toward the ray;
+        # bisecting toward it on the real p axis took about two more rule
+        # calls a decade
         counts = [self.real_axis_rule_calls(rule_calls, readme_reflector(d),
                                             zt, order)
                   for d in (1e14, 1e13, 1e12, 1e11, 1e10)]
         assert max(counts) == counts[0]
 
-    def test_propagating_branch_point_is_graded(self, rule_calls):
-        # eps(w10) = 0.11 + 0.001 i puts the branch point on the
-        # propagating half, at gamma = 0.94, 5e-4 off it; bisecting
-        # toward it took 11 rule calls
+    def test_propagating_branch_point_costs_at_most_three_rounds(
+            self, rule_calls):
+        # eps(w10) = 0.11 + 0.001 i puts the branch point next to the
+        # propagating part of the real p axis, at gamma = 0.94, 5e-4 off
+        # it, and 0.06 from the foot of the ray; bisecting toward it on
+        # the real p axis took 11 rule calls
         near = MaterialResponse("drude-lorentz", eps_oscillators=(
             LorentzOscillator(strength=0.5, resonance=0.8 * W10,
                               damping=1e12),))
@@ -563,35 +601,45 @@ class TestLockStepKernel:
         tight, _ = greens._trace_e_real_axis(near, z, W10, 1e-13, 10**6)
         assert abs(value - tight) <= err <= 1e-10 * abs(value)
 
-    def test_far_branch_point_keeps_the_panels(self, lossy_halfspace):
-        # offset / position = 0.14 for lossy_halfspace: no cut, so every
-        # distance starts from its mirrored Sommerfeld panels and its
-        # equal propagating panels alone, in order
-        zt = np.geomspace(0.05, 60.0, 7)
-        em1 = lossy_halfspace.epsilon(W10) * lossy_halfspace.mu(W10) - 1.0
-        lo, hi, owner = greens._contour_panels(zt, np.sqrt(em1))
-        evanescent = greens._sommerfeld_panels(zt)
-        propagating = [[], [], []]
-        for k, x in enumerate(zt):
-            edges = np.arange(int(x // np.pi) + 2) / (int(x // np.pi) + 1)
-            propagating[0] += list(edges[:-1])
-            propagating[1] += list(edges[1:])
-            propagating[2] += [k] * (edges.size - 1)
-        assert np.array_equal(lo, np.concatenate([-evanescent[1],
-                                                  propagating[0]]))
-        assert np.array_equal(hi, np.concatenate([-evanescent[0],
-                                                  propagating[1]]))
-        assert np.array_equal(owner, np.concatenate([evanescent[2],
-                                                     propagating[2]]))
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("zt", [0.1, 1.0, 10.0])
+    def test_surface_mode_pole_costs_at_most_three_rounds(self, rule_calls,
+                                                          zt, order):
+        # perf guard: damping 1e13 down to 1e9 rad/s moves the r_p pole
+        # of plasmonic_reflector() from 3.8e-3 to 3.8e-7 off the real p
+        # axis, but not toward the ray; on the real p axis, panels graded
+        # only toward the branch point took 6 to 9 rule calls at 1e13 and
+        # 19 to 23 at 1e9
+        counts = [self.real_axis_rule_calls(rule_calls,
+                                            plasmonic_reflector(d), zt, order)
+                  for d in (1e13, 1e12, 1e11, 1e10, 1e9)]
+        assert max(counts) <= 3
+
+    def test_far_field_cost_does_not_grow_with_the_distance(
+            self, lossy_halfspace, rule_calls):
+        # perf guard: on the ray the exponential decays as e^{-zt s}
+        # without oscillating, so a far distance costs a bounded number
+        # of abscissae at rel_tol 1e-10, both columns.  One panel per pi
+        # radians of the propagating waves took 825 at zt = 100 and
+        # 14,520 at zt = 1000
+        abscissae = []
+        for zt in (10.0, 100.0, 1000.0, 10000.0):
+            rule_calls.clear()
+            greens._trace_e_real_axis(lossy_halfspace,
+                                      np.array([zt_to_z(zt)]), W10, 1e-10,
+                                      100_000, 0, (False, True))
+            abscissae.append(sum(rule_calls))
+        assert max(abscissae) <= 150
+        assert abscissae[1] == abscissae[2] == abscissae[3]
 
     @pytest.mark.parametrize("axis", ["real", "imaginary"])
     def test_a_failure_names_its_point(self, lossy_halfspace, axis):
-        # a budget too small for one point of the call: zt = 60 of three
+        # a budget too small for one point of the call: zt = 0.3 of three
         # distances on the real axis, xi = 1e12 rad/s of five on the
         # imaginary one
         if axis == "real":
             points = zt_to_z(np.array([0.3, 2.0, 60.0]))
-            failing, budget = 2, 900
+            failing, budget = 0, 300
             point = f"z = {points[failing]:.6g} m, w = {W10:.6g} rad/s"
 
             def kernel(z):
@@ -741,7 +789,7 @@ class TestHalfspaceDerivatives:
     @pytest.mark.parametrize("order", [0, 1])
     def test_z_vector_real_axis_matches_scalar_calls(self, lossy_halfspace,
                                                      order):
-        # each distance is its own contour integral of one lock-step
+        # each distance is its own ray integral of one lock-step
         # batch, with its own initial panels and map scale: the same bits
         # as its single-z call
         z = zt_to_z(np.array([0.3, 0.9, 2.5, 7.0, 25.0]))
@@ -765,9 +813,8 @@ class TestHalfspaceDerivatives:
                             lambda *a: calls.append(1) or engine(*a))
         geo = PlanarGeometry(lossy_halfspace, zt_to_z(1.0))
         d = d_dz_traces(geo, freq)
-        # both traces on one partition, on either axis one contour
-        # integral: on the real axis the evanescent and propagating
-        # segments are its two halves
+        # both traces on one partition, on either axis one integral per
+        # distance: on the real axis along the ray
         assert len(calls) == 1
         tight = d_dz_traces(geo, freq, rel_tol=1e-10)
         assert abs(d.trace_e - tight.trace_e) <= d.err_e
@@ -776,10 +823,14 @@ class TestHalfspaceDerivatives:
 
 class TestRealAxisMpmathAudit:
     # Tr G1 of lossy_halfspace (False) and of its dual (True) at w10 and
-    # order 0 or 1: the separate A and B integrals of the
-    # _trace_e_real_axis docstring, (i w / 4 pi c) ((i k)^n A_n
-    # - i (-k)^n B_n) with k = 2 w / c, by 30-digit mp.quad of the plain
-    # Fresnel quotients, eps(w) taken from the model in double
+    # order 0 or 1 on the real p axis, not on the kernel's ray: the
+    # propagating and evanescent integrals (gamma = i b in B)
+    #     A_n = Int_0^1 dgamma gamma^n e^{i zt gamma}
+    #           [r_s + (1 - 2 gamma^2) r_p]
+    #     B_n = Int_0^inf db b^n e^{-zt b} [r_s + (1 + 2 b^2) r_p]
+    # in (i w / 4 pi c) ((i k)^n A_n - i (-k)^n B_n) with k = 2 w / c,
+    # r_s and r_p exchanged for the dual, by 30-digit mp.quad of the
+    # plain Fresnel quotients, eps(w) taken from the model in double
     # precision, A split into floor(zt / pi) + 2 equal pieces and B at
     # 1 / zt, 1, 10 (/ zt); tanh-sinh and Gauss-Legendre agree to 1e-19
     REFERENCE = {
@@ -830,7 +881,7 @@ class TestRealAxisMpmathAudit:
 
 class TestRealAxisMpmathAuditNearBranchPoint:
     # the audit above for readme_reflector(), whose medium branch point
-    # lies 1.4e-3 off the evanescent half at b = Re q = 1.0328,
+    # lies 1.4e-3 off the evanescent part at b = Re q = 1.0328,
     # q = sqrt(eps mu - 1): the same A and B integrals, B split at
     # Re q as well as at 1 / zt, 1, 10 and 10 / zt.  Tanh-sinh and
     # Gauss-Legendre (the latter with B also cut at Re q -+ Im q 4^k,
@@ -867,6 +918,51 @@ class TestRealAxisMpmathAuditNearBranchPoint:
     def test_within_reported_error(self, zt, order):
         values, errs = greens._trace_e_real_axis(
             readme_reflector(), np.array([zt_to_z(zt)]), W10, 1e-10,
+            100_000, order, (False, True))
+        for dual, (value,), (err,) in zip((False, True), values, errs):
+            assert abs(value - self.REFERENCE[zt, order, dual]) <= err
+            assert err <= 1e-10 * abs(value)
+
+
+class TestRealAxisMpmathAuditSurfaceModePole:
+    # the audit above for plasmonic_reflector(), eps = -11.78 + 0.27 i,
+    # whose surface-mode pole of r_p lies 3.8e-3 off the evanescent part
+    # at b = Re b_sp = 0.30445, b_sp = sqrt(-1 / (eps + 1)): the same A
+    # and B integrals, B split at Re b_sp -+ Im b_sp 4^k, k = 0..4, as
+    # well as at 1 / zt, 1, 10 and 10 / zt.  Tanh-sinh and Gauss-Legendre
+    # (maxdegree 10) agree to 1e-31
+    REFERENCE = {
+        (0.1, 0, False): complex(3168571150.9647890915,
+                                 13151507.053468408138),
+        (0.1, 0, True): complex(-24590859.547134000948,
+                                1753695.7805977089476),
+        (0.1, 1, False): complex(-1578364793309499515.4,
+                                 -6173650556739349.8351),
+        (0.1, 1, True): complex(5289559634732608.847,
+                                -148927554394687.88185),
+        (1.0, 0, False): complex(4527411.5354104789533,
+                                 568072.98288585111235),
+        (1.0, 0, True): complex(-980451.1292977633615,
+                                545566.65039678001065),
+        (1.0, 1, False): complex(-187921147790983.80849,
+                                 -2097716331073.0291162),
+        (1.0, 1, True): complex(13649147585874.838457,
+                                -11202888471188.396227),
+        (10.0, 0, False): complex(27772.803265741062844,
+                                  130125.94137832297444),
+        (10.0, 0, True): complex(-33271.284805876166921,
+                                 -127718.20467281635389),
+        (10.0, 1, False): complex(-2166484956281.5188603,
+                                  230290301956.94889951),
+        (10.0, 1, True): complex(2153374743044.8856348,
+                                 -333881706991.23186276),
+    }
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("zt", [0.1, 1.0, 10.0])
+    def test_within_reported_error(self, zt, order):
+        values, errs = greens._trace_e_real_axis(
+            plasmonic_reflector(), np.array([zt_to_z(zt)]), W10, 1e-10,
             100_000, order, (False, True))
         for dual, (value,), (err,) in zip((False, True), values, errs):
             assert abs(value - self.REFERENCE[zt, order, dual]) <= err
