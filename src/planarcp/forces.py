@@ -211,8 +211,7 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
 
         edges = np.log1p(np.linspace(0.0, scenario.d / a, panels + 1))
         res = _integrate_points(
-            integrand, (edges[:-1], edges[1:], np.zeros(panels, np.intp)),
-            rel_tol, max_evaluations,
+            integrand, edges[None], rel_tol, max_evaluations,
             lambda i: f"{name} slab integral over [{a:.6g}, {b:.6g}] m")
         return (-scenario.eta * res.value[0],
                 scenario.eta * (res.abs_error_estimate[0]

@@ -32,15 +32,34 @@ potentials integrate.  For the mirror it is real and pole-free, since
 
 so the xi -> 0 end of a frequency integral never divides by y^3.
 Vacuum gives zeros.  A material half-space is integrated over the
-transverse wavevector with its s- and p-polarised Fresnel coefficients.
-z enters that integrand only through e^{2 i k_z z}, so d/dz is one
-more factor 2 i k_z under the integral; at real w it runs along a ray
-where it decays as on the imaginary axis (_trace_e_real_axis).  Every
-point of a kernel call, (z, xi) on the imaginary axis or z on the real
-one, is its own integral of one lock-step batch
-(quadrature.integrate_batch): each round refines the failing panels of
-all points in one integrand call, so a call costs the rounds of its
-slowest point, and a failure names its point.
+transverse wavevector with its s- and p-polarised Fresnel coefficients
+at v = gamma = k_z c / w,
+
+    Tr G1 = (i w / 4 pi c) Int dgamma e^{i zt gamma}
+            [r_s + (1 - 2 gamma^2) r_p],
+
+from the gamma of infinite transverse wavevector to gamma = 1: from
+i inf down the evanescent waves to 0 and along the propagating ones at
+real w, from inf at w = i xi.  z enters only through e^{i zt gamma}, so
+d/dz is one more factor 2 i w gamma / c.  Both kernels integrate along
+the steepest-descent ray of e^{i zt gamma} from gamma = 1 (Michalski &
+Mosig, IEEE TAP 45, 508 (1997)), gamma = 1 + d s for s >= 0, where
+e^{i zt gamma} = e^{i zt} e^{-|zt| s} decays without oscillating
+(_ray_integrals):
+
+    at w = i xi:  zt = i y, d = 1,  Tr G1 = (xi / 4 pi c) Int_0^inf ds
+                  e^{-y gamma} [r_s + (1 - 2 gamma^2) r_p],
+    at real w:    d = i,            Tr G1 = (w / 4 pi c) Int_0^inf ds
+                  e^{i zt gamma} [r_s + (1 - 2 gamma^2) r_p].
+
+On the imaginary axis the ray is the path itself, gamma = v =
+kappa_z c / xi >= 1; at real w the path deforms onto it for a purely
+absorbing reflector (_trace_e_real_axis).  Every point of a kernel
+call, (z, xi) on the imaginary axis or z on the real one, is its own
+integral of one lock-step batch (quadrature.integrate_batch): each
+round refines the failing panels of all points in one integrand call,
+so a call costs the rounds of its slowest point, and a failure names
+its point.
 
 Which kernel feeds which potential: the real-axis kernel gives every
 resonant part, and the imaginary-axis kernel the nonresonant part of
@@ -104,8 +123,8 @@ __all__ = [
 # default relative tolerance of the public trace functions
 DEFAULT_SOMMERFELD_TOL = 1e-7
 
-# initial cuts of an imaginary-axis integral: in w = y (v - 1), the
-# exponent of its decay, and in v - 1 below the first of those
+# initial cuts of a ray integral: in w = y s, the exponent of its decay,
+# and in s below the first of those
 _DECAY_CUTS = np.array([0.5, 1.5, 3.0, 6.0, 12.0, 30.0])
 _HEAD_CUTS = 8.0 ** np.arange(21)
 
@@ -252,45 +271,86 @@ def _imag_axis_response(material, xi):
 
 
 def _sommerfeld_panels(y):
-    """Initial panels (lo, hi, owner) in t of one integral per point,
-    mapped by v - 1 = s t / (1 - t) with s = max(1/y, 1); on the real
-    axis y = zt, and the ray's s takes the place of v - 1.
+    """Initial panel edges in t of the ray integrals at decay rates y,
+    one row per point, mapped by s = S t / (1 - t) with S = max(1/y, 1).
 
-    The panels end where w = y (v - 1) = 0.5, 1.5, 3, 6, 12, 30
-    (_DECAY_CUTS): about doubling in the exponent of e^{-y v}, so each
+    The panels end where w = y s = 0.5, 1.5, 3, 6, 12, 30
+    (_DECAY_CUTS): about doubling in the exponent of e^{-y s}, so each
     spans a bounded share of the decay, which the map compresses toward
     t = 1, and beyond w = 30 the integrand is e^{-30} down.  Below
-    w = 0.5 the first panel is cut again where v - 1 = 1, 8, 64, ...
-    (_HEAD_CUTS): near v = 1 the Fresnel coefficients approach their
-    large-v limits like 1/v^2, and at y << 1 that structure would sit
-    between the nodes of one panel, where G7 and K15 can agree on a
-    wrong value.  Points with y >= 0.5 have no head cuts.
+    w = 0.5 the first panel is cut again where s = 1, 8, 64, ...
+    (_HEAD_CUTS): near gamma = 1 the Fresnel coefficients approach their
+    large-gamma limits like 1/gamma^2, and at y << 1 that structure
+    would sit between the nodes of one panel, where G7 and K15 can agree
+    on a wrong value.  Points with y >= 0.5 have no head cuts.
     """
     y = y[:, None]
-    rate = np.maximum(y, 1.0)  # y s: w = rate t / (1 - t)
+    rate = np.maximum(y, 1.0)  # y S: w = rate t / (1 - t)
     head = y * _HEAD_CUTS[_HEAD_CUTS * y.min() < _DECAY_CUTS[0]]
     # a head cut beyond the first decay cut collapses onto it, leaving
-    # an empty panel that is dropped
+    # an empty panel that _integrate_points drops
     w = np.concatenate([np.minimum(head, _DECAY_CUTS[0]),
                         np.broadcast_to(_DECAY_CUTS,
                                         (y.size, _DECAY_CUTS.size))], axis=1)
-    edges = np.concatenate([np.zeros_like(y), w / (rate + w),
-                            np.ones_like(y)], axis=1)
+    return np.concatenate([np.zeros_like(y), w / (rate + w),
+                           np.ones_like(y)], axis=1)
+
+
+def _integrate_points(integrand, edges, rel_tol, max_evaluations, point):
+    """integrate_batch of one integral per point of a call, point i
+    starting from the panels between consecutive entries of row i of the
+    (points, m + 1) array `edges`, in row order, with empty panels
+    dropped; a QuadratureConvergenceError names its point by
+    point(index)."""
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    owner = np.arange(y.size).repeat(edges.shape[1] - 1)
+    owner = np.arange(edges.shape[0]).repeat(edges.shape[1] - 1)
     keep = hi > lo
-    return lo[keep], hi[keep], owner[keep]
-
-
-def _integrate_points(integrand, panels, rel_tol, max_evaluations, point):
-    """integrate_batch of one integral per point of a kernel call; a
-    QuadratureConvergenceError names its point by point(index)."""
     try:
-        return integrate_batch(integrand, *panels, tol=rel_tol,
-                               max_evaluations=max_evaluations)
+        return integrate_batch(integrand, lo[keep], hi[keep], owner[keep],
+                               tol=rel_tol, max_evaluations=max_evaluations)
     except QuadratureConvergenceError as exc:
         raise type(exc)(f"{point(exc.index)}: {exc.reason}", exc.value,
                         exc.abs_error_estimate, exc.evaluations) from exc
+
+
+def _ray_integrals(phi, d, eps, mu, order, duals, rel_tol,
+                   max_evaluations, point):
+    """The half-space Sommerfeld integral of both trace kernels, one per
+    point, along the ray gamma = 1 + d s of the module docstring:
+
+        Int_0^inf ds gamma^n e^{phi gamma} [r_s + (1 - 2 gamma^2) r_p],
+
+    with the Fresnel pair of _fresnel at v = gamma,
+    v1 = sqrt(eps mu - 1 + gamma^2); the dual's bracket swaps r_s and
+    r_p.  phi is an array over the points, d = -|phi| / phi, so that
+    |e^{phi gamma}| decays as e^{-rate s} with rate = |phi|; eps and mu
+    are one scalar each or arrays over the points.  Each point is mapped
+    by s = S t / (1 - t) with S = max(1/rate, 1) and started from
+    _sommerfeld_panels(rate), its own integral of one lock-step batch
+    with the requested traces as its columns, on its own partition.
+    Returns the QuadratureResult.
+    """
+    rate = np.abs(phi)
+    scale = np.maximum(1.0 / rate, 1.0)
+    medium = (eps, mu, eps * mu - 1.0)
+
+    def integrand(t, index):
+        s = scale[index]
+        eps_p, mu_p, em1_p = medium if np.ndim(eps) == 0 else (
+            part[index] for part in medium)
+        one_minus = 1.0 - t
+        gamma = 1.0 + d * (s * t / one_minus)
+        weight = np.exp(phi[index] * gamma) * (s / one_minus**2)
+        if order:
+            weight *= gamma
+        g2 = gamma * gamma
+        rs, rp = _fresnel(eps_p, mu_p, gamma, np.sqrt(em1_p + g2))
+        pw = 1.0 - 2.0 * g2
+        return _columns([weight * (rp + pw * rs) if dual
+                         else weight * (rs + pw * rp) for dual in duals])
+
+    return _integrate_points(integrand, _sommerfeld_panels(rate), rel_tol,
+                             max_evaluations, point)
 
 
 def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
@@ -303,25 +363,10 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
     exchanged) when True.
 
     Perfect mirrors use the pole-free closed form of the module
-    docstring, vacuum gives zeros; neither has an error.  For a
-    Drude-Lorentz half-space, with v = kappa_z c / xi in [1, inf) and
-    y = 2 xi z / c:
-
-        trace_e = (xi / 4 pi c) Int_1^inf dv e^{-y v}
-                  [ r_s(v) - (2 v^2 - 1) r_p(v) ]
-
-        r_s = (mu v - v1)/(mu v + v1),  r_p = (eps v - v1)/(eps v + v1),
-        v1  = sqrt(eps mu - 1 + v^2),   eps = eps(i xi), mu = mu(i xi),
-
-    both evaluated without cancellation by _fresnel; the dual's bracket
-    is r_p - (2 v^2 - 1) r_s.
-
-    z enters only through the exponential, so d/dz multiplies the
-    integrand by -2 xi v / c.  Each point is its own integral of one
-    lock-step batch, mapped by v - 1 = s t / (1 - t) with s = max(1/y, 1)
-    and started from the panels of _sommerfeld_panels, graded in the
-    exponent y (v - 1); the requested traces are its columns, on its own
-    partition.
+    docstring, vacuum gives zeros; neither has an error.  A
+    Drude-Lorentz half-space, with eps = eps(i xi) and mu = mu(i xi) at
+    each point, is xi^3 / (4 pi c) (-2 xi / c)^n times the ray integral
+    (_ray_integrals) at phi = -y, d = 1, with y = 2 xi z / c.
     """
     if material.is_perfect_mirror:
         # float_power is libm's pow for a float and an array alike, so a
@@ -346,25 +391,8 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
                                 np.atleast_1d(xi).astype(float))
     eps, mu = _imag_axis_response(material, xi)
     y = 2.0 * xi * z / C_LIGHT
-    scale = np.maximum(1.0 / y, 1.0)
-    # per point: map scale, decay rate, eps, mu, eps mu - 1
-    params = np.stack([scale, y, eps, mu, eps * mu - 1.0])
-
-    def integrand(t, point):
-        s, y_p, eps_p, mu_p, em1_p = params[:, point]
-        one_minus = 1.0 - t
-        v = 1.0 + s * t / one_minus
-        v2 = v * v
-        rs, rp = _fresnel(eps_p, mu_p, v, np.sqrt(em1_p + v2))
-        damp = np.exp(-y_p * v) * (s / one_minus**2)
-        if order:
-            damp *= v
-        pw = 2.0 * v2 - 1.0
-        return _columns([damp * (rp - pw * rs) if dual
-                         else damp * (rs - pw * rp) for dual in duals])
-
-    res = _integrate_points(
-        integrand, _sommerfeld_panels(y.ravel()), rel_tol, max_evaluations,
+    res = _ray_integrals(
+        -y, 1.0, eps, mu, order, duals, rel_tol, max_evaluations,
         lambda i: f"imaginary-axis trace at z = {z.flat[i]:.6g} m, "
                   f"xi = {xi.flat[i]:.6g} rad/s")
     pref = xi**3 / (4.0 * np.pi * C_LIGHT) * (-2.0 * xi / C_LIGHT) ** order
@@ -380,34 +408,19 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
 
     Perfect mirrors use the closed form (w / 2 pi c) (2 w / c)^n
     e^{i zt} Q_n(zt) of the module docstring, vacuum gives zeros; neither
-    has an error.  For a Drude-Lorentz half-space, with gamma = k_z c / w
-    and zt = 2 w z / c, the transverse-wavevector integral runs from
-    i inf down the evanescent waves to 0 and along the propagating ones
-    to 1; it is deformed onto the steepest-descent ray of e^{i zt gamma}
-    from gamma = 1, gamma = 1 + i s:
+    has an error.  A Drude-Lorentz half-space, with one eps = eps(w) and
+    mu = mu(w), is (w / 4 pi c) (2 i w / c)^n times the ray integral
+    (_ray_integrals) at phi = i zt, d = i.
 
-        trace_e = (i w / 4 pi c) Int_{i inf -> 0 -> 1} dgamma
-                  e^{i zt gamma} [r_s + (1 - 2 gamma^2) r_p]
-                = (w / 4 pi c) Int_0^inf ds
-                  e^{i zt gamma} [r_s + (1 - 2 gamma^2) r_p],
-
-    with _fresnel at v = gamma, v1 = sqrt(eps mu - 1 + gamma^2); the
-    dual swaps r_s and r_p.  z enters only through the exponential, so
-    d/dz multiplies the integrand by 2 i w gamma / c.  On the ray the
-    exponential decays as e^{-zt s} without oscillating, so each
-    distance is mapped by s = S t / (1 - t) with S = max(1/zt, 1) and
-    started from the panels of _sommerfeld_panels(zt), as on the
-    imaginary axis; it is its own integral of one lock-step batch, and
-    the requested traces are its columns, on its own partition.
-
-    The deformation is exact when no singularity lies in the quarter
-    strip 0 < Re gamma < 1, Im gamma > 0 between the two paths, which
-    holds for a purely absorbing reflector: Im eps >= 0, Im mu >= 0 and
-    Im eps mu > 0 at w, required here.  Then eps mu - 1 + gamma^2 stays
-    in the upper half-plane across the strip, so v1 has no cut there,
-    and in 150,000 random such media no pole of r_s or r_p lay in it.
-    Gain can put a pole there (13 % of random media with gain), and
-    Im eps mu < 0 makes v1 a wave growing into the medium.
+    The deformation onto the ray is exact when no singularity lies in
+    the quarter strip 0 < Re gamma < 1, Im gamma > 0 between the ray and
+    the path i inf -> 0 -> 1, which holds for a purely absorbing reflector:
+    Im eps >= 0, Im mu >= 0 and Im eps mu > 0 at w, required here.  Then
+    eps mu - 1 + gamma^2 stays in the upper half-plane across the strip,
+    so v1 has no cut there, and in 150,000 random such media no pole of
+    r_s or r_p lay in it.  Gain can put a pole there (13 % of random
+    media with gain), and Im eps mu < 0 makes v1 a wave growing into the
+    medium.
     """
     z = np.asarray(z, dtype=float)
     shape = (len(duals), z.size)
@@ -429,24 +442,10 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
             f"Im mu >= 0 and Im eps mu > 0; got eps={eps:.4g}, "
             f"mu={mu:.4g} at w={w:.4g}"
         )
-    em1 = eps * mu - 1.0
-    scale = np.maximum(1.0 / zt, 1.0)
-
-    def integrand(t, point):
-        zt_p, s = zt[point], scale[point]
-        one_minus = 1.0 - t
-        gamma = 1.0 + 1j * (s * t / one_minus)
-        weight = np.exp(1j * zt_p * gamma) * (s / one_minus**2)
-        if order:
-            weight *= gamma
-        g2 = gamma * gamma
-        rs, rp = _fresnel(eps, mu, gamma, np.sqrt(em1 + g2))
-        pw = 1.0 - 2.0 * g2
-        return _columns([weight * (rp + pw * rs) if dual
-                         else weight * (rs + pw * rp) for dual in duals])
-
-    res = _integrate_points(
-        integrand, _sommerfeld_panels(zt), rel_tol, max_evaluations,
+    # one eps and mu for every distance, passed as scalars: numpy's array
+    # loops round some complex products differently from its scalar ones
+    res = _ray_integrals(
+        1j * zt, 1j, eps, mu, order, duals, rel_tol, max_evaluations,
         lambda i: f"real-axis trace at z = {z[i]:.6g} m, w = {w:.6g} rad/s")
     pref = w / (4.0 * np.pi * C_LIGHT) * (1j * k) ** order
     return (pref * res.value.T.reshape(shape),
@@ -551,8 +550,8 @@ def d_dz_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
     forms (zero reported error), vacuum gives zeros, and material
     half-spaces differentiate under the transverse-wavevector integral,
     where z enters only through the exponential: the derivative
-    multiplies the integrand by -2 xi v / c on the imaginary axis and by
-    2 i w gamma / c along the real-axis ray.  Both derivatives cost
+    multiplies the integrand by 2 i w gamma / c along the ray, which is
+    -2 xi gamma / c at w = i xi.  Both derivatives cost
     the integral of one trace pair, one kernel call on a shared
     partition.
 

@@ -276,6 +276,16 @@ class LorentzOscillator:
         )
 
 
+def _oscillator_sum(oscillators, omega):
+    """1 plus the terms of `oscillators` at complex omega, a scalar or
+    an array: a relative permittivity or permeability."""
+    out = 1.0 + 0.0j if np.isscalar(omega) else np.ones(
+        np.shape(omega), dtype=complex)
+    for osc in oscillators:
+        out = out + osc.contribution(omega)
+    return out
+
+
 PERFECT_ELECTRIC_MIRROR = "perfect-electric-mirror"
 PERFECT_MAGNETIC_MIRROR = "perfect-magnetic-mirror"
 DRUDE_LORENTZ = "drude-lorentz"
@@ -325,20 +335,12 @@ class MaterialResponse:
     def epsilon(self, omega):
         """Relative permittivity at complex angular frequency omega."""
         self._require_material()
-        out = 1.0 + 0.0j if np.isscalar(omega) else np.ones(
-            np.shape(omega), dtype=complex)
-        for osc in self.eps_oscillators:
-            out = out + osc.contribution(omega)
-        return out
+        return _oscillator_sum(self.eps_oscillators, omega)
 
     def mu(self, omega):
         """Relative permeability at complex angular frequency omega."""
         self._require_material()
-        out = 1.0 + 0.0j if np.isscalar(omega) else np.ones(
-            np.shape(omega), dtype=complex)
-        for osc in self.mu_oscillators:
-            out = out + osc.contribution(omega)
-        return out
+        return _oscillator_sum(self.mu_oscillators, omega)
 
     def is_lossy_at(self, omega):
         """True when the material purely absorbs at the real frequency

@@ -191,11 +191,9 @@ def _kappa_integrals(atom, material, z_values, rel_tol, max_evaluations,
                 atom, material, nodes, rel_tol / 10.0, max_evaluations)[node]
         return out
 
-    n = z_values.size
     res = greens._integrate_points(
-        integrand, (np.tile(_HALF_LINE[:-1], n), np.tile(_HALF_LINE[1:], n),
-                    np.arange(n).repeat(_HALF_LINE.size - 1)),
-        rel_tol, max_evaluations,
+        integrand, np.tile(_HALF_LINE, (z_values.size, 1)), rel_tol,
+        max_evaluations,
         lambda i: "nonresonant kappa-integral" if i is None
         else f"nonresonant kappa-integral at z = {z_values[i]:.6g} m")
     pref = hbar * mu_0 / (8.0 * np.pi**2)
@@ -239,14 +237,11 @@ def _laplace_kernel(atom, material, kappa, rel_tol, max_evaluations):
     ck = C_LIGHT * kappa
     s_lo = 0.5 * np.minimum(omega_lo / ck, s_branch)
     # cuts at 1 and beyond collapse onto the end, leaving empty
-    # panels that are dropped
+    # panels that _integrate_points drops
     grading = np.exp2(np.arange(math.ceil(-math.log2(s_lo[-1]))))
     edges = np.concatenate([np.zeros((ck.size, 1)),
                             np.minimum(s_lo[:, None] * grading, 1.0),
                             np.ones((ck.size, 1))], axis=1)
-    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    owner = np.arange(ck.size).repeat(grading.size + 1)
-    keep = hi > lo
 
     def integrand(s, index):
         xi = ck[index] * s
@@ -264,8 +259,7 @@ def _laplace_kernel(atom, material, kappa, rel_tol, max_evaluations):
         return out
 
     res = greens._integrate_points(
-        integrand, (lo[keep], hi[keep], owner[keep]), rel_tol,
-        max_evaluations,
+        integrand, edges, rel_tol, max_evaluations,
         lambda i: f"K(kappa) at kappa = {kappa[i]:.6g} 1/m")
     return ck * ck * ck / unit * res.value
 

@@ -615,19 +615,24 @@ class TestLockStepKernel:
                   for d in (1e13, 1e12, 1e11, 1e10, 1e9)]
         assert max(counts) <= 3
 
+    @pytest.mark.parametrize("axis", ["real", "imaginary"])
     def test_far_field_cost_does_not_grow_with_the_distance(
-            self, lossy_halfspace, rule_calls):
+            self, lossy_halfspace, rule_calls, axis):
         # perf guard: on the ray the exponential decays as e^{-zt s}
         # without oscillating, so a far distance costs a bounded number
-        # of abscissae at rel_tol 1e-10, both columns.  One panel per pi
-        # radians of the propagating waves took 825 at zt = 100 and
-        # 14,520 at zt = 1000
+        # of abscissae at rel_tol 1e-10, both columns, on either axis
+        # (xi = w10 makes y = zt).  One panel per pi radians of the
+        # propagating waves took 825 at zt = 100 and 14,520 at zt = 1000
         abscissae = []
         for zt in (10.0, 100.0, 1000.0, 10000.0):
             rule_calls.clear()
-            greens._trace_e_real_axis(lossy_halfspace,
-                                      np.array([zt_to_z(zt)]), W10, 1e-10,
-                                      100_000, 0, (False, True))
+            if axis == "real":
+                greens._trace_e_real_axis(lossy_halfspace,
+                                          np.array([zt_to_z(zt)]), W10,
+                                          1e-10, 100_000, 0, (False, True))
+            else:
+                greens._trace_e_imag_axis(lossy_halfspace, zt_to_z(zt), W10,
+                                          1e-10, 100_000, 0, (False, True))
             abscissae.append(sum(rule_calls))
         assert max(abscissae) <= 150
         assert abscissae[1] == abscissae[2] == abscissae[3]
