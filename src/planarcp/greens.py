@@ -102,7 +102,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c as C_LIGHT
 
-from .materials import PERFECT_ELECTRIC_MIRROR, MaterialResponse
+from .materials import (
+    PERFECT_ELECTRIC_MIRROR,
+    MaterialResponse,
+    _oscillator_sum_ixi,
+)
 from .quadrature import (
     DEFAULT_MAX_EVALUATIONS,
     QuadratureConvergenceError,
@@ -257,9 +261,11 @@ def _fresnel(eps, mu, v, v1, em1=None):
 
 def _imag_axis_response(material, xi):
     """eps(i xi) and mu(i xi) of a Drude-Lorentz material at an array
-    xi, real; both must be positive for the Fresnel pair to be."""
-    eps = material.epsilon(1j * xi).real
-    mu = material.mu(1j * xi).real
+    xi, exactly real and so evaluated in real arithmetic
+    (_oscillator_sum_ixi); both must be positive for the Fresnel pair
+    to be."""
+    eps = _oscillator_sum_ixi(material.eps_oscillators, xi)
+    mu = _oscillator_sum_ixi(material.mu_oscillators, xi)
     bad = (eps <= 0.0) | (mu <= 0.0)
     if bad.any():
         k = np.argmax(bad)

@@ -286,6 +286,19 @@ def _oscillator_sum(oscillators, omega):
     return out
 
 
+def _oscillator_sum_ixi(oscillators, xi):
+    """_oscillator_sum at omega = i xi for an ndarray xi >= 0, evaluated
+    in real arithmetic: 1 + sum +-f w0^2 / (w0^2 + xi^2 + gamma xi)."""
+    xi = np.asarray(xi, dtype=float)
+    xi2 = xi * xi
+    out = np.ones(xi.shape)
+    for osc in oscillators:
+        sign = -1.0 if osc.amplifying else 1.0
+        w02 = osc.resonance**2
+        out += sign * osc.strength * w02 / (w02 + xi2 + osc.damping * xi)
+    return out
+
+
 PERFECT_ELECTRIC_MIRROR = "perfect-electric-mirror"
 PERFECT_MAGNETIC_MIRROR = "perfect-magnetic-mirror"
 DRUDE_LORENTZ = "drude-lorentz"

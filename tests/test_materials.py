@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 from scipy.constants import epsilon_0, hbar
 
@@ -22,6 +24,7 @@ from planarcp import (
     polarizability,
     resonant_weights,
 )
+from planarcp.materials import _oscillator_sum_ixi
 
 from conftest import D2, W10
 
@@ -236,6 +239,18 @@ class TestValidation:
             AtomModel("empty", ())
 
 
+def _oscillators(max_strength, max_size):
+    """Lists of absorbing and amplifying Lorentz oscillators with
+    log-uniform resonances and dampings."""
+    def log_uniform(lo, hi):
+        return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+    return st.lists(st.builds(
+        LorentzOscillator, strength=st.floats(1e-3, max_strength),
+        resonance=log_uniform(10.0, 17.0), damping=log_uniform(8.0, 17.0),
+        amplifying=st.booleans()), max_size=max_size)
+
+
 class TestMaterialResponse:
     def test_schwarz_reflection(self, lossy_halfspace):
         for xi in np.geomspace(1e12, 1e18, 30):
@@ -267,6 +282,30 @@ class TestMaterialResponse:
         # the gain region is one contiguous window containing w0
         assert np.all(np.diff(idx) == 1)
         assert grid[idx[0]] < w0 < grid[idx[-1]]
+
+    # one term of the real-arithmetic sum and of the complex reference
+    # differ by a few ulp of that term, so the tolerance is relative to
+    # the summands' magnitudes; amplifying terms may cancel in the sum
+    REAL_ARITHMETIC_TOL = 1e-14
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(eps=_oscillators(10.0, 3), mu=_oscillators(2.0, 2),
+           log_xi=st.lists(st.floats(8.0, 20.0), min_size=1, max_size=16))
+    def test_imaginary_axis_in_real_arithmetic(self, eps, mu, log_xi):
+        mat = MaterialResponse("drude-lorentz", eps_oscillators=eps,
+                               mu_oscillators=mu)
+        xi = 10.0 ** np.array(log_xi)
+        for oscillators, reference in ((eps, mat.epsilon),
+                                       (mu, mat.mu)):
+            expected = reference(1j * xi).real
+            scale = 1.0 + sum(abs(o.contribution(1j * xi).real)
+                              for o in oscillators)
+            got = _oscillator_sum_ixi(oscillators, xi)
+            assert got.shape == xi.shape
+            assert np.all(np.abs(got - expected)
+                          <= self.REAL_ARITHMETIC_TOL * scale)
+        assert np.all(_oscillator_sum_ixi((), xi) == 1.0)
 
     def test_vacuum_and_duality(self, vacuum, pec, pmc):
         assert vacuum.is_vacuum

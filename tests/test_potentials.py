@@ -538,19 +538,20 @@ class TestKappaRoute:
 
     def test_a_failure_names_its_layer_and_point(self, excited_atom,
                                                  lossy_halfspace):
-        # a budget of 100 abscissae: the far distance runs out in its
-        # kappa-integral, the nearer one in an inner integral at a node
+        # a budget of 120 abscissae, above the 105 of the seven initial
+        # kappa panels: the far distance runs out in its kappa-integral,
+        # the nearer one in an inner integral at a node
         z = zt_to_z(100.0)
         with pytest.raises(QuadratureConvergenceError,
                            match=f"^nonresonant kappa-integral at z = "
                                  f"{z:.6g} m: quadrature did not converge"):
             potentials_module._nonresonant(excited_atom, lossy_halfspace,
-                                           [z], 1e-9, 100)
+                                           [z], 1e-9, 120)
         with pytest.raises(QuadratureConvergenceError,
                            match=r"^nonresonant kappa-integral: K\(kappa\) "
                                  r"at kappa = \S+ 1/m: \d+ initial panels"):
             potentials_module._nonresonant(excited_atom, lossy_halfspace,
-                                           [zt_to_z(1.0)], 1e-9, 100)
+                                           [zt_to_z(1.0)], 1e-9, 120)
 
     def test_negative_eps_on_the_imaginary_axis_is_rejected(
             self, excited_atom):
@@ -563,11 +564,24 @@ class TestKappaRoute:
     def test_slab_edges_share_their_kappa_nodes(
             self, magnetoelectric_atom, lossy_halfspace, rule_calls):
         # perf guard: 32 slab edges in one call share K(kappa) node by
-        # node; the nested route took 308 rule calls, this one takes 8
+        # node; the nested route took 308 rule calls, this one takes 4
         z = zt_to_z(np.geomspace(0.5, 22.0, 32))
         potentials_module._nonresonant(magnetoelectric_atom,
                                        lossy_halfspace, z, 1e-9, 100_000)
         assert len(rule_calls) <= 16
+
+    def test_readme_point_takes_one_kappa_round(self, rule_calls):
+        # perf guard: at the README's nearest point, zt = 0.1, the graded
+        # initial panels resolve e^{-2 kappa z}, so the kappa-integral
+        # converges in one round, one rule call plus one K batch; four
+        # equal initial panels took three rounds, 6 rule calls
+        atom = AtomModel("excited", (Transition(2.5e15, 7.2e-59),))
+        medium = MaterialResponse("drude-lorentz", eps_oscillators=(
+            LorentzOscillator(strength=1.0, resonance=1e16, damping=1e14),
+        ))
+        potentials_module._nonresonant(atom, medium, [zt_to_z(0.1)], 1e-9,
+                                       100_000)
+        assert len(rule_calls) <= 2
 
     def test_inner_batch_does_not_grow_with_the_distances(
             self, magnetoelectric_atom, lossy_halfspace, rule_calls):
