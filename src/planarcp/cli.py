@@ -14,8 +14,8 @@ tolerances and, for force output, the closed-form trace constant, so
 each artifact carries its own provenance.  Identical scenario files
 produce byte-identical output.
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical failure or failed
-built-in assertion.
+Exit codes: 0 ok, 2 configuration error (including an --out path that
+cannot be written), 3 numerical failure or failed built-in assertion.
 
 Scenario schema (all frequencies rad/s, lengths m, densities 1/m^3)::
 
@@ -69,9 +69,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
-from scipy.constants import mu_0
 
+from ._constants import c as C_LIGHT
+from ._constants import mu_0
 from .forces import (
     PLATE_FORCE_TRACE_CONSTANT,
     SlabScenario,
@@ -114,7 +114,8 @@ _DEFAULT_TOLERANCES = {
 
 
 class ScenarioError(ValueError):
-    """Scenario file is missing, malformed, or inconsistent."""
+    """Scenario file is missing, malformed, or inconsistent, or the
+    output file cannot be written."""
 
 
 @dataclass(frozen=True)
@@ -308,8 +309,11 @@ def _write_csv(out_path, comments, header, rows):
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ScenarioError(f"cannot write output file: {exc}") from exc
 
 
 def _provenance(scenario, command):

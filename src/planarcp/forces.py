@@ -37,15 +37,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
-from scipy.constants import mu_0
 
-from .greens import (
-    PlanarGeometry,
-    _distances,
-    _integrate_points,
-    _pec_phase_polynomial,
-)
+from ._constants import c as C_LIGHT
+from ._constants import mu_0
+from .greens import PlanarGeometry, _distances, _pec_phase_polynomial
 from .materials import (
     PERFECT_ELECTRIC_MIRROR,
     AtomModel,
@@ -57,7 +52,7 @@ from .potentials import (
     _nonresonant,
     _resonant,
 )
-from .quadrature import DEFAULT_MAX_EVALUATIONS
+from .quadrature import DEFAULT_MAX_EVALUATIONS, _integrate_points
 
 __all__ = [
     "SlabScenario",

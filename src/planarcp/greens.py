@@ -100,18 +100,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
 
+from ._constants import c as C_LIGHT
 from .materials import (
     PERFECT_ELECTRIC_MIRROR,
     MaterialResponse,
     _oscillator_sum_ixi,
 )
-from .quadrature import (
-    DEFAULT_MAX_EVALUATIONS,
-    QuadratureConvergenceError,
-    integrate_batch,
-)
+from .quadrature import DEFAULT_MAX_EVALUATIONS, _integrate_points
 
 __all__ = [
     "PlanarGeometry",
@@ -300,23 +296,6 @@ def _sommerfeld_panels(y):
                                         (y.size, _DECAY_CUTS.size))], axis=1)
     return np.concatenate([np.zeros_like(y), w / (rate + w),
                            np.ones_like(y)], axis=1)
-
-
-def _integrate_points(integrand, edges, rel_tol, max_evaluations, point):
-    """integrate_batch of one integral per point of a call, point i
-    starting from the panels between consecutive entries of row i of the
-    (points, m + 1) array `edges`, in row order, with empty panels
-    dropped; a QuadratureConvergenceError names its point by
-    point(index)."""
-    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    owner = np.arange(edges.shape[0]).repeat(edges.shape[1] - 1)
-    keep = hi > lo
-    try:
-        return integrate_batch(integrand, lo[keep], hi[keep], owner[keep],
-                               tol=rel_tol, max_evaluations=max_evaluations)
-    except QuadratureConvergenceError as exc:
-        raise type(exc)(f"{point(exc.index)}: {exc.reason}", exc.value,
-                        exc.abs_error_estimate, exc.evaluations) from exc
 
 
 def _ray_integrals(phi, d, eps, mu, order, duals, rel_tol,

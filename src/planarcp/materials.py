@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.constants import epsilon_0, hbar, mu_0
+
+from ._constants import epsilon_0, hbar, mu_0
 
 __all__ = [
     "Transition",

@@ -55,13 +55,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
-from scipy.constants import hbar, mu_0
 
 from . import greens
+from ._constants import c as C_LIGHT
+from ._constants import hbar, mu_0
 from .greens import _distances, _like
 from .materials import AtomModel, Transition, _response_ixi, resonant_weights
-from .quadrature import DEFAULT_MAX_EVALUATIONS, integrate_semi_infinite
+from .quadrature import (
+    DEFAULT_MAX_EVALUATIONS,
+    _integrate_points,
+    integrate_semi_infinite,
+)
 
 __all__ = [
     "PotentialResult",
@@ -198,7 +202,7 @@ def _kappa_integrals(atom, material, z_values, rel_tol, max_evaluations,
                 atom, material, nodes, rel_tol / 10.0, max_evaluations)[node]
         return out
 
-    res = greens._integrate_points(
+    res = _integrate_points(
         integrand, np.tile(_KAPPA_PANELS, (z_values.size, 1)), rel_tol,
         max_evaluations,
         lambda i: "nonresonant kappa-integral" if i is None
@@ -265,7 +269,7 @@ def _laplace_kernel(atom, material, kappa, rel_tol, max_evaluations):
                 * (s2 * rp - (2.0 - s2) * rs)
         return out
 
-    res = greens._integrate_points(
+    res = _integrate_points(
         integrand, edges, rel_tol, max_evaluations,
         lambda i: f"K(kappa) at kappa = {kappa[i]:.6g} 1/m")
     return ck * ck * ck / unit * res.value

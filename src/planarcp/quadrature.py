@@ -191,9 +191,8 @@ def _adapt(f, lo, hi, owner, tol, max_evaluations):
 
     owner holds the integral 0..n-1 that each initial panel belongs to,
     every integral owning at least one; the integrand is f(x, index),
-    index holding the integral of each abscissa.  Returns the values and
-    the error estimates, each of shape (n, K), the n evaluation counts
-    and whether the integrand is scalar.
+    index holding the integral of each abscissa.  Returns the
+    QuadratureResult of integrate_batch.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"relative tolerance must be in (0, 1), got {tol}")
@@ -269,7 +268,9 @@ def _adapt(f, lo, hi, owner, tol, max_evaluations):
 
     if np.iscomplexobj(total_val) and not np.any(total_val.imag):
         total_val = total_val.real
-    return total_val, total_err, evaluations(), scalar
+    if scalar:
+        total_val, total_err = total_val[:, 0], total_err[:, 0]
+    return QuadratureResult(total_val, total_err, evaluations())
 
 
 def _per_integral(a, owner, n):
@@ -290,19 +291,37 @@ def _unpack(column_values, scalar):
     return column_values[0].item()
 
 
-def _single(f, lo, hi, tol, max_evaluations):
-    """QuadratureResult of one integral over the initial panels: the
-    engine on a batch of one."""
+def _integrate_points(integrand, edges, rel_tol, max_evaluations,
+                      point=None):
+    """integrate_batch, without its input checks, of one integral per
+    point of a call: point i starts from the panels between consecutive
+    entries of row i of the (points, m + 1) array `edges`, in row order,
+    with empty panels dropped.  The one place where the engine's
+    QuadratureConvergenceError is re-raised: without an index, named by
+    point(index) when `point` is given (index None for a failure nested
+    inside the integrand)."""
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    owner = np.arange(edges.shape[0]).repeat(edges.shape[1] - 1)
+    keep = hi > lo
     try:
-        values, errors, evaluations, scalar = _adapt(
-            lambda x, index: f(x), lo, hi, np.zeros(lo.size, np.intp), tol,
-            max_evaluations)
+        return _adapt(integrand, lo[keep], hi[keep], owner[keep], rel_tol,
+                      max_evaluations)
     except QuadratureConvergenceError as exc:
-        # a single integral has no index
-        raise type(exc)(exc.reason, exc.value, exc.abs_error_estimate,
-                        exc.evaluations) from None
-    return QuadratureResult(_unpack(values[0], scalar),
-                            _unpack(errors[0], scalar), int(evaluations[0]))
+        where = "" if point is None else f"{point(exc.index)}: "
+        raise type(exc)(where + exc.reason, exc.value,
+                        exc.abs_error_estimate, exc.evaluations) from exc
+
+
+def _single(f, edges, tol, max_evaluations):
+    """QuadratureResult of one integral from the panels between
+    consecutive edges: the engine on a batch of one, with Python scalars
+    for a scalar integrand."""
+    res = _integrate_points(lambda x, index: f(x), edges[None], tol,
+                            max_evaluations)
+    value, error = res.value[0], res.abs_error_estimate[0]
+    if res.value.ndim == 1:
+        value, error = value.item(), error.item()
+    return QuadratureResult(value, error, int(res.evaluations[0]))
 
 
 def integrate_finite(f, a, b, tol=1e-9,
@@ -316,7 +335,7 @@ def integrate_finite(f, a, b, tol=1e-9,
         f(x: ndarray (N,)) -> ndarray (N,) or (N, K), real or complex,
         finite everywhere on [a, b].
     a, b : float
-        integration bounds, a <= b; a zero-width interval yields 0.
+        finite integration bounds, a <= b; a zero-width interval yields 0.
     tol : float
         relative tolerance; the reported error estimate satisfies
         err_k <= tol * |value_k| + floor for every column k, with the
@@ -335,15 +354,15 @@ def integrate_finite(f, a, b, tol=1e-9,
     QuadratureResult; value and abs_error_estimate are ndarrays of K
     entries when f returns rows.
     """
-    if b < a:
-        raise ValueError(f"expected a <= b, got a={a}, b={b}")
+    if not (a <= b and np.isfinite(b - a)):
+        raise ValueError(f"expected finite a <= b, got a={a}, b={b}")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
     # an oscillatory integrand can fool a single G7/K15 panel into a
     # deceptively small error estimate; callers that know the phase span
     # request enough initial panels to resolve it
     edges = np.linspace(a, b, max(int(initial_intervals), 1) + 1)
-    return _single(f, edges[:-1], edges[1:], tol, max_evaluations)
+    return _single(f, edges, tol, max_evaluations)
 
 
 def integrate_semi_infinite(f, scale=1.0, tol=1e-9,
@@ -373,7 +392,7 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-9,
         jacobian = scale / one_minus**2
         return y * (jacobian if y.ndim == 1 else jacobian[:, None])
 
-    return _single(g, _HALF_LINE[:-1], _HALF_LINE[1:], tol, max_evaluations)
+    return _single(g, _HALF_LINE, tol, max_evaluations)
 
 
 def integrate_batch(f, lo, hi, owner, tol=1e-9,
@@ -413,8 +432,4 @@ def integrate_batch(f, lo, hi, owner, tol=1e-9,
         raise ValueError("lo, hi and owner must be 1-d arrays of one length")
     if np.any(hi < lo) or np.any(owner < 0):
         raise ValueError("expected lo <= hi and owner >= 0")
-    values, errors, evaluations, scalar = _adapt(
-        f, lo, hi, owner, tol, max_evaluations)
-    if scalar:
-        values, errors = values[:, 0], errors[:, 0]
-    return QuadratureResult(values, errors, evaluations)
+    return _adapt(f, lo, hi, owner, tol, max_evaluations)

@@ -639,6 +639,23 @@ class TestExitCodes:
                                           "max_evaluations": 60})
         assert main(["greens", "--scenario", path]) == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("command", ["greens", "cp-potential",
+                                         "plate-force", "fig3"])
+    def test_unwritable_output_is_a_configuration_error(
+            self, write_scenario, tmp_path, capsys, command):
+        # an --out path in a missing directory once escaped as a
+        # FileNotFoundError traceback with exit 1
+        out = tmp_path / "missing" / "out.csv"
+        argv = [command, "--out", str(out)]
+        if command != "fig3":
+            argv += ["--scenario", write_scenario()]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output file: ")
+        assert str(out) in err
+        assert err.count("\n") == 1
+        assert not out.parent.exists()
+
     def test_non_finite_integrand_exit_code(self, write_scenario,
                                             monkeypatch):
         # a non-finite integrand is a numerical failure, not bad input

@@ -1,6 +1,16 @@
-"""The package surface: the union of the modules' public names."""
+"""The package surface: the union of the modules' public names, the
+physical constants and the runtime's imports."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import scipy.constants
 
 import planarcp
+from planarcp import _constants
 from planarcp import forces, greens, materials, potentials, quadrature
 
 
@@ -16,3 +26,27 @@ def test_package_exports_the_module_all_lists():
     from planarcp import DEFAULT_MAX_EVALUATIONS, NonFiniteIntegrandError
     assert NonFiniteIntegrandError is quadrature.NonFiniteIntegrandError
     assert DEFAULT_MAX_EVALUATIONS == 100_000
+
+
+def test_constants_are_codata_2022_as_scipy_gives_them():
+    # the package carries c, mu_0, hbar and epsilon_0 as CODATA 2022
+    # literals, bit for bit the values of scipy.constants; a scipy with
+    # another CODATA edition fails here
+    for name in ("c", "mu_0", "hbar", "epsilon_0"):
+        assert (getattr(_constants, name)
+                == getattr(scipy.constants, name)), name
+
+
+def test_import_loads_no_scipy():
+    # the runtime needs numpy only: a fresh interpreter that imports the
+    # package and its command line has no scipy module
+    src = Path(planarcp.__file__).resolve().parents[1]
+    code = ("import json, sys, planarcp, planarcp.cli; print(json.dumps("
+            "[planarcp.__file__, sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.'))]))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    where, loaded = json.loads(run.stdout)
+    assert Path(where).resolve().parent == src / "planarcp"
+    assert loaded == []

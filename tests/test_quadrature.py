@@ -160,6 +160,9 @@ def test_against_scipy_quadpack(f, a, b):
 def test_input_validation():
     with pytest.raises(ValueError):
         integrate_finite(np.sin, 1.0, 0.0)
+    for a, b in ((0.0, np.nan), (np.nan, 1.0), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="expected finite a <= b"):
+            integrate_finite(np.sin, a, b)
     with pytest.raises(ValueError):
         integrate_semi_infinite(np.exp, scale=-1.0)
     with pytest.raises(ValueError):
