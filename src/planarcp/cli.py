@@ -176,8 +176,9 @@ def _parse_sweep(cfg):
 
 
 def load_scenario(path, tol_override=None, units_override=None):
-    """Load and validate a scenario file; a malformed, non-finite or
-    unknown field raises a ScenarioError naming its JSON path."""
+    """Load and validate a scenario file, tol_override (a dict) replacing
+    entries of its tolerances block; a malformed, non-finite or unknown
+    field raises a ScenarioError naming its JSON path."""
     cfg = _read_json(path, "scenario file")
     try:
         return _scenario(cfg, os.path.dirname(os.path.abspath(path)),
@@ -228,8 +229,7 @@ def _scenario(cfg, base, tol_override, units_override):
     tolerances = {key: config_value(given, key, "tolerances", type(default),
                                     default)
                   for key, default in _DEFAULT_TOLERANCES.items()}
-    if tol_override is not None:
-        tolerances["relative"] = float(tol_override)
+    tolerances.update(tol_override or {})
     for key in ("relative", "sommerfeld_relative"):
         if not 0.0 < tolerances[key] < 1.0:
             raise ScenarioError(f"tolerances.{key}: must be in (0, 1), "
@@ -549,10 +549,12 @@ def _build_parser():
                                  ("plate-force", True), ("fig3", False)):
         p = sub.add_parser(name)
         if needs_scenario:
+            tol_key = "sommerfeld_relative" if name == "greens" else "relative"
             p.add_argument("--scenario", required=True,
                            help="path to the scenario JSON file")
             p.add_argument("--tol", type=float, default=None,
-                           help="override the relative tolerance")
+                           help=f"override tolerances.{tol_key}")
+            p.set_defaults(tol_key=tol_key)
             p.add_argument("--units", choices=("si", "reduced"),
                            default=None, help="override the unit system")
         p.add_argument("--out", default=None,
@@ -563,10 +565,15 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        # checked before any work, and without creating the file
+        if args.out is not None and not os.access(
+                os.path.dirname(os.path.abspath(args.out)), os.W_OK):
+            raise ScenarioError(f"cannot write output file: {args.out}: "
+                                "no writable directory")
         if args.command == "fig3":
             return cmd_fig3(args.out)
-        scenario = load_scenario(args.scenario, tol_override=args.tol,
-                                 units_override=args.units)
+        tol = None if args.tol is None else {args.tol_key: args.tol}
+        scenario = load_scenario(args.scenario, tol, args.units)
         if args.command == "greens":
             cmd_greens(scenario, args.out)
         elif args.command == "cp-potential":

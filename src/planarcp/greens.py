@@ -9,9 +9,9 @@ quantities feed the potentials:
     trace_m = Tr[curl G1(r, r, w) curl']      units 1/m^3
 
 Two kernels, one per frequency axis, give trace_e or its z-derivative
-of order n = 0 or 1 for every reflector, as arrays (values, abs_errors):
-_trace_e_imag_axis over an array of xi at w = i xi, _trace_e_real_axis
-over an array of z at one real w.  For the perfect electric mirror
+of order n = 0 or 1 for every reflector, as arrays (values, abs_errors)
+over an array of distances z at one frequency: _trace_e_imag_axis at
+w = i xi, _trace_e_real_axis at real w.  For the perfect electric mirror
 
     G_xx = G_yy = w e^{i zt} (1 - i zt - zt^2) / (4 pi c zt^3)
     G_zz =        w e^{i zt} (1 - i zt)        / (2 pi c zt^3)
@@ -54,12 +54,12 @@ e^{i zt gamma} = e^{i zt} e^{-|zt| s} decays without oscillating
 
 On the imaginary axis the ray is the path itself, gamma = v =
 kappa_z c / xi >= 1; at real w the path deforms onto it for a purely
-absorbing reflector (_trace_e_real_axis).  Every point of a kernel
-call, (z, xi) on the imaginary axis or z on the real one, is its own
-integral of one lock-step batch (quadrature.integrate_batch): each
-round refines the failing panels of all points in one integrand call,
-so a call costs the rounds of its slowest point, and a failure names
-its point.
+absorbing reflector (_trace_e_real_axis).  Every distance of a kernel
+call is its own integral of one lock-step batch, all at the call's one
+eps and mu (quadrature._integrate_points, on the engine's _adapt): each
+round refines the failing panels of all distances in one integrand
+call, so a call costs the rounds of its slowest distance, and a
+failure names its distance.
 
 Which kernel feeds which potential: the real-axis kernel gives every
 resonant part, and the imaginary-axis kernel the nonresonant part of
@@ -209,12 +209,6 @@ def _like(z_atom, values):
 # the two trace kernels
 
 
-def _columns(blocks):
-    """The integrand blocks of the requested traces side by side, columns
-    of a 1-d block or (N, K) each; a single block is returned as it is."""
-    return blocks[0] if len(blocks) == 1 else np.column_stack(blocks)
-
-
 def _mirror_rows(value, duals):
     """One row per requested trace of a perfect mirror whose own trace is
     `value`: the dual of a perfect mirror is the opposite mirror, whose
@@ -257,17 +251,17 @@ def _fresnel(eps, mu, v, v1, em1=None):
 
 def _imag_axis_response(material, xi):
     """eps(i xi) and mu(i xi) of a Drude-Lorentz material at an array
-    xi, exactly real and so evaluated in real arithmetic
+    xi, 0-d or 1-d, exactly real and so evaluated in real arithmetic
     (_oscillator_sum_ixi); both must be positive for the Fresnel pair
     to be."""
     eps = _oscillator_sum_ixi(material.eps_oscillators, xi)
     mu = _oscillator_sum_ixi(material.mu_oscillators, xi)
     bad = (eps <= 0.0) | (mu <= 0.0)
     if bad.any():
-        k = np.argmax(bad)
         raise ValueError(
             "eps(i xi) and mu(i xi) must be positive; the oscillator model "
-            f"gave eps={eps[k]:.3g}, mu={mu[k]:.3g} at xi={xi[k]:.3g}"
+            f"gave eps={eps[bad][0]:.3g}, mu={mu[bad][0]:.3g} at "
+            f"xi={xi[bad][0]:.3g}"
         )
     return eps, mu
 
@@ -301,38 +295,37 @@ def _sommerfeld_panels(y):
 def _ray_integrals(phi, d, eps, mu, order, duals, rel_tol,
                    max_evaluations, point):
     """The half-space Sommerfeld integral of both trace kernels, one per
-    point, along the ray gamma = 1 + d s of the module docstring:
+    distance, along the ray gamma = 1 + d s of the module docstring:
 
         Int_0^inf ds gamma^n e^{phi gamma} [r_s + (1 - 2 gamma^2) r_p],
 
     with the Fresnel pair of _fresnel at v = gamma,
     v1 = sqrt(eps mu - 1 + gamma^2); the dual's bracket swaps r_s and
-    r_p.  phi is an array over the points, d = -|phi| / phi, so that
+    r_p.  phi is an array over the distances, d = -|phi| / phi, so that
     |e^{phi gamma}| decays as e^{-rate s} with rate = |phi|; eps and mu
-    are one scalar each or arrays over the points.  Each point is mapped
-    by s = S t / (1 - t) with S = max(1/rate, 1) and started from
-    _sommerfeld_panels(rate), its own integral of one lock-step batch
-    with the requested traces as its columns, on its own partition.
-    Returns the QuadratureResult.
+    are one scalar each, the medium at the call's frequency.  Each
+    distance is mapped by s = S t / (1 - t) with S = max(1/rate, 1) and
+    started from _sommerfeld_panels(rate), its own integral of one
+    lock-step batch with the requested traces as its columns, on its own
+    partition.  Returns the QuadratureResult, rows of len(duals) columns.
     """
     rate = np.abs(phi)
     scale = np.maximum(1.0 / rate, 1.0)
-    medium = (eps, mu, eps * mu - 1.0)
+    em1 = eps * mu - 1.0
 
     def integrand(t, index):
         s = scale[index]
-        eps_p, mu_p, em1_p = medium if np.ndim(eps) == 0 else (
-            part[index] for part in medium)
         one_minus = 1.0 - t
         gamma = 1.0 + d * (s * t / one_minus)
         weight = np.exp(phi[index] * gamma) * (s / one_minus**2)
         if order:
             weight *= gamma
         g2 = gamma * gamma
-        rs, rp = _fresnel(eps_p, mu_p, gamma, np.sqrt(em1_p + g2))
+        rs, rp = _fresnel(eps, mu, gamma, np.sqrt(em1 + g2))
         pw = 1.0 - 2.0 * g2
-        return _columns([weight * (rp + pw * rs) if dual
-                         else weight * (rs + pw * rp) for dual in duals])
+        return np.column_stack([weight * (rp + pw * rs) if dual
+                                else weight * (rs + pw * rp)
+                                for dual in duals])
 
     return _integrate_points(integrand, _sommerfeld_panels(rate), rel_tol,
                              max_evaluations, point)
@@ -341,24 +334,25 @@ def _ray_integrals(phi, d, eps, mu, order, duals, rel_tol,
 def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
                        duals=(False,)):
     """xi^2 Tr G1(i xi), or xi^2 times its z-derivative for order 1, at
-    points (z, xi) of z and xi broadcast against each other, both
-    scalars or 1-d arrays; arrays (values, abs_errors) of shape
-    (len(duals), points), exactly real.  Row j is the trace of the
-    reflector when duals[j] is False and of its dual (eps and mu
-    exchanged) when True.
+    one xi > 0 along a 1-d array of distances z; arrays (values,
+    abs_errors) of shape (len(duals), z.size), exactly real.  Row j is
+    the trace of the reflector when duals[j] is False and of its dual
+    (eps and mu exchanged) when True.
 
     Perfect mirrors use the pole-free closed form of the module
-    docstring, vacuum gives zeros; neither has an error.  A
-    Drude-Lorentz half-space, with eps = eps(i xi) and mu = mu(i xi) at
-    each point, is xi^3 / (4 pi c) (-2 xi / c)^n times the ray integral
+    docstring, vacuum gives zeros; neither has an error, and both also
+    broadcast z against an array of xi (potentials._xi_integrals).  A
+    Drude-Lorentz half-space, with eps = eps(i xi) and mu = mu(i xi), is
+    xi^3 / (4 pi c) (-2 xi / c)^n times the ray integral
     (_ray_integrals) at phi = -y, d = 1, with y = 2 xi z / c.
     """
+    # 0-d for one xi, so that xi**3 is numpy's vectorised power as for an
+    # array: it differs from libm's pow, which float_power is for a float
+    # and an array alike, in the last bit of about one value in twenty
+    xi = np.asarray(xi, dtype=float)
     if material.is_perfect_mirror:
-        # float_power is libm's pow for a float and an array alike, so a
-        # distance gets the same bits in either; numpy's vectorised power
-        # differs from it in the last bit of about one value in twenty
         sign = 1.0 if material.model == PERFECT_ELECTRIC_MIRROR else -1.0
-        y = (2.0 * z / C_LIGHT) * np.asarray(xi, dtype=float)
+        y = (2.0 * z / C_LIGHT) * xi
         if order == 0:
             pref = -sign * C_LIGHT**2 / (16.0 * np.pi * np.float_power(z, 3))
             poly = 2.0 + y * (2.0 + y)
@@ -367,22 +361,17 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
             poly = 6.0 + y * (6.0 + y * (3.0 + y))
         return (_mirror_rows(pref * np.exp(-y) * poly, duals),
                 np.zeros((len(duals),) + y.shape))
-    shape = (len(duals),) + np.broadcast(z, xi).shape
     if material.is_vacuum:
+        shape = (len(duals),) + np.broadcast(z, xi).shape
         return np.zeros(shape), np.zeros(shape)
-
-    # at least 1-d, so that eps and mu are arrays for scalar z and xi too
-    z, xi = np.broadcast_arrays(np.atleast_1d(z).astype(float),
-                                np.atleast_1d(xi).astype(float))
     eps, mu = _imag_axis_response(material, xi)
     y = 2.0 * xi * z / C_LIGHT
     res = _ray_integrals(
         -y, 1.0, eps, mu, order, duals, rel_tol, max_evaluations,
-        lambda i: f"imaginary-axis trace at z = {z.flat[i]:.6g} m, "
-                  f"xi = {xi.flat[i]:.6g} rad/s")
+        lambda i: f"imaginary-axis trace at z = {z[i]:.6g} m, "
+                  f"xi = {xi:.6g} rad/s")
     pref = xi**3 / (4.0 * np.pi * C_LIGHT) * (-2.0 * xi / C_LIGHT) ** order
-    return (pref * res.value.T.reshape(shape),
-            np.abs(pref) * res.abs_error_estimate.T.reshape(shape))
+    return pref * res.value.T, abs(pref) * res.abs_error_estimate.T
 
 
 def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
@@ -427,14 +416,11 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
             f"Im mu >= 0 and Im eps mu > 0; got eps={eps:.4g}, "
             f"mu={mu:.4g} at w={w:.4g}"
         )
-    # one eps and mu for every distance, passed as scalars: numpy's array
-    # loops round some complex products differently from its scalar ones
     res = _ray_integrals(
         1j * zt, 1j, eps, mu, order, duals, rel_tol, max_evaluations,
         lambda i: f"real-axis trace at z = {z[i]:.6g} m, w = {w:.6g} rad/s")
     pref = w / (4.0 * np.pi * C_LIGHT) * (1j * k) ** order
-    return (pref * res.value.T.reshape(shape),
-            abs(pref) * res.abs_error_estimate.T.reshape(shape))
+    return pref * res.value.T, abs(pref) * res.abs_error_estimate.T
 
 
 # --------------------------------------------------------------------------
@@ -457,8 +443,8 @@ def _trace_sweep(geometry, freq, rel_tol, max_evaluations, z_atom, order):
     z = _distances(z_atom)
     if w.real == 0.0:
         values, errs = _trace_e_imag_axis(
-            geometry.reflector, z, np.array([w.imag]), rel_tol,
-            max_evaluations, order, duals=(False, True))
+            geometry.reflector, z, w.imag, rel_tol, max_evaluations, order,
+            duals=(False, True))
         scale = np.array([[1.0 / w.imag**2], [1.0 / C_LIGHT**2]])
     else:
         values, errs = _trace_e_real_axis(

@@ -135,31 +135,26 @@ def _xi_integrals(atom, material, z_values, rel_tol, max_evaluations, order):
     """U_nr (or dU_nr/dz) of a perfect mirror or vacuum and its xi-error,
     one adaptive xi-integral per distance.
 
-    Each integrand call makes one imaginary-axis kernel call for the
-    columns the atom couples to: the reflector's own for electric
-    moments, the dual's for magnetic moments.  The kernel returns
-    xi^2 trace_e at unit scale, alpha(i xi) and beta(i xi) / c^2 are
-    applied here, and by duality
-    trace_m(i xi) = xi^2 trace_e(i xi; mu, eps) / c^2.
+    Each integrand call asks the imaginary-axis kernel for the
+    reflector's own column only, xi^2 trace_e at unit scale, and applies
+    alpha(i xi) to it and beta(i xi) / c^2 to its negative: by duality
+    trace_m(i xi) = xi^2 trace_e(i xi; mu, eps) / c^2, and the dual of a
+    perfect mirror is the opposite mirror (that of vacuum is vacuum).
     """
-    duals = tuple(dual for dual, coupled in (
-        (False, not atom.is_purely_magnetic),
-        (True, not atom.is_purely_electric)) if coupled)
     omega_max = max(abs(t.omega_nk) for t in atom.transitions)
     pref = hbar * mu_0 / (2.0 * np.pi)
     values = np.empty(z_values.shape)
     errs = np.empty(z_values.shape)
     for i, z in enumerate(z_values.tolist()):
         def integrand(xi):
-            traces, _ = greens._trace_e_imag_axis(
-                material, z, xi, rel_tol, max_evaluations, order, duals)
+            (xi2_t,), _ = greens._trace_e_imag_axis(
+                material, z, xi, rel_tol, max_evaluations, order)
             out = np.zeros(xi.shape)
-            for dual, xi2_t in zip(duals, traces):
-                if dual:
-                    out += _response_ixi(atom, xi, magnetic=True) \
-                        * (xi2_t / C_LIGHT**2)
-                else:
-                    out += _response_ixi(atom, xi) * xi2_t
+            if not atom.is_purely_magnetic:
+                out += _response_ixi(atom, xi) * xi2_t
+            if not atom.is_purely_electric:
+                out += _response_ixi(atom, xi, magnetic=True) \
+                    * (-xi2_t / C_LIGHT**2)
             return out
 
         # the integrand dies off beyond both the largest transition

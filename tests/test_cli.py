@@ -384,6 +384,32 @@ class TestUnits:
         comments, _ = read_csv(out)
         assert any("relative_tolerance = 1e-06" in c for c in comments)
 
+    def test_greens_tol_sets_the_sommerfeld_tolerance(
+            self, write_scenario, tmp_path, lossy_halfspace):
+        # greens integrates at sommerfeld_relative, so that is what --tol
+        # overrides; it once changed only the relative tolerance it
+        # recorded, leaving the data rows as they were
+        reflector = reflector_config(lossy_halfspace)
+        runs = {}
+        for name, tolerances, extra in (
+                ("default", {}, []),
+                ("flag", {}, ["--tol", "1e-4"]),
+                ("scenario", {"sommerfeld_relative": 1e-4}, [])):
+            out = tmp_path / f"{name}.csv"
+            path = write_scenario(f"{name}.json", reflector=reflector,
+                                  tolerances=tolerances)
+            assert main(["greens", "--scenario", path, "--out", str(out)]
+                        + extra) == EXIT_OK
+            lines = out.read_text().splitlines()
+            runs[name] = (
+                [line for line in lines if line.startswith("#")],
+                [line for line in lines if not line.startswith("#")])
+        assert runs["flag"][1] == runs["scenario"][1]
+        assert runs["flag"][1] != runs["default"][1]
+        assert "# sommerfeld_relative_tolerance = 0.0001" in runs["flag"][0]
+        assert f"# relative_tolerance = {DEFAULT_POTENTIAL_TOL!r}" \
+            in runs["flag"][0]
+
     def test_tolerances_default_to_the_library_constants(self, tmp_path):
         # a scenario without a tolerances block runs at the library's
         # defaults; the CLI keeps no copy of its own
@@ -562,6 +588,21 @@ class TestExitCodes:
         pytest.param(base_config(schema_version=True),
                      "schema_version: expected an integer",
                      id="schema-version-bool"),
+        pytest.param(with_leaf(("sweep", "spacing"), "cubic"),
+                     "sweep.spacing: must be 'linear' or 'log'",
+                     id="spacing-unknown"),
+        pytest.param(base_config(units="cgs"),
+                     "units must be 'si' or 'reduced', got 'cgs'",
+                     id="units-unknown"),
+        pytest.param(with_leaf(("slab", "thickness_m"), 0),
+                     "slab: thickness and density must be > 0",
+                     id="thickness-zero"),
+        pytest.param(base_config(reflector={
+            "model": "drude-lorentz", "epsilon_oscillators": [
+                {"strength": 0, "resonance_rad_s": W10,
+                 "damping_rad_s": 0.1 * W10}]}),
+            "reflector.epsilon_oscillators[0]: oscillator strength must be",
+            id="strength-zero"),
     ])
     def test_malformed_shapes_are_configuration_errors(self, tmp_path,
                                                        capsys, cfg,
@@ -627,7 +668,7 @@ class TestExitCodes:
         assert main(["plate-force", "--scenario", path]) == EXIT_CONFIG
         assert "lossy" in capsys.readouterr().err
 
-    def test_numerical_failure_exit_code(self, write_scenario):
+    def test_numerical_failure_exit_code(self, write_scenario, tmp_path):
         # starve the quadrature budget on a half-space evaluation
         reflector = {"model": "drude-lorentz", "epsilon_oscillators": [
             {"strength": 2.0, "resonance_rad_s": W10,
@@ -637,14 +678,34 @@ class TestExitCodes:
                               tolerances={"relative": 1e-9,
                                           "sommerfeld_relative": 1e-12,
                                           "max_evaluations": 60})
-        assert main(["greens", "--scenario", path]) == EXIT_NUMERICAL
+        # an existing --out file is left as it was
+        out = tmp_path / "kept.csv"
+        out.write_text("kept")
+        assert main(["greens", "--scenario", path, "--out", str(out)]) \
+            == EXIT_NUMERICAL
+        assert out.read_text() == "kept"
+
+    def test_reduced_units_need_a_first_dipole(self, write_scenario,
+                                               capsys):
+        atom = {"state_label": "excited", "transitions": [
+            {"omega_nk_rad_s": W10, "dipole_sq_C2m2": 0.0,
+             "magnetic_sq_A2m4": 1e-44}]}
+        assert main(["cp-potential", "--scenario", write_scenario(atom=atom),
+                     "--units", "reduced"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "error: reduced units need a nonzero dipole_sq")
 
     @pytest.mark.parametrize("command", ["greens", "cp-potential",
                                          "plate-force", "fig3"])
     def test_unwritable_output_is_a_configuration_error(
-            self, write_scenario, tmp_path, capsys, command):
+            self, write_scenario, tmp_path, capsys, monkeypatch, command):
         # an --out path in a missing directory once escaped as a
-        # FileNotFoundError traceback with exit 1
+        # FileNotFoundError traceback with exit 1, and later was reported
+        # only after the whole computation; it is rejected before
+        # the subcommand's library call
+        for name in ("halfspace_green_traces", "total_potential",
+                     "force_decomposition", "_fig3_curves"):
+            monkeypatch.setattr(cli_module, name, pytest.fail)
         out = tmp_path / "missing" / "out.csv"
         argv = [command, "--out", str(out)]
         if command != "fig3":
@@ -664,6 +725,20 @@ class TestExitCodes:
                             np.full_like(xi, np.nan))
         assert main(["cp-potential", "--scenario",
                      write_scenario()]) == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("command", ["greens", "cp-potential",
+                                     "plate-force"])
+def test_stdout_is_the_csv_of_out(write_scenario, tmp_path, capsys,
+                                  command):
+    # without --out a subcommand writes to stdout the very CSV that it
+    # writes to an --out file
+    path = write_scenario()
+    out = tmp_path / "out.csv"
+    assert main([command, "--scenario", path, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert main([command, "--scenario", path]) == EXIT_OK
+    assert capsys.readouterr().out == out.read_text()
 
 
 class TestFig3Command:

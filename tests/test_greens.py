@@ -223,27 +223,6 @@ class TestHalfspace:
         assert tr_dual.trace_m == pytest.approx(
             (xi / C_LIGHT) ** 2 * tr.trace_e, rel=1e-8)
 
-    def test_xi_vector_trace_matches_scalar_traces(self, lossy_halfspace):
-        # one shared partition for all xi, each column with its own map
-        # scale (1/y from 47 down to 1 here), for the material and its dual
-        z = zt_to_z(0.7)
-        xi = W10 * np.array([0.03, 0.4, 1.0, 2.5, 9.0])
-        tol = 1e-10
-        (te,), (err_e,) = greens._trace_e_imag_axis(lossy_halfspace, z, xi,
-                                                    tol, 100_000)
-        (td,), (err_d,) = greens._trace_e_imag_axis(lossy_halfspace.dual(),
-                                                    z, xi, tol, 100_000)
-        geo = PlanarGeometry(lossy_halfspace, z)
-        for k, x in enumerate(xi):
-            # the kernel returns xi^2-weighted traces
-            tr = halfspace_green_traces(geo, 1j * x, rel_tol=tol)
-            xi2_te, xi2_tm = x * x * tr.trace_e, x * x * tr.trace_m
-            tm = (x / C_LIGHT) ** 2 * td[k]
-            assert abs(te[k] - xi2_te) \
-                <= err_e[k] + tol * abs(xi2_te)
-            assert abs(tm - xi2_tm) \
-                <= (x / C_LIGHT) ** 2 * err_d[k] + tol * abs(xi2_tm)
-
     def test_reality_on_imaginary_axis(self, lossy_halfspace):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -278,6 +257,19 @@ class TestHalfspace:
         tr = halfspace_green_traces(geo, 1j * W10)
         assert np.isfinite(tr.trace_e)
 
+    def test_imaginary_axis_needs_positive_eps_and_mu(self):
+        # strong gain makes eps(i xi) = 1 - 2 / (1 + 0.01 + 0.005) < 0 at
+        # xi = 0.1 w10; the error names the medium at the call's one xi
+        gain = MaterialResponse("drude-lorentz", eps_oscillators=(
+            LorentzOscillator(2.0, W10, 0.05 * W10, amplifying=True),
+        ))
+        geo = PlanarGeometry(gain, zt_to_z(1.0))
+        with pytest.raises(ValueError, match=r"must be positive; the "
+                           r"oscillator model gave eps=-0\.97, mu=1 at "
+                           r"xi=2\.5e\+14"):
+            halfspace_green_traces(geo, 0.1j * W10,
+                                   z_atom=zt_to_z(np.array([0.5, 1.0])))
+
     @pytest.mark.parametrize("eps_line, mu_line", [
         # eps = 1 - 10 i, mu = 1.66 + 0.044 i: gain in eps, Im eps mu < 0
         ((1.0, W10, 0.1 * W10, True), (0.5, 2.0 * W10, 0.2 * W10)),
@@ -311,17 +303,16 @@ class TestHalfspace:
 class TestTraceAndDualColumns:
     # one kernel call integrates the reflector's trace and its dual's on
     # one partition; two separate calls (reflector, material.dual()) are
-    # the reference
-    XI = W10 * np.array([0.03, 0.4, 1.0, 2.5, 9.0])
+    # the reference.  Either axis sweeps five distances at one frequency
+    # (xi = w10 makes y = zt)
     ZT = np.array([0.3, 0.9, 2.5, 7.0, 25.0])
     TOL = 1e-9
 
     def kernel(self, axis, material, order, duals):
-        if axis == "imaginary":
-            return greens._trace_e_imag_axis(material, zt_to_z(0.7), self.XI,
-                                             self.TOL, 100_000, order, duals)
-        return greens._trace_e_real_axis(material, zt_to_z(self.ZT), W10,
-                                         self.TOL, 100_000, order, duals)
+        kernel = greens._trace_e_imag_axis if axis == "imaginary" \
+            else greens._trace_e_real_axis
+        return kernel(material, zt_to_z(self.ZT), W10, self.TOL, 100_000,
+                      order, duals)
 
     @pytest.mark.parametrize("order", [0, 1])
     @pytest.mark.parametrize("axis", ["real", "imaginary"])
@@ -477,11 +468,11 @@ class TestFresnel:
         reference = 7.8210462061973099664e+26
         z = zt_to_z(0.1)
         dual = lossy_halfspace.dual()
-        (value,), (err,) = greens._trace_e_imag_axis(dual, z, [1e10], 1e-8,
-                                                     100_000)
+        ((value,),), ((err,),) = greens._trace_e_imag_axis(
+            dual, np.array([z]), 1e10, 1e-8, 100_000)
         assert abs(value - reference) <= err
-        (tight,), (tight_err,) = greens._trace_e_imag_axis(
-            dual, z, [1e10], 1e-11, 100_000)
+        ((tight,),), ((tight_err,),) = greens._trace_e_imag_axis(
+            dual, np.array([z]), 1e10, 1e-11, 100_000)
         assert abs(tight - reference) <= tight_err
 
     # xi^2 trace_e of lossy_halfspace (False) and of its dual (True) at
@@ -504,8 +495,8 @@ class TestFresnel:
                                            rel_tol):
         # at y << 1 the v ~ 1 structure of the dual bracket carries a
         # share ~ y of the integral; it must be resolved, not skipped
-        (value,), (err,) = greens._trace_e_imag_axis(
-            lossy_halfspace, zt_to_z(0.1), [xi], rel_tol, 100_000,
+        ((value,),), ((err,),) = greens._trace_e_imag_axis(
+            lossy_halfspace, np.array([zt_to_z(0.1)]), xi, rel_tol, 100_000,
             duals=(dual,))
         assert abs(value - self.SMALL_Y[xi, dual]) <= err
         assert err <= rel_tol * abs(value)
@@ -517,18 +508,18 @@ class TestLockStepKernel:
 
     def test_a_call_costs_the_rounds_of_its_slowest_point(
             self, lossy_halfspace, rule_calls):
-        # perf guard: 45 xi over six decades at zt = 0.7, both columns
-        z = zt_to_z(0.7)
-        xi = np.geomspace(1e12, 1e18, 45)
+        # perf guard: 45 distances over six decades of y = 2 xi z / c at
+        # xi = w10 (so y = zt), both columns
+        z = zt_to_z(np.geomspace(3e-4, 300.0, 45))
         duals = (False, True)
         batch, batch_err = greens._trace_e_imag_axis(
-            lossy_halfspace, z, xi, 1e-12, 100_000, 0, duals)
+            lossy_halfspace, z, W10, 1e-12, 100_000, 0, duals)
         rounds = len(rule_calls)
         slowest = 0
-        for k, x in enumerate(xi):
+        for k in range(z.size):
             rule_calls.clear()
             alone, alone_err = greens._trace_e_imag_axis(
-                lossy_halfspace, z, [x], 1e-12, 100_000, 0, duals)
+                lossy_halfspace, z[k:k + 1], W10, 1e-12, 100_000, 0, duals)
             slowest = max(slowest, len(rule_calls))
             # a point's integral does not depend on the others'
             assert np.array_equal(alone[:, 0], batch[:, k])
@@ -631,7 +622,8 @@ class TestLockStepKernel:
                                           np.array([zt_to_z(zt)]), W10,
                                           1e-10, 100_000, 0, (False, True))
             else:
-                greens._trace_e_imag_axis(lossy_halfspace, zt_to_z(zt), W10,
+                greens._trace_e_imag_axis(lossy_halfspace,
+                                          np.array([zt_to_z(zt)]), W10,
                                           1e-10, 100_000, 0, (False, True))
             abscissae.append(sum(rule_calls))
         assert max(abscissae) <= 150
@@ -639,27 +631,25 @@ class TestLockStepKernel:
 
     @pytest.mark.parametrize("axis", ["real", "imaginary"])
     def test_a_failure_names_its_point(self, lossy_halfspace, axis):
-        # a budget too small for one point of the call: zt = 0.3 of three
-        # distances on the real axis, xi = 1e12 rad/s of five on the
-        # imaginary one
+        # a budget too small for one distance of the call: zt = 0.3 of
+        # three on the real axis, y = 3e-4 of five on the imaginary one
+        # (xi = w10, so y = zt)
         if axis == "real":
             points = zt_to_z(np.array([0.3, 2.0, 60.0]))
             failing, budget = 0, 300
             point = f"z = {points[failing]:.6g} m, w = {W10:.6g} rad/s"
-
-            def kernel(z):
-                return greens._trace_e_real_axis(
-                    lossy_halfspace, z, W10, 1e-12, budget, 0, (False, True))
+            kernel = greens._trace_e_real_axis
         else:
-            z = zt_to_z(0.7)
-            points, failing, budget = np.geomspace(1e12, 1e18, 5), 0, 450
-            point = f"z = {z:.6g} m, xi = {points[failing]:.6g} rad/s"
+            points = zt_to_z(np.array([3e-4, 0.01, 0.3, 10.0, 300.0]))
+            failing, budget = 0, 450
+            point = f"z = {points[failing]:.6g} m, xi = {W10:.6g} rad/s"
+            kernel = greens._trace_e_imag_axis
+        def kernel_at(z):
+            return kernel(lossy_halfspace, z, W10, 1e-12, budget, 0,
+                          (False, True))
 
-            def kernel(xi):
-                return greens._trace_e_imag_axis(
-                    lossy_halfspace, z, xi, 1e-12, budget, 0, (False, True))
         with pytest.raises(quadrature.QuadratureConvergenceError) as err:
-            kernel(points)
+            kernel_at(points)
         message = str(err.value)
         assert f"{axis}-axis trace at {point}: quadrature did not " \
                "converge within the evaluation budget" in message
@@ -667,7 +657,7 @@ class TestLockStepKernel:
         # the failing point's own value, estimate and count: the same as
         # its call alone, which fails the same way
         with pytest.raises(quadrature.QuadratureConvergenceError) as one:
-            kernel(points[failing:failing + 1])
+            kernel_at(points[failing:failing + 1])
         assert str(one.value) == message
         assert np.array_equal(err.value.value, one.value.value)
         assert np.array_equal(err.value.abs_error_estimate,
@@ -675,25 +665,22 @@ class TestLockStepKernel:
         assert err.value.evaluations == one.value.evaluations <= budget
         # every other point fits the budget on its own
         for k in np.delete(np.arange(points.size), failing):
-            kernel(points[k:k + 1])
+            kernel_at(points[k:k + 1])
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_broadcast_z_matches_single_points(self, lossy_halfspace,
                                                order):
-        # a sweep of z at one xi, and pairs (z_k, xi_k), as the points one
-        # by one
+        # a sweep of z at one xi, as the distances one by one
         z = zt_to_z(np.array([0.05, 0.3, 1.0, 4.0, 20.0]))
-        xi = W10 * np.array([0.2, 0.5, 1.0, 3.0, 0.01])
-        for zz, xx in ((z, W10), (z, xi)):
-            got, err = greens._trace_e_imag_axis(
-                lossy_halfspace, zz, xx, 1e-9, 100_000, order, (False, True))
-            assert got.shape == err.shape == (2, z.size)
-            for k, (zk, xk) in enumerate(np.broadcast(zz, xx)):
-                one, one_err = greens._trace_e_imag_axis(
-                    lossy_halfspace, zk, [xk], 1e-9, 100_000, order,
-                    (False, True))
-                assert np.array_equal(got[:, k], one[:, 0])
-                assert np.array_equal(err[:, k], one_err[:, 0])
+        got, err = greens._trace_e_imag_axis(
+            lossy_halfspace, z, W10, 1e-9, 100_000, order, (False, True))
+        assert got.shape == err.shape == (2, z.size)
+        for k in range(z.size):
+            one, one_err = greens._trace_e_imag_axis(
+                lossy_halfspace, z[k:k + 1], W10, 1e-9, 100_000, order,
+                (False, True))
+            assert np.array_equal(got[:, k], one[:, 0])
+            assert np.array_equal(err[:, k], one_err[:, 0])
 
     @pytest.mark.parametrize("reflector", ["pec", "pmc", "vacuum"])
     def test_broadcast_z_closed_forms(self, request, reflector):
@@ -771,13 +758,14 @@ class TestHalfspaceDerivatives:
     def test_imag_axis_order_one(self, lossy_halfspace, zt, dual):
         mat = lossy_halfspace.dual() if dual else lossy_halfspace
         z = zt_to_z(zt)
-        xi = W10 * np.array([0.1, 1.0, 3.0])
-        d, err = greens._trace_e_imag_axis(mat, z, xi, self.TOL, 100_000,
-                                           order=1)
-        fd = self.richardson(lambda zz: greens._trace_e_imag_axis(
-            mat, zz, xi, self.TOL, 100_000)[0], z, 1e-3 * z)
-        assert np.all(np.abs(d - fd) <= 1e-8 * np.abs(fd))
-        assert np.all(err <= 1e-11 * np.abs(d))
+        for xi in W10 * np.array([0.1, 1.0, 3.0]):
+            ((d,),), ((err,),) = greens._trace_e_imag_axis(
+                mat, np.array([z]), xi, self.TOL, 100_000, order=1)
+            fd = self.richardson(lambda zz: greens._trace_e_imag_axis(
+                mat, np.array([zz]), xi, self.TOL, 100_000)[0][0, 0], z,
+                1e-3 * z)
+            assert abs(d - fd) <= 1e-8 * abs(fd)
+            assert err <= 1e-11 * abs(d)
 
     @pytest.mark.parametrize("zt", [0.5, 1.0, 10.0])
     @pytest.mark.parametrize("dual", [False, True])
@@ -1006,9 +994,9 @@ class TestImagAxisMpmathAudit:
     @pytest.mark.parametrize("zt", [0.1, 1.0, 10.0, 30.0])
     def test_within_reported_error(self, lossy_halfspace, zt, order):
         values, errs = greens._trace_e_imag_axis(
-            lossy_halfspace, zt_to_z(zt), W10, 1e-10, 100_000, order,
-            (False, True))
-        for dual, value, err in zip((False, True), values, errs):
+            lossy_halfspace, np.array([zt_to_z(zt)]), W10, 1e-10, 100_000,
+            order, (False, True))
+        for dual, (value,), (err,) in zip((False, True), values, errs):
             assert abs(value - self.REFERENCE[zt, order, dual]) <= err
             assert err <= 1e-10 * abs(value)
 

@@ -147,6 +147,21 @@ def test_complex_integrand():
     assert abs(res.value - expected) <= 1e-12
 
 
+def test_complex_integrand_with_zero_imaginary_part_is_real():
+    # a complex integrand whose imaginary part is exactly zero integrates
+    # to a Python float, not a complex with a zero imaginary part
+    res = integrate_finite(lambda x: np.exp(x) + 0j, 0.0, 1.0, tol=1e-12)
+    assert type(res.value) is float
+    assert abs(res.value - (np.e - 1.0)) <= 1e-12 * np.e
+
+
+def test_integrand_of_the_wrong_length_is_rejected():
+    # an integrand must give one value or one row per abscissa
+    with pytest.raises(ValueError, match=r"returned shape \(14,\) for 15 "
+                                         "abscissae"):
+        integrate_finite(lambda x: x[1:], 0.0, 1.0)
+
+
 @pytest.mark.parametrize("f,a,b", [
     (lambda x: np.exp(-x * x), 0.0, 5.0),
     (lambda x: np.cos(10.0 * x) / (1.0 + x), 0.0, 4.0),
