@@ -8,14 +8,17 @@ plate-force   slab force decomposition along the grid
 fig3          built-in canonical slab experiment with self-checks
 
 Scenario files are JSON (schema below, versioned via "schema_version").
-Output is CSV with RFC-4180-style quoting; every file starts with a
-comment block ('#' lines) recording the scenario hash, unit system,
-tolerances and, for force output, the closed-form trace constant, so
-each artifact carries its own provenance.  Identical scenario files
-produce byte-identical output.
+Each scenario subcommand returns named columns of SI values, each
+tagged with its unit kind; main alone converts them to the unit system
+and writes the CSV.  Output is CSV with RFC-4180-style quoting; every
+file starts with a comment block ('#' lines) recording the scenario
+hash, unit system, tolerances and, for force output, the closed-form
+trace constant, so each artifact carries its own provenance.
+Identical scenario files produce byte-identical output.
 
 Exit codes: 0 ok, 2 configuration error (including an --out path that
-cannot be written), 3 numerical failure or failed built-in assertion.
+cannot be written, found before any computation), 3 numerical failure
+or failed built-in assertion.
 
 Scenario schema (all frequencies rad/s, lengths m, densities 1/m^3)::
 
@@ -60,6 +63,7 @@ so that the reduced force is -dU~/dz~ of the reduced potential.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import hashlib
 import io
@@ -253,67 +257,58 @@ def _scenario(cfg, base, tol_override, units_override):
 # unit handling
 
 
-@dataclass(frozen=True)
-class _Units:
-    """Conversion factors from SI to the output unit system."""
-
-    name: str
-    length: float      # multiply z [m] by this
-    potential: float   # multiply U [J]
-    force: float       # multiply f [N/m^2]
-    per_thickness: float
-    trace_e: float
-    trace_m: float
-
-
 def _make_units(scenario):
+    """Factors from SI to the output unit system, by column kind; the
+    kind None marks a column that is never converted."""
     if scenario.units == "si":
-        return _Units("si", 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        return collections.defaultdict(lambda: 1.0)
     t = scenario.atom.transitions[0]
-    w0 = abs(t.omega_nk)
-    d0sq = t.dipole_sq
+    w0, d0sq = abs(t.omega_nk), t.dipole_sq
     if d0sq == 0.0:
         raise ScenarioError(
             "reduced units need a nonzero dipole_sq on the atom's first "
             "transition")
     u0 = mu_0 * w0**2 * d0sq / (24.0 * np.pi)
-    if scenario.slab_density is not None:
+    units = {None: 1.0, "length": 2.0 * w0 / C_LIGHT, "potential": 1.0 / u0,
+             "trace_e": C_LIGHT / w0, "trace_m": (C_LIGHT / w0) ** 3}
+    if scenario.slab_density is not None:  # force columns need a slab
         f0 = mu_0 * scenario.slab_density * w0**3 * d0sq \
             / (12.0 * np.pi * C_LIGHT)
-    else:
-        f0 = float("nan")  # force columns unavailable without a slab
-    return _Units(
-        name="reduced",
-        length=2.0 * w0 / C_LIGHT,
-        potential=1.0 / u0,
-        force=1.0 / f0,
-        per_thickness=C_LIGHT / (2.0 * w0 * f0),
-        trace_e=C_LIGHT / w0,
-        trace_m=(C_LIGHT / w0) ** 3,
-    )
+        units.update(force=1.0 / f0,
+                     per_thickness=C_LIGHT / (2.0 * w0 * f0))
+    return units
 
 
 # --------------------------------------------------------------------------
 # CSV emission
 
 
-def _write_csv(out_path, comments, header, rows):
-    buf = io.StringIO()
-    for line in comments:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(x)) for x in row])
-    text = buf.getvalue()
+def _check_writable(out_path):
+    """Reject an --out path that cannot be written (None is stdout),
+    before any work and without creating or truncating the file."""
     if out_path is None:
-        sys.stdout.write(text)
+        return
+    target = os.path.abspath(out_path)
+    if not out_path or os.path.isdir(target) or not os.access(
+            target if os.path.exists(target) else os.path.dirname(target),
+            os.W_OK):
+        raise ScenarioError(f"cannot write output file: {out_path!r} is "
+                            "empty, a directory or not writable")
+
+
+def _write_csv(out_path, comments, columns):
+    """'#' comment lines, then (name, values) columns; None is stdout."""
+    buf = io.StringIO()
+    buf.writelines(f"# {line}\n" for line in comments)
+    writer = csv.writer(buf, lineterminator="\n")
+    names, values = zip(*columns)
+    writer.writerow(names)
+    writer.writerows([repr(float(x)) for x in row] for row in zip(*values))
+    if out_path is None:
+        sys.stdout.write(buf.getvalue())
     else:
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ScenarioError(f"cannot write output file: {exc}") from exc
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(buf.getvalue())
 
 
 def _provenance(scenario, command):
@@ -330,12 +325,13 @@ def _provenance(scenario, command):
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each scenario subcommand is a pure function of the Scenario
+# that returns its comment lines after the provenance block and its columns
+# as (name, unit kind, SI values); main converts the units and writes them.
 
 
-def cmd_greens(scenario, out_path):
+def cmd_greens(scenario):
     """Traces at the reference real frequency and on the imaginary axis."""
-    units = _make_units(scenario)
     w0 = abs(scenario.atom.transitions[0].omega_nk)
     tol = scenario.tolerances
     geometry = PlanarGeometry(scenario.reflector, scenario.sweep[0])
@@ -344,46 +340,39 @@ def cmd_greens(scenario, out_path):
     real, imag = (halfspace_green_traces(
         geometry, freq, tol["sommerfeld_relative"], tol["max_evaluations"],
         z_atom=z) for freq in (w0, 1j * w0))
-    rows = zip(z * units.length, 2.0 * w0 * z / C_LIGHT,
-               real.trace_e.real * units.trace_e,
-               real.trace_e.imag * units.trace_e,
-               imag.trace_e * units.trace_e, imag.trace_m * units.trace_m,
-               real.err_e * units.trace_e, imag.err_e * units.trace_e,
-               imag.err_m * units.trace_m)
-    comments = _provenance(scenario, "greens") + [
+    comments = [
         f"reference_frequency_rad_s = {w0!r}",
         "imaginary-axis columns evaluated at xi = reference frequency",
         "trace_e_error bounds the error of re_trace_e and im_trace_e",
     ]
-    header = ["z", "z_tilde", "re_trace_e", "im_trace_e",
-              "trace_e_imag_axis", "trace_m_imag_axis", "trace_e_error",
-              "trace_e_imag_axis_error", "trace_m_imag_axis_error"]
-    _write_csv(out_path, comments, header, rows)
+    return comments, [
+        ("z", "length", z), ("z_tilde", None, 2.0 * w0 * z / C_LIGHT),
+        ("re_trace_e", "trace_e", real.trace_e.real),
+        ("im_trace_e", "trace_e", real.trace_e.imag),
+        ("trace_e_imag_axis", "trace_e", imag.trace_e),
+        ("trace_m_imag_axis", "trace_m", imag.trace_m),
+        ("trace_e_error", "trace_e", real.err_e),
+        ("trace_e_imag_axis_error", "trace_e", imag.err_e),
+        ("trace_m_imag_axis_error", "trace_m", imag.err_m)]
 
 
-def cmd_cp_potential(scenario, out_path):
+def cmd_cp_potential(scenario):
     """Single-atom potential decomposition along the sweep."""
-    units = _make_units(scenario)
     tol = scenario.tolerances
     geometry = PlanarGeometry(scenario.reflector, scenario.sweep[0])
     z = np.array(scenario.sweep)
     res = total_potential(scenario.atom, geometry, z_atom=z,
                           rel_tol=tol["relative"],
                           max_evaluations=tol["max_evaluations"])
-    rows = zip(z * units.length, *(part * units.potential for part in (
-        res.u_nonresonant, res.u_resonant, res.u_total,
-        res.quadrature_error)))
-    header = ["z", "u_nonresonant", "u_resonant", "u_total",
-              "quadrature_error"]
-    _write_csv(out_path, _provenance(scenario, "cp-potential"),
-               header, rows)
+    return [], [("z", "length", z)] + [
+        (name, "potential", getattr(res, name)) for name in (
+            "u_nonresonant", "u_resonant", "u_total", "quadrature_error")]
 
 
-def cmd_plate_force(scenario, out_path):
+def cmd_plate_force(scenario):
     """Slab force decomposition along the sweep grid."""
     if scenario.slab_thickness is None:
         raise ScenarioError("plate-force needs a 'slab' section")
-    units = _make_units(scenario)
     tol = scenario.tolerances
     base = SlabScenario(
         z=scenario.sweep[0], d=scenario.slab_thickness,
@@ -392,24 +381,16 @@ def cmd_plate_force(scenario, out_path):
     results = force_decomposition(base, scenario.sweep,
                                   rel_tol=tol["relative"],
                                   max_evaluations=tol["max_evaluations"])
-    rows = []
-    for z, r in zip(scenario.sweep, results):
-        rows.append([
-            z * units.length,
-            r.f_resonant * units.force,
-            r.f_nonresonant * units.force,
-            r.f_total * units.force,
-            r.per_thickness * units.per_thickness,
-            r.quadrature_error * units.force,
-        ])
-    comments = _provenance(scenario, "plate-force") + [
+    comments = [
         f"closed_form_constant = {PLATE_FORCE_TRACE_CONSTANT!r}",
         f"slab_thickness_m = {scenario.slab_thickness!r}",
         f"slab_density_m3 = {scenario.slab_density!r}",
     ]
-    header = ["z", "f_resonant", "f_nonresonant", "f_total",
-              "per_thickness", "quadrature_error"]
-    _write_csv(out_path, comments, header, rows)
+    return comments, [("z", "length", scenario.sweep)] + [
+        (name, kind, [getattr(r, name) for r in results]) for name, kind in (
+            ("f_resonant", "force"), ("f_nonresonant", "force"),
+            ("f_total", "force"), ("per_thickness", "per_thickness"),
+            ("quadrature_error", "force"))]
 
 
 # --------------------------------------------------------------------------
@@ -505,11 +486,6 @@ def fig3_summary():
 def cmd_fig3(out_path):
     """Emit the canonical slab curves and check their shape properties."""
     zt, curves, single = _fig3_curves()
-    rows = []
-    for i in range(len(zt)):
-        rows.append([zt[i]]
-                    + [curves[fac][i] for fac in _FIG3_THICKNESS_FACTORS]
-                    + [single[i]])
     comments = [
         "planarcp fig3",
         f"schema_version = {SCHEMA_VERSION}",
@@ -523,10 +499,9 @@ def cmd_fig3(out_path):
         "mu0 eta w0^4 d0^2 / (6 pi c^2), lengths in c / (2 w0)",
         "columns d in units of c / w0",
     ]
-    header = (["z_tilde"]
-              + [f"per_thickness_d_{fac}" for fac in _FIG3_THICKNESS_FACTORS]
-              + ["single_atom"])
-    _write_csv(out_path, comments, header, rows)
+    _write_csv(out_path, comments, [("z_tilde", zt)] + [
+        (f"per_thickness_d_{fac}", curves[fac])
+        for fac in _FIG3_THICKNESS_FACTORS] + [("single_atom", single)])
     lines, ok = fig3_summary()
     for line in lines:
         print(line)
@@ -538,6 +513,12 @@ def cmd_fig3(out_path):
 # entry point
 
 
+# scenario subcommands: the function and the tolerance that --tol overrides
+_COMMANDS = {"greens": (cmd_greens, "sommerfeld_relative"),
+             "cp-potential": (cmd_cp_potential, "relative"),
+             "plate-force": (cmd_plate_force, "relative")}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="planarcp",
@@ -545,16 +526,13 @@ def _build_parser():
                     "Casimir forces on dilute slabs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_scenario in (("greens", True), ("cp-potential", True),
-                                 ("plate-force", True), ("fig3", False)):
+    for name in [*_COMMANDS, "fig3"]:
         p = sub.add_parser(name)
-        if needs_scenario:
-            tol_key = "sommerfeld_relative" if name == "greens" else "relative"
+        if name in _COMMANDS:
             p.add_argument("--scenario", required=True,
                            help="path to the scenario JSON file")
             p.add_argument("--tol", type=float, default=None,
-                           help=f"override tolerances.{tol_key}")
-            p.set_defaults(tol_key=tol_key)
+                           help=f"override tolerances.{_COMMANDS[name][1]}")
             p.add_argument("--units", choices=("si", "reduced"),
                            default=None, help="override the unit system")
         p.add_argument("--out", default=None,
@@ -565,28 +543,24 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        # checked before any work, and without creating the file
-        if args.out is not None and not os.access(
-                os.path.dirname(os.path.abspath(args.out)), os.W_OK):
-            raise ScenarioError(f"cannot write output file: {args.out}: "
-                                "no writable directory")
+        _check_writable(args.out)
         if args.command == "fig3":
             return cmd_fig3(args.out)
-        tol = None if args.tol is None else {args.tol_key: args.tol}
+        command, tol_key = _COMMANDS[args.command]
+        tol = None if args.tol is None else {tol_key: args.tol}
         scenario = load_scenario(args.scenario, tol, args.units)
-        if args.command == "greens":
-            cmd_greens(scenario, args.out)
-        elif args.command == "cp-potential":
-            cmd_cp_potential(scenario, args.out)
-        elif args.command == "plate-force":
-            cmd_plate_force(scenario, args.out)
+        units = _make_units(scenario)  # before any library call
+        comments, columns = command(scenario)
+        _write_csv(args.out, _provenance(scenario, args.command) + comments,
+                   [(name, np.asarray(values) * units[kind])
+                    for name, kind, values in columns])
         return EXIT_OK
     # first: a non-finite integrand is a QuadratureConvergenceError that
     # is also a ValueError, and a numerical failure
     except QuadratureConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:  # ScenarioError included
+    except (ValueError, OSError) as exc:  # ScenarioError; a failed write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -4,6 +4,9 @@ import ast
 import copy
 import csv
 import json
+import os
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -46,6 +49,8 @@ from planarcp.materials import (
 )
 
 from conftest import D2, ETA, W10, zt_to_z
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_config(**overrides):
@@ -346,26 +351,48 @@ class TestAtomFileReference:
 
 
 class TestUnits:
-    def test_reduced_round_trip(self, write_scenario, tmp_path):
-        out_si = tmp_path / "si.csv"
-        out_red = tmp_path / "red.csv"
-        path = write_scenario()
-        assert main(["plate-force", "--scenario", path, "--units", "si",
-                     "--out", str(out_si)]) == EXIT_OK
-        assert main(["plate-force", "--scenario", path, "--units",
-                     "reduced", "--out", str(out_red)]) == EXIT_OK
-        _, si = read_csv(out_si)
-        _, red = read_csv(out_red)
-        # documented conversion factors
+    @pytest.mark.parametrize("command", ["greens", "cp-potential",
+                                         "plate-force"])
+    def test_reduced_round_trip(self, write_scenario, tmp_path,
+                                lossy_halfspace, command):
+        # every column carries the documented factor of its unit kind,
+        # and z_tilde is not converted; on the half-space every column,
+        # error columns included, is nonzero, so a wrong factor shows
+        path = write_scenario(reflector=reflector_config(lossy_halfspace))
+        data = {}
+        for units in ("si", "reduced"):
+            out = tmp_path / f"{units}.csv"
+            assert main([command, "--scenario", path, "--units", units,
+                         "--out", str(out)]) == EXIT_OK
+            _, data[units] = read_csv(out)
+        si, red = data["si"], data["reduced"]
+        length, trace_e = 2.0 * W10 / C_LIGHT, C_LIGHT / W10
+        u0 = mu_0 * W10**2 * D2 / (24.0 * np.pi)
         f0 = mu_0 * ETA * W10**3 * D2 / (12.0 * np.pi * C_LIGHT)
-        length = 2.0 * W10 / C_LIGHT
-        for i in range(len(si["z"])):
-            assert red["z"][i] / length == pytest.approx(si["z"][i],
-                                                         rel=1e-12)
-            assert red["f_total"][i] * f0 == pytest.approx(si["f_total"][i],
-                                                           rel=1e-12)
-            assert red["per_thickness"][i] * f0 * length \
-                == pytest.approx(si["per_thickness"][i], rel=1e-12)
+        factors = {
+            "greens": {
+                "z": length, "z_tilde": 1.0,
+                "re_trace_e": trace_e, "im_trace_e": trace_e,
+                "trace_e_imag_axis": trace_e,
+                "trace_m_imag_axis": trace_e**3,
+                "trace_e_error": trace_e, "trace_e_imag_axis_error": trace_e,
+                "trace_m_imag_axis_error": trace_e**3},
+            "cp-potential": {
+                "z": length, "u_nonresonant": 1.0 / u0,
+                "u_resonant": 1.0 / u0, "u_total": 1.0 / u0,
+                "quadrature_error": 1.0 / u0},
+            "plate-force": {
+                "z": length, "f_resonant": 1.0 / f0,
+                "f_nonresonant": 1.0 / f0, "f_total": 1.0 / f0,
+                "per_thickness": C_LIGHT / (2.0 * W10 * f0),
+                "quadrature_error": 1.0 / f0},
+        }[command]
+        assert list(red) == list(si) == list(factors)
+        for column, factor in factors.items():
+            assert np.all(si[column] != 0.0), column
+            np.testing.assert_allclose(red[column], si[column] * factor,
+                                       rtol=1e-12, atol=0.0,
+                                       err_msg=column)
 
     def test_determinism_byte_identical(self, write_scenario, tmp_path):
         path = write_scenario()
@@ -701,21 +728,26 @@ class TestExitCodes:
             self, write_scenario, tmp_path, capsys, monkeypatch, command):
         # an --out path in a missing directory once escaped as a
         # FileNotFoundError traceback with exit 1, and later was reported
-        # only after the whole computation; it is rejected before
-        # the subcommand's library call
+        # only after the whole computation, as were an existing directory
+        # and the empty path; each is rejected before the subcommand's
+        # library call, creating nothing
         for name in ("halfspace_green_traces", "total_potential",
                      "force_decomposition", "_fig3_curves"):
             monkeypatch.setattr(cli_module, name, pytest.fail)
-        out = tmp_path / "missing" / "out.csv"
-        argv = [command, "--out", str(out)]
-        if command != "fig3":
-            argv += ["--scenario", write_scenario()]
-        assert main(argv) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot write output file: ")
-        assert str(out) in err
-        assert err.count("\n") == 1
-        assert not out.parent.exists()
+        monkeypatch.chdir(tmp_path)  # where the empty path would resolve
+        scenario = write_scenario()
+        before = sorted(tmp_path.rglob("*"))
+        for out in (str(tmp_path / "missing" / "out.csv"), str(tmp_path),
+                    ""):
+            argv = [command, "--out", out]
+            if command != "fig3":
+                argv += ["--scenario", scenario]
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write output file: "
+                                  f"{out!r} ")
+            assert err.count("\n") == 1
+            assert sorted(tmp_path.rglob("*")) == before
 
     def test_non_finite_integrand_exit_code(self, write_scenario,
                                             monkeypatch):
@@ -758,6 +790,20 @@ class TestFig3Command:
         for col in ("per_thickness_d_0.1", "per_thickness_d_1.0",
                     "per_thickness_d_5.0"):
             assert np.all(data[col][short] < 0.0)
+
+    def test_python_m_runs_main(self, tmp_path):
+        # `python -m planarcp.cli` goes through the module's __main__
+        # guard to the same main as an in-process call
+        out = tmp_path / "module.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "planarcp.cli", "fig3", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("fig3 summary: PASS\n")
+        ref = tmp_path / "in_process.csv"
+        assert main(["fig3", "--out", str(ref)]) == EXIT_OK
+        assert out.read_bytes() == ref.read_bytes()
 
 
 class TestPublicNamesOnly:

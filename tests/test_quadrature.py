@@ -141,6 +141,21 @@ def test_initial_panels_count_against_the_budget():
     assert err.value.evaluations <= 1000
 
 
+def test_a_panel_at_floating_point_resolution_stalls():
+    # a step inside one ulp: the first panel does not converge and its
+    # halves would repeat its edges, so refinement stops on its own
+    # reason, neither on the budget nor on a non-finite value
+    with pytest.raises(QuadratureConvergenceError) as err:
+        integrate_finite(lambda x: (x >= 1.0).astype(float), 1.0,
+                         np.nextafter(1.0, 2.0), tol=1e-3)
+    exc = err.value
+    assert exc.reason == "quadrature stalled on an unresolvable interval"
+    assert not isinstance(exc, quadrature.NonFiniteIntegrandError)
+    assert "budget" not in str(exc)
+    assert np.isfinite(exc.value) and np.isfinite(exc.abs_error_estimate)
+    assert exc.evaluations == 15  # the first panel only
+
+
 def test_complex_integrand():
     res = integrate_finite(lambda x: np.exp(1j * x), 0.0, 1.0, tol=1e-12)
     expected = (np.exp(1j) - 1.0) / 1j
