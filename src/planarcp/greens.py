@@ -172,6 +172,8 @@ class GreenTrace:
 
 def _validate_freq(freq):
     w = complex(freq)
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+        raise ValueError(f"frequency must be finite, got {w}")
     if w == 0.0:
         raise ValueError("frequency must be nonzero")
     if w.real != 0.0 and w.imag != 0.0:

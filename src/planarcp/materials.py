@@ -131,8 +131,10 @@ def _response_sum(transitions, moments, freq, broadening):
     """Common two-pole sum of alpha/beta at complex frequency `freq`."""
     w = complex(freq)
     eps_b = float(broadening)
-    if eps_b < 0.0:
-        raise ValueError("broadening must be >= 0")
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+        raise ValueError(f"frequency must be finite, got {w}")
+    if not 0.0 <= eps_b < math.inf:
+        raise ValueError(f"broadening must be finite and >= 0, got {eps_b}")
     if w.imag == 0.0 and eps_b == 0.0:
         for t in transitions:
             if w.real == t.omega_nk or w.real == -t.omega_nk:
@@ -160,8 +162,8 @@ def polarizability(atom, freq, broadening=0.0):
         zero-broadening limit and are rejected exactly on a pole; pass
         `broadening` > 0 to resolve the line shape instead.
     broadening : float
-        Pole broadening e >= 0 in rad/s, added as +i*e to the frequency
-        in both pole terms.  Never applied implicitly.
+        Finite pole broadening e >= 0 in rad/s, added as +i*e to the
+        frequency in both pole terms.  Never applied implicitly.
 
     Returns
     -------
@@ -224,8 +226,9 @@ def clausius_mossotti(eta, atom, freq, broadening=0.0):
     doubtful and a DiluteLimitWarning is emitted; the value is still
     returned.
     """
-    if eta < 0.0:
-        raise ValueError(f"number density must be >= 0, got {eta}")
+    if not 0.0 <= eta < math.inf:
+        raise ValueError(f"number density must be finite and >= 0, got "
+                         f"{eta}")
     if eta == 0.0:
         return 0.0 + 0.0j, 0.0 + 0.0j
     eps_m1 = eta * polarizability(atom, freq, broadening) / epsilon_0

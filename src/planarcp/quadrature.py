@@ -12,10 +12,12 @@ of abscissae and return either one value per abscissa (a scalar
 integral) or a row of K values per abscissa, shape (N, K) (K integrals
 on one shared partition).  Values may be real or complex.  The
 abscissae of one call come panel by panel, PANEL_NODES consecutive
-nodes per panel.  integrate_batch runs n integrals, each with its own
-initial panels, in lock-step: its integrand also receives, for every
-abscissa, the index of the integral it belongs to.  integrate_finite
-and integrate_semi_infinite take the same path as a batch of one.
+nodes per panel.  The engine has one entry, _integrate_points, which
+runs n integrals in lock-step, each from the panels between the
+consecutive edges of its own row: its integrand also receives, for
+every abscissa, the index of the integral it belongs to.
+integrate_finite and integrate_semi_infinite take the same path as a
+batch of one.
 
 Refinement is batched: all initial panels are evaluated in one
 integrand call, and every round bisects, again in one call, each panel
@@ -64,7 +66,6 @@ __all__ = [
     "NonFiniteIntegrandError",
     "integrate_finite",
     "integrate_semi_infinite",
-    "integrate_batch",
     "DEFAULT_MAX_EVALUATIONS",
 ]
 
@@ -108,11 +109,12 @@ class QuadratureResult:
     """Value of an integral together with its certified error estimate.
 
     value : float or complex; an ndarray of K values for a vector
-        integrand; for integrate_batch an ndarray of shape (n,) or (n, K)
+        integrand; from the engine's batch an ndarray of shape (n,) or
+        (n, K)
     abs_error_estimate : float, >= 0, same units as value; an ndarray of
         the shape of value for a vector integrand or a batch
     evaluations : int, number of abscissae of the shared partition at
-        which the integrand was evaluated; for integrate_batch an
+        which the integrand was evaluated; from the engine's batch an
         ndarray of the n per-integral counts
     """
 
@@ -126,15 +128,15 @@ class QuadratureConvergenceError(RuntimeError):
 
     Carries the best available value and the achieved error estimate so
     callers can report exactly how far the integration got; `reason` is
-    the message without them, and `index` the failing integral's number
-    in a batch (None for a single integral).
+    the message without them.  `index` is the failing integral's row in
+    the engine's batch, by which _integrate_points names it before it
+    re-raises; outside the engine it is None.
     """
 
     def __init__(self, message, value, abs_error_estimate, evaluations,
                  index=None):
-        where = "" if index is None else f"integral {index}: "
         super().__init__(
-            f"{where}{message} (best value {value}, achieved error estimate "
+            f"{message} (best value {value}, achieved error estimate "
             f"{np.max(abs_error_estimate):.3e} after {evaluations} "
             "evaluations)"
         )
@@ -192,13 +194,14 @@ def _adapt(f, lo, hi, owner, tol, max_evaluations):
     owner holds the integral 0..n-1 that each initial panel belongs to,
     every integral owning at least one; the integrand is f(x, index),
     index holding the integral of each abscissa.  Returns the
-    QuadratureResult of integrate_batch.
+    QuadratureResult of _integrate_points.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"relative tolerance must be in (0, 1), got {tol}")
+    if not max_evaluations >= 1:  # NaN too
+        raise ValueError(
+            f"evaluation budget must be >= 1, got {max_evaluations}")
     initial = np.bincount(owner)
-    if not initial.all():
-        raise ValueError("every integral needs an initial panel")
     n = initial.size
 
     def evaluations():
@@ -293,13 +296,17 @@ def _unpack(column_values, scalar):
 
 def _integrate_points(integrand, edges, rel_tol, max_evaluations,
                       point=None):
-    """integrate_batch, without its input checks, of one integral per
-    point of a call: point i starts from the panels between consecutive
-    entries of row i of the (points, m + 1) array `edges`, in row order,
-    with empty panels dropped.  The one place where the engine's
-    QuadratureConvergenceError is re-raised: without an index, named by
-    point(index) when `point` is given (index None for a failure nested
-    inside the integrand)."""
+    """The engine's one entry: n integrals in lock-step, one per point
+    of a call, through the integrand f(x, index).  Point i starts from
+    the panels between consecutive entries of row i of the (n, m + 1)
+    array `edges`, ascending, in row order, with empty panels dropped;
+    every row keeps at least one.  Returns a QuadratureResult of shape
+    (n,) or (n, K) with an ndarray of the n per-integral counts, each
+    integral converged to `rel_tol` within its own budget.
+
+    The one place where the engine's QuadratureConvergenceError is
+    re-raised: without an index, named by point(index) when `point` is
+    given (index None for a failure nested inside the integrand)."""
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     owner = np.arange(edges.shape[0]).repeat(edges.shape[1] - 1)
     keep = hi > lo
@@ -340,7 +347,7 @@ def integrate_finite(f, a, b, tol=1e-9,
         relative tolerance; the reported error estimate satisfies
         err_k <= tol * |value_k| + floor for every column k, with the
         engine's floor of the module docstring.
-    max_evaluations : int
+    max_evaluations : int, >= 1
         budget of abscissae before :class:`QuadratureConvergenceError`
         is raised; the initial panels count against it.
     initial_intervals : int
@@ -381,8 +388,9 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-9,
     -------
     QuadratureResult
     """
-    if not scale > 0.0:
-        raise ValueError(f"decay scale must be positive, got {scale}")
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"decay scale must be finite and positive, got "
+                         f"{scale}")
 
     def g(t):
         one_minus = 1.0 - t
@@ -393,43 +401,3 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-9,
         return y * (jacobian if y.ndim == 1 else jacobian[:, None])
 
     return _single(g, _HALF_LINE, tol, max_evaluations)
-
-
-def integrate_batch(f, lo, hi, owner, tol=1e-9,
-                    max_evaluations=DEFAULT_MAX_EVALUATIONS):
-    """Integrate n independent integrals in lock-step.
-
-    Parameters
-    ----------
-    f : callable
-        f(x: ndarray (N,), index: ndarray (N,) of int) -> ndarray (N,)
-        or (N, K), real or complex; index[j] is the integral that
-        abscissa x[j] belongs to.  K is the same for every integral.
-    lo, hi, owner : 1-d arrays of one length
-        the initial panels [lo_j, hi_j], lo_j <= hi_j, and the integral
-        owner[j] in 0..n-1 each belongs to; every integral owns at
-        least one.  Panels of one integral should not overlap.
-    tol : float
-        the contract of :func:`integrate_finite`, for every column of
-        every integral.
-    max_evaluations : int
-        budget of abscissae of each integral; its initial panels count
-        against it.
-
-    Returns
-    -------
-    QuadratureResult whose value and abs_error_estimate have shape (n,)
-    for a scalar integrand, else (n, K), and whose evaluations is an
-    ndarray of the n per-integral counts.  An integral that exhausts its
-    budget raises :class:`QuadratureConvergenceError` with its own value,
-    estimate, count and index, whatever the state of the others.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    owner = np.asarray(owner, dtype=np.intp)
-    if not lo.shape == hi.shape == owner.shape or lo.ndim != 1 \
-            or lo.size == 0:
-        raise ValueError("lo, hi and owner must be 1-d arrays of one length")
-    if np.any(hi < lo) or np.any(owner < 0):
-        raise ValueError("expected lo <= hi and owner >= 0")
-    return _adapt(f, lo, hi, owner, tol, max_evaluations)

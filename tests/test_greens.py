@@ -299,6 +299,29 @@ class TestHalfspace:
         with pytest.raises(ValueError):
             PlanarGeometry(pec, -1e-9)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("axis", ["real", "imaginary"])
+    @pytest.mark.parametrize("reflector, trace", [
+        ("pec", "halfspace_green_traces"), ("pec", "d_dz_traces"),
+        ("pec", "mirror_green_components"), ("pec", "mirror_trace_e"),
+        ("pec", "mirror_curlcurl_trace"),
+        ("lossy_halfspace", "halfspace_green_traces"),
+        ("lossy_halfspace", "d_dz_traces"),
+    ])
+    def test_non_finite_frequency_is_rejected(self, request, reflector,
+                                              trace, axis, value):
+        # a NaN or infinite frequency once gave NaN traces on the mirror
+        # and a numpy reduction error on the half-space
+        freq = complex(value, 0.0) if axis == "real" else complex(0.0, value)
+        z = zt_to_z(1.0)
+        if trace.startswith("mirror"):
+            call = lambda: getattr(greens, trace)(z, freq)  # noqa: E731
+        else:
+            geo = PlanarGeometry(request.getfixturevalue(reflector), z)
+            call = lambda: getattr(greens, trace)(geo, freq)  # noqa: E731
+        with pytest.raises(ValueError, match="frequency must be finite"):
+            call()
+
 
 class TestTraceAndDualColumns:
     # one kernel call integrates the reflector's trace and its dual's on

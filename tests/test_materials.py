@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,19 @@ class TestPolarizability:
         with pytest.raises(ValueError):
             polarizability(excited_atom, W10, broadening=-1.0)
 
+    @pytest.mark.parametrize("response", [polarizability, magnetizability])
+    def test_non_finite_inputs_are_rejected(self, magnetoelectric_atom,
+                                            response):
+        # each once gave NaN without a word
+        for freq in (math.nan, math.inf, complex(0.0, math.nan),
+                     complex(0.0, math.inf)):
+            with pytest.raises(ValueError, match="frequency must be finite"):
+                response(magnetoelectric_atom, freq)
+        for broadening in (math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match="broadening must be finite and >= 0"):
+                response(magnetoelectric_atom, W10, broadening=broadening)
+
 
 class TestMagnetizability:
     def test_zero_for_electric_atom(self, excited_atom):
@@ -199,8 +213,14 @@ class TestClausiusMossotti:
         assert abs(one_minus_inv_mu) == pytest.approx(2.05, rel=0.01)
 
     def test_negative_density_rejected(self, ground_atom):
-        with pytest.raises(ValueError):
-            clausius_mossotti(-1.0, ground_atom, 0.0)
+        # so are NaN and inf, which once returned NaN susceptibilities
+        # with no DiluteLimitWarning
+        for eta in (-1.0, math.nan, math.inf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError,
+                                   match="number density must be finite"):
+                    clausius_mossotti(eta, ground_atom, 0.0)
 
 
 class TestValidation:

@@ -50,3 +50,41 @@ def test_import_loads_no_scipy():
     where, loaded = json.loads(run.stdout)
     assert Path(where).resolve().parent == src / "planarcp"
     assert loaded == []
+
+
+def test_benchmark_tracer_wraps_every_target_and_leaves_none(monkeypatch):
+    # perfbench's tracer wraps the public functions it names; a name gone
+    # from planarcp fails here rather than in a benchmark run
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import planarcp.cli  # noqa: F401  (the tracer wraps cli.main too)
+    import tracing
+
+    def resolve(path):
+        owner = planarcp
+        *outer, name = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        return vars(owner)[name] if isinstance(owner, type) \
+            else getattr(owner, name)
+
+    def bindings():
+        owners = [m for name, m in sys.modules.items()
+                  if name == "planarcp" or name.startswith("planarcp.")]
+        owners.append(materials.MaterialResponse)
+        return [value for owner in owners for value in vars(owner).values()]
+
+    originals = [resolve(path) for _, path in tracing.TARGETS]
+    tracer = tracing.Tracer(planarcp)
+    tracer.install()
+    try:
+        for _, path in tracing.TARGETS:
+            assert getattr(resolve(path), "__traced__", False), path
+        # no module keeps an unwrapped binding of a traced function
+        assert not any(value is original for value in bindings()
+                       for original in originals)
+    finally:
+        tracer.remove()
+    assert [resolve(path) for _, path in tracing.TARGETS] == originals
+    assert not any(getattr(value, "__traced__", False)
+                   for value in bindings())

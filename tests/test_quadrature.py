@@ -6,8 +6,8 @@ from scipy.integrate import quad as scipy_quad
 
 from planarcp import quadrature
 from planarcp import (
+    DEFAULT_MAX_EVALUATIONS,
     QuadratureConvergenceError,
-    integrate_batch,
     integrate_finite,
     integrate_semi_infinite,
 )
@@ -156,6 +156,26 @@ def test_a_panel_at_floating_point_resolution_stalls():
     assert exc.evaluations == 15  # the first panel only
 
 
+@pytest.mark.parametrize("budget", [float("nan"), 0, 0.5, -1])
+def test_budget_below_one_or_nan_is_rejected(budget):
+    # a NaN budget would compare false against every count and so lift
+    # the cap: rejected before the integrand is called
+    calls = []
+    with pytest.raises(ValueError, match="evaluation budget must be >= 1"):
+        integrate_finite(lambda x: calls.append(x) or np.sin(1e4 * x),
+                         0.0, 1.0, tol=1e-12, max_evaluations=budget)
+    assert calls == []
+
+
+@pytest.mark.parametrize("budget", [1, 14])
+def test_budget_below_one_panel_is_a_numerical_failure(budget):
+    with pytest.raises(QuadratureConvergenceError,
+                       match="^1 initial panels exceed the evaluation "
+                             "budget") as err:
+        integrate_finite(np.sin, 0.0, 1.0, max_evaluations=budget)
+    assert err.value.evaluations == 0
+
+
 def test_complex_integrand():
     res = integrate_finite(lambda x: np.exp(1j * x), 0.0, 1.0, tol=1e-12)
     expected = (np.exp(1j) - 1.0) / 1j
@@ -193,8 +213,10 @@ def test_input_validation():
     for a, b in ((0.0, np.nan), (np.nan, 1.0), (0.0, np.inf)):
         with pytest.raises(ValueError, match="expected finite a <= b"):
             integrate_finite(np.sin, a, b)
-    with pytest.raises(ValueError):
-        integrate_semi_infinite(np.exp, scale=-1.0)
+    for scale in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="decay scale must be finite "
+                                             "and positive"):
+            integrate_semi_infinite(np.exp, scale=scale)
     with pytest.raises(ValueError):
         integrate_finite(np.sin, 0.0, 1.0, tol=2.0)
 
@@ -247,9 +269,11 @@ def test_semi_infinite_integrand_may_return_rows(columns):
 
 
 # --------------------------------------------------------------------------
-# the lock-step batch: n independent integrals, one integrand call a round
+# the lock-step batch: n independent integrals, one integrand call a round,
+# through the engine's one entry, one row of panel edges per integral
 
 RATES = np.array([0.3, 1.0, 3.0, 10.0, 30.0])
+TWO_PANELS = np.tile([0.0, 1.0, 2.0], (RATES.size, 1))
 
 
 def _rows(x, rate):
@@ -257,11 +281,15 @@ def _rows(x, rate):
     return np.stack([np.exp(1j * rate * x), np.exp(-rate * x)], axis=1)
 
 
-def _two_panel_batch(n):
-    """Initial panels [0, 1] and [1, 2] of each of n integrals, the
-    owners given in reverse so the engine cannot rely on their order."""
-    owner = np.repeat(np.arange(n), 2)[::-1].copy()
-    return np.tile([1.0, 0.0], n), np.tile([2.0, 1.0], n), owner
+def _batch(f, edges, tol=1e-9, max_evaluations=DEFAULT_MAX_EVALUATIONS,
+           point=None):
+    return quadrature._integrate_points(f, edges, tol, max_evaluations,
+                                        point)
+
+
+def _by_row(i):
+    """The name of integral i of a batch in a failure message."""
+    return f"integral {i}"
 
 
 def test_batch_matches_separate_calls():
@@ -272,7 +300,7 @@ def test_batch_matches_separate_calls():
         return _rows(x, RATES[index])
 
     tol = 1e-11
-    res = integrate_batch(f, *_two_panel_batch(RATES.size), tol=tol)
+    res = _batch(f, TWO_PANELS, tol=tol)
     assert res.value.shape == res.abs_error_estimate.shape \
         == (RATES.size, 2)
     assert res.evaluations.shape == (RATES.size,)
@@ -298,10 +326,8 @@ def test_batch_matches_separate_calls():
 
 
 def test_batch_scalar_integrand_and_single_panels():
-    res = integrate_batch(
-        lambda x, index: np.exp(-RATES[index] * x),
-        np.zeros(RATES.size), np.ones(RATES.size), np.arange(RATES.size),
-        tol=1e-12)
+    res = _batch(lambda x, index: np.exp(-RATES[index] * x),
+                 np.tile([0.0, 1.0], (RATES.size, 1)), tol=1e-12)
     assert res.value.shape == (RATES.size,)
     assert np.allclose(res.value, -np.expm1(-RATES) / RATES, rtol=1e-12,
                        atol=0.0)
@@ -316,7 +342,7 @@ def test_converged_integrals_leave_the_batch():
         calls.append(np.bincount(index, minlength=RATES.size))
         return _rows(x, RATES[index])
 
-    res = integrate_batch(f, *_two_panel_batch(RATES.size), tol=1e-12)
+    res = _batch(f, TWO_PANELS, tol=1e-12)
     present = np.array(calls) > 0
     assert len(calls) > 1 and not present.all()
     for column in present.T:
@@ -331,10 +357,9 @@ def test_budget_is_per_integral():
     alone = [integrate_finite(lambda x, r=r: np.cos(r * x), 0.0, 2.0,
                               tol=1e-12).evaluations for r in RATES]
     budget = max(alone)
-    res = integrate_batch(
-        lambda x, index: np.cos(RATES[index] * x),
-        np.zeros(RATES.size), np.full(RATES.size, 2.0),
-        np.arange(RATES.size), tol=1e-12, max_evaluations=budget)
+    res = _batch(lambda x, index: np.cos(RATES[index] * x),
+                 np.tile([0.0, 2.0], (RATES.size, 1)), tol=1e-12,
+                 max_evaluations=budget)
     assert res.evaluations.tolist() == alone
     assert res.evaluations.sum() > budget
 
@@ -347,18 +372,22 @@ def test_one_exhausted_budget_raises_with_its_own_count():
     def f(x, index):
         return np.where(index == 1, hard(x), np.exp(-x))
 
-    with pytest.raises(QuadratureConvergenceError, match="integral 1") \
-            as batch:
-        integrate_batch(f, np.zeros(3), np.ones(3), np.arange(3),
-                        tol=1e-12, max_evaluations=300)
+    with pytest.raises(QuadratureConvergenceError,
+                       match="^integral 1: quadrature did not") as batch:
+        _batch(f, np.tile([0.0, 1.0], (3, 1)), tol=1e-12,
+               max_evaluations=300, point=_by_row)
     # the same partition and count as the integral alone: the other two
     # integrals charge nothing to its budget
     assert batch.value.evaluations == alone.value.evaluations <= 300
     assert batch.value.value == alone.value.value
     assert batch.value.abs_error_estimate == alone.value.abs_error_estimate
-    assert (batch.value.index, alone.value.index) == (1, None)
-    assert batch.value.reason == alone.value.reason \
+    # the engine names the integral by its row; the entry re-raises the
+    # failure under that name, with no index left outside
+    assert batch.value.__cause__.index == 1
+    assert (batch.value.index, alone.value.index) == (None, None)
+    assert alone.value.reason \
         == "quadrature did not converge within the evaluation budget"
+    assert batch.value.reason == "integral 1: " + alone.value.reason
 
 
 def _bumps(amplitudes):
@@ -392,9 +421,8 @@ def test_short_budget_bisects_the_worst_panels_first(batch):
                     out[index == k] = g(x[index == k])
                 return out
 
-            integrate_batch(
-                f, np.tile(edges[:-1], 2), np.tile(edges[1:], 2),
-                np.repeat([0, 1], 4), tol=1e-12, max_evaluations=120)
+            _batch(f, np.tile(edges, (2, 1)), tol=1e-12,
+                   max_evaluations=120)
         else:
             g = _bumps(orders[0])
 
@@ -421,8 +449,7 @@ def test_single_integral_is_a_batch_of_one(f, scalar, m):
     # bit for bit: the engine has one path for one integral and for many
     single = integrate_finite(f, 0.5, 2.0, tol=1e-11, initial_intervals=m)
     edges = np.linspace(0.5, 2.0, m + 1)
-    batch = integrate_batch(lambda x, index: f(x), edges[:-1], edges[1:],
-                            np.zeros(m, dtype=int), tol=1e-11)
+    batch = _batch(lambda x, index: f(x), edges[None], tol=1e-11)
     assert np.array_equal(single.value, batch.value[0])
     assert np.array_equal(single.abs_error_estimate,
                           batch.abs_error_estimate[0])
@@ -449,22 +476,26 @@ def test_half_line_starts_from_four_panels():
         == [quadrature.PANEL_NODES] * 4
 
 
+def test_empty_panels_of_a_row_are_dropped():
+    # a repeated edge leaves an empty panel, which costs no abscissae and
+    # changes no bit of the result
+    f = lambda x, index: np.cos(3.0 * x)  # noqa: E731
+    plain = _batch(f, np.array([[0.0, 0.5, 1.0]]), tol=1e-12)
+    padded = _batch(f, np.array([[0.0, 0.5, 0.5, 1.0, 1.0]]), tol=1e-12)
+    assert np.array_equal(padded.value, plain.value)
+    assert np.array_equal(padded.abs_error_estimate,
+                          plain.abs_error_estimate)
+    assert np.array_equal(padded.evaluations, plain.evaluations)
+
+
 def test_batch_non_finite_integrand():
     def f(x, index):
         return np.where((index == 2) & (x > 0.5), np.nan, x)
 
     with pytest.raises(quadrature.NonFiniteIntegrandError,
-                       match="non-finite") as err:
-        integrate_batch(f, np.zeros(4), np.ones(4), np.arange(4))
+                       match="^integral 2: integrand returned a non-finite"
+                       ) as err:
+        _batch(f, np.tile([0.0, 1.0], (4, 1)), point=_by_row)
     assert err.value.evaluations == 15
-    assert err.value.index == 2
-
-
-def test_batch_input_validation():
-    f = lambda x, index: x  # noqa: E731
-    with pytest.raises(ValueError, match="initial panel"):
-        integrate_batch(f, [0.0, 0.0], [1.0, 1.0], [0, 2])
-    with pytest.raises(ValueError):
-        integrate_batch(f, [1.0], [0.0], [0])
-    with pytest.raises(ValueError):
-        integrate_batch(f, [0.0, 1.0], [1.0], [0])
+    assert err.value.__cause__.index == 2
+    assert err.value.index is None
