@@ -65,6 +65,7 @@ from __future__ import annotations
 import argparse
 import collections
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -519,6 +520,7 @@ _COMMANDS = {"greens": (cmd_greens, "sommerfeld_relative"),
              "plate-force": (cmd_plate_force, "relative")}
 
 
+@functools.cache  # one parser for every call of main
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="planarcp",

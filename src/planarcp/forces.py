@@ -52,7 +52,7 @@ from .potentials import (
     _nonresonant,
     _resonant,
 )
-from .quadrature import DEFAULT_MAX_EVALUATIONS, _integrate_points
+from .quadrature import DEFAULT_MAX_EVALUATIONS, _integrate_points, _Request
 
 __all__ = [
     "SlabScenario",
@@ -182,6 +182,7 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
     panels in z, at most pi radians each.  The error is the slab
     quadrature error plus (b - a) = Int z du times the largest inner
     error; a QuadratureConvergenceError names the part and the slab.
+    The nonresonant part is asked at _Request.nested(), rel_tol / 10.
     """
     material = scenario.geometry.reflector
     a, b = scenario.z, scenario.z + scenario.d
@@ -189,8 +190,9 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
     # a few eps (z + d); the force inherits that as a relative error
     # (z + d) / d larger, unseen by quadrature
     rounding = _ROUNDING_FLOOR * b / (b - a)
+    request = _Request(rel_tol, max_evaluations)
 
-    def slab_integral(part, inner_tol, panels, name):
+    def slab_integral(part, inner, panels, name):
         """-eta Int_a^b dU/dz of one potential part and its error, from
         the images in u of `panels` equal panels in z; all the abscissae
         of a refinement round are taken in one call."""
@@ -199,14 +201,13 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
         def integrand(u, index):
             nonlocal inner_err
             z_values = a * np.exp(u)
-            vals, err = part(scenario.atom, material, z_values, inner_tol,
-                             max_evaluations, order=1)
+            vals, err = part(scenario.atom, material, z_values, inner, order=1)
             inner_err = max(inner_err, float(err.max()))
             return z_values * vals
 
         edges = np.log1p(np.linspace(0.0, scenario.d / a, panels + 1))
         res = _integrate_points(
-            integrand, edges[None], rel_tol, max_evaluations,
+            integrand, edges[None], request,
             lambda i: f"{name} slab integral over [{a:.6g}, {b:.6g}] m")
         return (-scenario.eta * res.value[0],
                 scenario.eta * (res.abs_error_estimate[0]
@@ -219,13 +220,13 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
         omega_max = max(t.omega_nk for t in scenario.atom.transitions
                         if t.omega_nk > 0.0)
         phase_span = 2.0 * omega_max * scenario.d / C_LIGHT
-        f_r, err_r = slab_integral(_resonant, rel_tol,
+        f_r, err_r = slab_integral(_resonant, request,
                                    int(phase_span // np.pi) + 1, "resonant")
         err_r = max(err_r, rounding * abs(f_r))
 
     f_nr, err_nr = 0.0, 0.0
     if include_nonresonant:
-        f_nr, err_nr = slab_integral(_nonresonant, rel_tol / 10.0, 1,
+        f_nr, err_nr = slab_integral(_nonresonant, request.nested(), 1,
                                      "nonresonant")
         err_nr = max(err_nr + rel_tol * abs(f_nr), rounding * abs(f_nr))
 
@@ -251,10 +252,9 @@ def force_decomposition(scenario, z_grid, rel_tol=DEFAULT_POTENTIAL_TOL,
                              return_inverse=True)
     lo, hi = np.split(index, 2)
     material = scenario.geometry.reflector
-    u_nr, err_nr = _nonresonant(scenario.atom, material, edges, rel_tol,
-                                max_evaluations)
-    u_r, err_r = _resonant(scenario.atom, material, edges, rel_tol,
-                           max_evaluations)
+    request = _Request(rel_tol, max_evaluations)
+    u_nr, err_nr = _nonresonant(scenario.atom, material, edges, request)
+    u_r, err_r = _resonant(scenario.atom, material, edges, request)
     err, eta = err_nr + err_r, scenario.eta
     return [_force_result(-eta * (u_r[b] - u_r[a]),
                           -eta * (u_nr[b] - u_nr[a]), scenario.d,

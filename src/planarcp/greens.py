@@ -107,7 +107,7 @@ from .materials import (
     MaterialResponse,
     _oscillator_sum_ixi,
 )
-from .quadrature import DEFAULT_MAX_EVALUATIONS, _integrate_points
+from .quadrature import DEFAULT_MAX_EVALUATIONS, _integrate_points, _Request
 
 __all__ = [
     "PlanarGeometry",
@@ -294,8 +294,7 @@ def _sommerfeld_panels(y):
                            np.ones_like(y)], axis=1)
 
 
-def _ray_integrals(phi, d, eps, mu, order, duals, rel_tol,
-                   max_evaluations, point):
+def _ray_integrals(phi, d, eps, mu, order, duals, request, point):
     """The half-space Sommerfeld integral of both trace kernels, one per
     distance, along the ray gamma = 1 + d s of the module docstring:
 
@@ -329,12 +328,11 @@ def _ray_integrals(phi, d, eps, mu, order, duals, rel_tol,
                                 else weight * (rs + pw * rp)
                                 for dual in duals])
 
-    return _integrate_points(integrand, _sommerfeld_panels(rate), rel_tol,
-                             max_evaluations, point)
+    return _integrate_points(integrand, _sommerfeld_panels(rate), request,
+                             point)
 
 
-def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
-                       duals=(False,)):
+def _trace_e_imag_axis(material, z, xi, request, order=0, duals=(False,)):
     """xi^2 Tr G1(i xi), or xi^2 times its z-derivative for order 1, at
     one xi > 0 along a 1-d array of distances z; arrays (values,
     abs_errors) of shape (len(duals), z.size), exactly real.  Row j is
@@ -369,15 +367,14 @@ def _trace_e_imag_axis(material, z, xi, rel_tol, max_evaluations, order=0,
     eps, mu = _imag_axis_response(material, xi)
     y = 2.0 * xi * z / C_LIGHT
     res = _ray_integrals(
-        -y, 1.0, eps, mu, order, duals, rel_tol, max_evaluations,
+        -y, 1.0, eps, mu, order, duals, request,
         lambda i: f"imaginary-axis trace at z = {z[i]:.6g} m, "
                   f"xi = {xi:.6g} rad/s")
     pref = xi**3 / (4.0 * np.pi * C_LIGHT) * (-2.0 * xi / C_LIGHT) ** order
     return pref * res.value.T, abs(pref) * res.abs_error_estimate.T
 
 
-def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
-                       duals=(False,)):
+def _trace_e_real_axis(material, z, w, request, order=0, duals=(False,)):
     """Tr G1 at real w > 0, or its z-derivative for order 1, at an array
     of distances z; arrays (values, abs_errors) of shape (len(duals),
     z.size), row j for the reflector or, when duals[j], for its dual.
@@ -419,7 +416,7 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
             f"mu={mu:.4g} at w={w:.4g}"
         )
     res = _ray_integrals(
-        1j * zt, 1j, eps, mu, order, duals, rel_tol, max_evaluations,
+        1j * zt, 1j, eps, mu, order, duals, request,
         lambda i: f"real-axis trace at z = {z[i]:.6g} m, w = {w:.6g} rad/s")
     pref = w / (4.0 * np.pi * C_LIGHT) * (1j * k) ** order
     return pref * res.value.T, abs(pref) * res.abs_error_estimate.T
@@ -429,7 +426,7 @@ def _trace_e_real_axis(material, z, w, rel_tol, max_evaluations, order=0,
 # traces along distances
 
 
-def _trace_sweep(geometry, freq, rel_tol, max_evaluations, z_atom, order):
+def _trace_sweep(geometry, freq, request, z_atom, order):
     """GreenTrace of trace_e and trace_m, or of their z-derivatives for
     order 1, at the geometry's distance or along z_atom; each error in
     its own trace's units.
@@ -445,12 +442,12 @@ def _trace_sweep(geometry, freq, rel_tol, max_evaluations, z_atom, order):
     z = _distances(z_atom)
     if w.real == 0.0:
         values, errs = _trace_e_imag_axis(
-            geometry.reflector, z, w.imag, rel_tol, max_evaluations, order,
+            geometry.reflector, z, w.imag, request, order,
             duals=(False, True))
         scale = np.array([[1.0 / w.imag**2], [1.0 / C_LIGHT**2]])
     else:
         values, errs = _trace_e_real_axis(
-            geometry.reflector, z, w.real, rel_tol, max_evaluations, order,
+            geometry.reflector, z, w.real, request, order,
             duals=(False, True))
         scale = np.array([[1.0], [-((w.real / C_LIGHT) ** 2)]])
     return GreenTrace(w, *(_like(z_atom, part) for part in (
@@ -511,7 +508,8 @@ def halfspace_green_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
     errors, Python scalars at one distance and arrays along an array.
     Both traces are exactly real on the imaginary frequency axis.
     """
-    return _trace_sweep(geometry, freq, rel_tol, max_evaluations, z_atom, 0)
+    return _trace_sweep(geometry, freq, _Request(rel_tol, max_evaluations),
+                        z_atom, 0)
 
 
 def d_dz_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
@@ -534,4 +532,5 @@ def d_dz_traces(geometry, freq, rel_tol=DEFAULT_SOMMERFELD_TOL,
     and 1/m^4, and whose err_e and err_m bound their errors, each in its
     own derivative's units.
     """
-    return _trace_sweep(geometry, freq, rel_tol, max_evaluations, z_atom, 1)
+    return _trace_sweep(geometry, freq, _Request(rel_tol, max_evaluations),
+                        z_atom, 1)

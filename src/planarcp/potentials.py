@@ -41,8 +41,8 @@ above max(omega_max / c, 1 / 2z) and started from panels graded toward
 the decay of e^{-2 kappa z}, so that distances of one octave of S start
 from the same nodes and most converge in one round.  Each round
 evaluates K once per distinct node, as one batch of inner integrals at
-rel_tol / 10.  The reported error is the kappa-integral's plus
-rel_tol |U| for the inner ones.
+rel_tol / 10, by _Request.nested.  The reported error is the
+kappa-integral's plus rel_tol |U| for the inner ones.
 
 Forces follow from F = -dU/dz (the force module integrates that over a
 slab).  Both parts are invariant under the global duality exchange
@@ -64,6 +64,7 @@ from .materials import AtomModel, Transition, _response_ixi, resonant_weights
 from .quadrature import (
     DEFAULT_MAX_EVALUATIONS,
     _integrate_points,
+    _Request,
     integrate_semi_infinite,
 )
 
@@ -108,8 +109,7 @@ class PotentialResult:
     quadrature_error: float
 
 
-def _nonresonant(atom, material, z_values, rel_tol, max_evaluations,
-                 order=0):
+def _nonresonant(atom, material, z_values, request, order=0):
     """Nonresonant potential in J, or its z-derivative in J/m for order
     1, at an array of distances; arrays (values, abs_errors).
 
@@ -117,21 +117,20 @@ def _nonresonant(atom, material, z_values, rel_tol, max_evaluations,
     distance of the closed-form kernel (_xi_integrals); a half-space
     takes the kappa-first form of the module docstring
     (_kappa_integrals), where all the distances share K(kappa) node by
-    node.  A half-space's inner integrals run at rel_tol/10 and add
+    node.  A half-space's inner integrals run at request.nested() and add
     rel_tol |U| to the kappa-integral's error; closed forms add nothing.
     """
     z_values = np.asarray(z_values, dtype=float)
     if material.is_perfect_mirror or material.is_vacuum:
-        values, errs = _xi_integrals(atom, material, z_values, rel_tol,
-                                     max_evaluations, order)
+        values, errs = _xi_integrals(atom, material, z_values, request, order)
     else:
-        values, errs = _kappa_integrals(atom, material, z_values, rel_tol,
-                                        max_evaluations, order)
-        errs = errs + rel_tol * np.abs(values)
+        values, errs = _kappa_integrals(atom, material, z_values, request,
+                                        order)
+        errs = errs + request.rel_tol * np.abs(values)
     return values, np.maximum(errs, _ROUNDING_FLOOR * np.abs(values))
 
 
-def _xi_integrals(atom, material, z_values, rel_tol, max_evaluations, order):
+def _xi_integrals(atom, material, z_values, request, order):
     """U_nr (or dU_nr/dz) of a perfect mirror or vacuum and its xi-error,
     one adaptive xi-integral per distance.
 
@@ -147,8 +146,8 @@ def _xi_integrals(atom, material, z_values, rel_tol, max_evaluations, order):
     errs = np.empty(z_values.shape)
     for i, z in enumerate(z_values.tolist()):
         def integrand(xi):
-            (xi2_t,), _ = greens._trace_e_imag_axis(
-                material, z, xi, rel_tol, max_evaluations, order)
+            (xi2_t,), _ = greens._trace_e_imag_axis(material, z, xi, request,
+                                                    order)
             out = np.zeros(xi.shape)
             if not atom.is_purely_magnetic:
                 out += _response_ixi(atom, xi) * xi2_t
@@ -161,14 +160,13 @@ def _xi_integrals(atom, material, z_values, rel_tol, max_evaluations, order):
         # frequency (atomic response) and c/2z (reflection phase)
         res = integrate_semi_infinite(
             integrand, scale=max(omega_max, C_LIGHT / (2.0 * z)),
-            tol=rel_tol, max_evaluations=max_evaluations)
+            tol=request.rel_tol, max_evaluations=request.budget)
         values[i] = pref * res.value
         errs[i] = pref * res.abs_error_estimate
     return values, errs
 
 
-def _kappa_integrals(atom, material, z_values, rel_tol, max_evaluations,
-                     order):
+def _kappa_integrals(atom, material, z_values, request, order):
     """U_nr (or dU_nr/dz) of a Drude-Lorentz half-space and its
     kappa-error, in the kappa-first form of the module docstring: one
     lock-step batch of kappa-integrals, kappa = S t / (1 - t) from the
@@ -194,19 +192,18 @@ def _kappa_integrals(atom, material, z_values, rel_tol, max_evaluations,
         out = np.zeros(t.shape)
         if nodes.size:
             out[live] = weight[live] * _laplace_kernel(
-                atom, material, nodes, rel_tol / 10.0, max_evaluations)[node]
+                atom, material, nodes, request.nested())[node]
         return out
 
     res = _integrate_points(
-        integrand, np.tile(_KAPPA_PANELS, (z_values.size, 1)), rel_tol,
-        max_evaluations,
+        integrand, np.tile(_KAPPA_PANELS, (z_values.size, 1)), request,
         lambda i: "nonresonant kappa-integral" if i is None
         else f"nonresonant kappa-integral at z = {z_values[i]:.6g} m")
     pref = hbar * mu_0 / (8.0 * np.pi**2)
     return pref * res.value, pref * res.abs_error_estimate
 
 
-def _laplace_kernel(atom, material, kappa, rel_tol, max_evaluations):
+def _laplace_kernel(atom, material, kappa, request):
     """K(kappa) of the kappa-first form at a sorted array of distinct
     kappa > 0.  With xi = c kappa s,
 
@@ -222,9 +219,9 @@ def _laplace_kernel(atom, material, kappa, rel_tol, max_evaluations):
     at s = s_lo 2^k < 1, s_lo = min(omega_lo / c kappa, s_b) / 2, with
     omega_lo the lowest of those frequencies and s_b the least branch
     point distance: no singularity lies closer to a panel than the
-    panel is wide.  One lock-step batch at rel_tol, the integrand scaled
-    by the static response so that the engine's absolute floor never
-    binds.
+    panel is wide.  One lock-step batch at the request, the integrand
+    scaled by the static response so that the engine's absolute floor
+    never binds.
     """
     electric = not atom.is_purely_magnetic
     magnetic = not atom.is_purely_electric
@@ -265,13 +262,12 @@ def _laplace_kernel(atom, material, kappa, rel_tol, max_evaluations):
         return out
 
     res = _integrate_points(
-        integrand, edges, rel_tol, max_evaluations,
+        integrand, edges, request,
         lambda i: f"K(kappa) at kappa = {kappa[i]:.6g} 1/m")
     return ck * ck * ck / unit * res.value
 
 
-
-def _resonant(atom, material, z_values, rel_tol, max_evaluations, order=0):
+def _resonant(atom, material, z_values, request, order=0):
     """Resonant potential in J, or its z-derivative in J/m for order 1,
     at an array of distances; arrays (values, abs_errors).
 
@@ -285,18 +281,16 @@ def _resonant(atom, material, z_values, rel_tol, max_evaluations, order=0):
     """
     z_values = np.asarray(z_values, dtype=float)
     lines = resonant_weights(atom)
+    total, err = np.zeros(z_values.shape), np.zeros(z_values.shape)
     if not lines:
-        return np.zeros(z_values.shape), np.zeros(z_values.shape)
-    total = np.zeros(z_values.shape)
-    err = np.zeros(z_values.shape)
+        return total, err
     for line in lines:
         duals, weights = zip(*[(dual, weight) for dual, weight in (
             (False, line.electric_weight * line.omega**2),
             (True, line.magnetic_weight * (line.omega / C_LIGHT) ** 2))
             if weight])
         traces, trace_errs = greens._trace_e_real_axis(
-            material, z_values, line.omega, rel_tol / 10.0, max_evaluations,
-            order, duals)
+            material, z_values, line.omega, request.nested(), order, duals)
         for weight, trace, trace_err in zip(weights, traces, trace_errs):
             total += weight * trace.real
             err += weight * trace_err
@@ -306,14 +300,14 @@ def _resonant(atom, material, z_values, rel_tol, max_evaluations, order=0):
                               _ROUNDING_FLOOR * np.abs(values))
 
 
-def _part(part, atom, geometry, z_atom, rel_tol, max_evaluations):
+def _part(part, atom, geometry, z_atom, request):
     """(values, abs_errors) of one potential part at the geometry's
     distance or along z_atom, one routine call for all the distances;
     Python floats for a scalar distance."""
     if z_atom is None:
         z_atom = geometry.z_atom
     values, errs = part(atom, geometry.reflector, _distances(z_atom),
-                        rel_tol, max_evaluations)
+                        request)
     return _like(z_atom, values), _like(z_atom, errs)
 
 
@@ -327,8 +321,8 @@ def nonresonant_potential(atom, geometry, z_atom=None,
     an array accordingly.  The single-atom potential is independent of
     any slab density.
     """
-    return _part(_nonresonant, atom, geometry, z_atom, rel_tol,
-                 max_evaluations)[0]
+    return _part(_nonresonant, atom, geometry, z_atom,
+                 _Request(rel_tol, max_evaluations))[0]
 
 
 def resonant_potential(atom, geometry, z_atom=None,
@@ -342,8 +336,8 @@ def resonant_potential(atom, geometry, z_atom=None,
     environment: Im eps >= 0, Im mu >= 0 and Im eps mu > 0 there, else
     ValueError.
     """
-    return _part(_resonant, atom, geometry, z_atom, rel_tol,
-                 max_evaluations)[0]
+    return _part(_resonant, atom, geometry, z_atom,
+                 _Request(rel_tol, max_evaluations))[0]
 
 
 def total_potential(atom, geometry, z_atom=None,
@@ -351,7 +345,7 @@ def total_potential(atom, geometry, z_atom=None,
                     max_evaluations=DEFAULT_MAX_EVALUATIONS):
     """Both potential parts and their sum as a PotentialResult, of floats
     or arrays as for nonresonant_potential."""
-    args = (atom, geometry, z_atom, rel_tol, max_evaluations)
+    args = (atom, geometry, z_atom, _Request(rel_tol, max_evaluations))
     u_nr, err_nr = _part(_nonresonant, *args)
     u_r, err_r = _part(_resonant, *args)
     return PotentialResult(u_nr, u_r, u_nr + u_r, err_nr + err_r)

@@ -40,18 +40,14 @@ result is never returned.  `evaluations` counts the abscissae of an
 integral's partition (one abscissa evaluates all K columns), initial
 panels included, and the budget caps each integral of a batch on its
 own; when it runs short, the panels of largest error are bisected
-first.  The integrals nested inside an integrand have budgets of their
-own.
+first.  An integral nested inside an integrand has its own budget and a
+tenth of the outer tolerance, by _Request.nested(), the rule's one place.
 
 The floor is the engine constant 1e-30, in the units of the result.  It
 binds only where a whole integral is about floor / tol or less: the
-slab integrals of dU/dz, in J, of the force module.  They run in ln z,
-where the first panels of the nonresonant part already meet tol, so 97
-of the 300 slab integrals of one pass of perfbench's mirror-slab-oracle
-workload (seed 11; 43 resonant, 54 nonresonant) stop on the floor
-rather than on tol; the reported error still bounds the deviation.  A floor
-derived from the first-round estimate would be honest there, but costs
-work on that workload.
+slab integrals of dU/dz, in J, of the force module, of which a third
+stop on the floor rather than on tol in the mirror-slab benchmark
+(README, numerical notes); the reported error still bounds the deviation.
 """
 
 from __future__ import annotations
@@ -173,7 +169,7 @@ def _gk15(f, lo, hi, owner, spent):
             "expected one value or one row per abscissa"
         )
     scalar = y.ndim == 1
-    y = y.reshape(lo.size, PANEL_NODES, -1)
+    y = y.reshape(lo.size, PANEL_NODES, 1 if scalar else y.shape[1])
     if not np.isfinite(y).all():
         i = np.argmin(np.isfinite(y).all(axis=(1, 2)))
         raise NonFiniteIntegrandError(
@@ -187,22 +183,21 @@ def _gk15(f, lo, hi, owner, spent):
     return val_k, np.abs(val_k - val_g), scalar
 
 
-def _adapt(f, lo, hi, owner, tol, max_evaluations):
+def _adapt(f, lo, hi, owner, n, request):
     """Lock-step G7/K15 refinement of n >= 1 integrals from their
     initial panels [lo_j, hi_j].
 
-    owner holds the integral 0..n-1 that each initial panel belongs to,
-    every integral owning at least one; the integrand is f(x, index),
-    index holding the integral of each abscissa.  Returns the
-    QuadratureResult of _integrate_points.
+    owner holds the integral 0..n-1 that each initial panel belongs to;
+    an integral that owns none is 0 with error 0 after 0 evaluations.
+    The integrand is f(x, index), index holding the integral of each
+    abscissa.  Returns the QuadratureResult of _integrate_points.
     """
+    tol, budget = request.rel_tol, request.budget
     if not 0.0 < tol < 1.0:
         raise ValueError(f"relative tolerance must be in (0, 1), got {tol}")
-    if not max_evaluations >= 1:  # NaN too
-        raise ValueError(
-            f"evaluation budget must be >= 1, got {max_evaluations}")
-    initial = np.bincount(owner)
-    n = initial.size
+    if not budget >= 1:  # NaN too
+        raise ValueError(f"evaluation budget must be >= 1, got {budget}")
+    initial = np.bincount(owner, minlength=n)
 
     def evaluations():
         # initial panels once, then two panels a bisection
@@ -213,7 +208,7 @@ def _adapt(f, lo, hi, owner, tol, max_evaluations):
             message, _unpack(total_val[i], scalar),
             _unpack(total_err[i], scalar), int(evaluations()[i]), int(i))
 
-    if PANEL_NODES * initial.max() > max_evaluations:
+    if PANEL_NODES * initial.max() > budget:
         raise QuadratureConvergenceError(
             f"{initial.max()} initial panels exceed the evaluation budget",
             np.nan, np.inf, 0, int(np.argmax(initial)))
@@ -228,16 +223,16 @@ def _adapt(f, lo, hi, owner, tol, max_evaluations):
         if not failing.any():
             break
         # a failing column has at least one panel above its equal share;
-        # a converged integral has none, so it is never split again
-        share = target / np.bincount(owner, minlength=n)[:, None]
+        # a converged or empty integral has none, so it is never split
+        panels = np.maximum(np.bincount(owner, minlength=n), 1)
+        share = target / panels[:, None]
         ratio = np.where(failing[owner], err / share[owner], 0.0)
         split = (ratio > 1.0).any(axis=1)
-        if spent + 2 * PANEL_NODES * np.count_nonzero(split) \
-                > max_evaluations:
+        if spent + 2 * PANEL_NODES * np.count_nonzero(split) > budget:
             # the budget may run short for some integral: bisect its
             # worst panels that fit, or give up when none fits
             wanted = np.bincount(owner[split], minlength=n)
-            room = (max_evaluations - evaluations()) // (2 * PANEL_NODES)
+            room = (budget - evaluations()) // (2 * PANEL_NODES)
             for i in np.flatnonzero(wanted > room):
                 if room[i] == 0:
                     raise failure("quadrature did not converge within the "
@@ -294,15 +289,26 @@ def _unpack(column_values, scalar):
     return column_values[0].item()
 
 
-def _integrate_points(integrand, edges, rel_tol, max_evaluations,
-                      point=None):
+@dataclass(frozen=True)
+class _Request:
+    """Tolerance and budget of abscissae (QUADPACK's `limit`) per integral."""
+
+    rel_tol: float
+    budget: float
+
+    def nested(self):
+        """An inner integral's request: a tenth of this one's tolerance."""
+        return _Request(self.rel_tol / 10.0, self.budget)
+
+
+def _integrate_points(integrand, edges, request, point=None):
     """The engine's one entry: n integrals in lock-step, one per point
     of a call, through the integrand f(x, index).  Point i starts from
     the panels between consecutive entries of row i of the (n, m + 1)
-    array `edges`, ascending, in row order, with empty panels dropped;
-    every row keeps at least one.  Returns a QuadratureResult of shape
-    (n,) or (n, K) with an ndarray of the n per-integral counts, each
-    integral converged to `rel_tol` within its own budget.
+    array `edges`, ascending, in row order, with empty panels dropped; a
+    row with none is 0.  Returns a QuadratureResult of shape (n,) or
+    (n, K) with an ndarray of the n per-integral counts, each integral
+    converged to the request's tolerance within its own budget.
 
     The one place where the engine's QuadratureConvergenceError is
     re-raised: without an index, named by point(index) when `point` is
@@ -311,20 +317,19 @@ def _integrate_points(integrand, edges, rel_tol, max_evaluations,
     owner = np.arange(edges.shape[0]).repeat(edges.shape[1] - 1)
     keep = hi > lo
     try:
-        return _adapt(integrand, lo[keep], hi[keep], owner[keep], rel_tol,
-                      max_evaluations)
+        return _adapt(integrand, lo[keep], hi[keep], owner[keep],
+                      edges.shape[0], request)
     except QuadratureConvergenceError as exc:
         where = "" if point is None else f"{point(exc.index)}: "
         raise type(exc)(where + exc.reason, exc.value,
                         exc.abs_error_estimate, exc.evaluations) from exc
 
 
-def _single(f, edges, tol, max_evaluations):
+def _single(f, edges, request):
     """QuadratureResult of one integral from the panels between
     consecutive edges: the engine on a batch of one, with Python scalars
     for a scalar integrand."""
-    res = _integrate_points(lambda x, index: f(x), edges[None], tol,
-                            max_evaluations)
+    res = _integrate_points(lambda x, index: f(x), edges[None], request)
     value, error = res.value[0], res.abs_error_estimate[0]
     if res.value.ndim == 1:
         value, error = value.item(), error.item()
@@ -369,7 +374,7 @@ def integrate_finite(f, a, b, tol=1e-9,
     # deceptively small error estimate; callers that know the phase span
     # request enough initial panels to resolve it
     edges = np.linspace(a, b, max(int(initial_intervals), 1) + 1)
-    return _single(f, edges, tol, max_evaluations)
+    return _single(f, edges, _Request(tol, max_evaluations))
 
 
 def integrate_semi_infinite(f, scale=1.0, tol=1e-9,
@@ -400,4 +405,4 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-9,
         jacobian = scale / one_minus**2
         return y * (jacobian if y.ndim == 1 else jacobian[:, None])
 
-    return _single(g, _HALF_LINE, tol, max_evaluations)
+    return _single(g, _HALF_LINE, _Request(tol, max_evaluations))

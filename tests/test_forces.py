@@ -1,6 +1,7 @@
 """Slab forces: closed form vs quadrature oracle, scaling, averaging."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from planarcp import (
 )
 import planarcp.forces as forces_module
 import planarcp.potentials as potentials_module
+from planarcp import quadrature
 from planarcp.forces import PLATE_FORCE_TRACE_CONSTANT
+from planarcp.quadrature import _Request
 
 from conftest import D2, ETA, W10, rel_diff, zt_to_z
 
@@ -120,8 +123,8 @@ class TestQuadratureRoute:
                           geometry=PlanarGeometry(lossy_halfspace, z))
         quad = plate_force_quadrature(sc, include_nonresonant=False)
         u = [potentials_module._resonant(magnetoelectric_atom,
-                                         lossy_halfspace, [zz], 1e-11,
-                                         100_000)
+                                         lossy_halfspace, [zz],
+                                         _Request(1e-11, 100_000))
              for zz in (sc.z, sc.z + sc.d)]
         f_bd = -ETA * (u[1][0][0] - u[0][0][0])
         assert abs(quad.f_resonant - f_bd) \
@@ -394,6 +397,51 @@ class TestDecomposition:
         assert sorted(calls) == [("_nonresonant", edges),
                                  ("_resonant", edges)]
         assert len(results) == 3
+
+
+class TestToleranceLadder:
+    # the tolerance each engine call receives, by the layer that makes
+    # it: every nested layer asks a tenth of its caller's, one division
+    # by ten per layer, so K(kappa) under a slab runs at 1e-9 / 10 / 10
+    LAYERS = {"slab_integral": "slab", "_kappa_integrals": "kappa",
+              "_laplace_kernel": "K", "_ray_integrals": "ray",
+              "_single": "xi"}
+
+    @pytest.fixture
+    def ladder(self, monkeypatch):
+        tols = {}
+        engine = quadrature._adapt
+
+        def recorded(f, lo, hi, owner, n, request):
+            caller = sys._getframe(2).f_code.co_name
+            tols.setdefault(self.LAYERS[caller], set()).add(request.rel_tol)
+            return engine(f, lo, hi, owner, n, request)
+
+        monkeypatch.setattr(quadrature, "_adapt", recorded)
+        return tols
+
+    @pytest.mark.parametrize("reflector, expected", [
+        ("lossy_halfspace", {"kappa": {1e-9}, "K": {1e-10}, "ray": {1e-10}}),
+        ("pec", {"xi": {1e-9}})])
+    def test_potential(self, request, ladder, excited_atom, reflector,
+                       expected):
+        geo = PlanarGeometry(request.getfixturevalue(reflector),
+                             zt_to_z(1.0))
+        total_potential(excited_atom, geo, rel_tol=1e-9)
+        assert ladder == expected
+
+    @pytest.mark.parametrize("reflector, expected", [
+        ("lossy_halfspace", {"slab": {1e-9}, "kappa": {1e-10},
+                             "K": {1e-9 / 10.0 / 10.0}, "ray": {1e-10}}),
+        ("pec", {"slab": {1e-9}, "xi": {1e-10}})])
+    def test_plate_force(self, request, ladder, excited_atom, reflector,
+                         expected):
+        z = zt_to_z(1.0)
+        sc = SlabScenario(z=z, d=zt_to_z(0.5), eta=ETA, atom=excited_atom,
+                          geometry=PlanarGeometry(
+                              request.getfixturevalue(reflector), z))
+        plate_force_quadrature(sc, rel_tol=1e-9)
+        assert ladder == expected
 
 
 class TestScenarioValidation:

@@ -14,6 +14,7 @@ import pytest
 from scipy.constants import c as C_LIGHT
 
 from planarcp import greens, quadrature
+from planarcp.quadrature import _Request
 from planarcp import (
     GreenTrace,
     LorentzOscillator,
@@ -334,7 +335,8 @@ class TestTraceAndDualColumns:
     def kernel(self, axis, material, order, duals):
         kernel = greens._trace_e_imag_axis if axis == "imaginary" \
             else greens._trace_e_real_axis
-        return kernel(material, zt_to_z(self.ZT), W10, self.TOL, 100_000,
+        return kernel(material, zt_to_z(self.ZT), W10,
+                      _Request(self.TOL, 100_000),
                       order, duals)
 
     @pytest.mark.parametrize("order", [0, 1])
@@ -492,10 +494,10 @@ class TestFresnel:
         z = zt_to_z(0.1)
         dual = lossy_halfspace.dual()
         ((value,),), ((err,),) = greens._trace_e_imag_axis(
-            dual, np.array([z]), 1e10, 1e-8, 100_000)
+            dual, np.array([z]), 1e10, _Request(1e-8, 100_000))
         assert abs(value - reference) <= err
         ((tight,),), ((tight_err,),) = greens._trace_e_imag_axis(
-            dual, np.array([z]), 1e10, 1e-11, 100_000)
+            dual, np.array([z]), 1e10, _Request(1e-11, 100_000))
         assert abs(tight - reference) <= tight_err
 
     # xi^2 trace_e of lossy_halfspace (False) and of its dual (True) at
@@ -519,8 +521,8 @@ class TestFresnel:
         # at y << 1 the v ~ 1 structure of the dual bracket carries a
         # share ~ y of the integral; it must be resolved, not skipped
         ((value,),), ((err,),) = greens._trace_e_imag_axis(
-            lossy_halfspace, np.array([zt_to_z(0.1)]), xi, rel_tol, 100_000,
-            duals=(dual,))
+            lossy_halfspace, np.array([zt_to_z(0.1)]), xi,
+            _Request(rel_tol, 100_000), duals=(dual,))
         assert abs(value - self.SMALL_Y[xi, dual]) <= err
         assert err <= rel_tol * abs(value)
 
@@ -536,13 +538,14 @@ class TestLockStepKernel:
         z = zt_to_z(np.geomspace(3e-4, 300.0, 45))
         duals = (False, True)
         batch, batch_err = greens._trace_e_imag_axis(
-            lossy_halfspace, z, W10, 1e-12, 100_000, 0, duals)
+            lossy_halfspace, z, W10, _Request(1e-12, 100_000), 0, duals)
         rounds = len(rule_calls)
         slowest = 0
         for k in range(z.size):
             rule_calls.clear()
             alone, alone_err = greens._trace_e_imag_axis(
-                lossy_halfspace, z[k:k + 1], W10, 1e-12, 100_000, 0, duals)
+                lossy_halfspace, z[k:k + 1], W10, _Request(1e-12, 100_000), 0,
+                duals)
             slowest = max(slowest, len(rule_calls))
             # a point's integral does not depend on the others'
             assert np.array_equal(alone[:, 0], batch[:, k])
@@ -556,13 +559,14 @@ class TestLockStepKernel:
         z = zt_to_z(np.geomspace(0.05, 60.0, 7))
         duals = (False, True)
         batch, batch_err = greens._trace_e_real_axis(
-            lossy_halfspace, z, W10, 1e-10, 100_000, 0, duals)
+            lossy_halfspace, z, W10, _Request(1e-10, 100_000), 0, duals)
         rounds = len(rule_calls)
         slowest = 0
         for k, zk in enumerate(z):
             rule_calls.clear()
             alone, alone_err = greens._trace_e_real_axis(
-                lossy_halfspace, z[k:k + 1], W10, 1e-10, 100_000, 0, duals)
+                lossy_halfspace, z[k:k + 1], W10, _Request(1e-10, 100_000), 0,
+                duals)
             slowest = max(slowest, len(rule_calls))
             assert np.array_equal(alone[:, 0], batch[:, k])
             assert np.array_equal(alone_err[:, 0], batch_err[:, k])
@@ -574,7 +578,8 @@ class TestLockStepKernel:
         # columns
         calls.clear()
         greens._trace_e_real_axis(material, np.array([zt_to_z(zt)]), W10,
-                                  1e-10, 100_000, order, (False, True))
+                                  _Request(1e-10, 100_000), order,
+                                  (False, True))
         return len(calls)
 
     @pytest.mark.parametrize("order", [0, 1])
@@ -611,8 +616,10 @@ class TestLockStepKernel:
                               damping=1e12),))
         assert self.real_axis_rule_calls(rule_calls, near, 1.0, 0) <= 3
         z = np.array([zt_to_z(1.0)])
-        value, err = greens._trace_e_real_axis(near, z, W10, 1e-10, 100_000)
-        tight, _ = greens._trace_e_real_axis(near, z, W10, 1e-13, 10**6)
+        value, err = greens._trace_e_real_axis(near, z, W10,
+                                               _Request(1e-10, 100_000))
+        tight, _ = greens._trace_e_real_axis(near, z, W10,
+                                             _Request(1e-13, 10**6))
         assert abs(value - tight) <= err <= 1e-10 * abs(value)
 
     @pytest.mark.parametrize("order", [0, 1])
@@ -643,11 +650,13 @@ class TestLockStepKernel:
             if axis == "real":
                 greens._trace_e_real_axis(lossy_halfspace,
                                           np.array([zt_to_z(zt)]), W10,
-                                          1e-10, 100_000, 0, (False, True))
+                                          _Request(1e-10, 100_000), 0,
+                                          (False, True))
             else:
                 greens._trace_e_imag_axis(lossy_halfspace,
                                           np.array([zt_to_z(zt)]), W10,
-                                          1e-10, 100_000, 0, (False, True))
+                                          _Request(1e-10, 100_000), 0,
+                                          (False, True))
             abscissae.append(sum(rule_calls))
         assert max(abscissae) <= 150
         assert abscissae[1] == abscissae[2] == abscissae[3]
@@ -668,8 +677,8 @@ class TestLockStepKernel:
             point = f"z = {points[failing]:.6g} m, xi = {W10:.6g} rad/s"
             kernel = greens._trace_e_imag_axis
         def kernel_at(z):
-            return kernel(lossy_halfspace, z, W10, 1e-12, budget, 0,
-                          (False, True))
+            return kernel(lossy_halfspace, z, W10, _Request(1e-12, budget),
+                          0, (False, True))
 
         with pytest.raises(quadrature.QuadratureConvergenceError) as err:
             kernel_at(points)
@@ -696,12 +705,13 @@ class TestLockStepKernel:
         # a sweep of z at one xi, as the distances one by one
         z = zt_to_z(np.array([0.05, 0.3, 1.0, 4.0, 20.0]))
         got, err = greens._trace_e_imag_axis(
-            lossy_halfspace, z, W10, 1e-9, 100_000, order, (False, True))
+            lossy_halfspace, z, W10, _Request(1e-9, 100_000), order,
+            (False, True))
         assert got.shape == err.shape == (2, z.size)
         for k in range(z.size):
             one, one_err = greens._trace_e_imag_axis(
-                lossy_halfspace, z[k:k + 1], W10, 1e-9, 100_000, order,
-                (False, True))
+                lossy_halfspace, z[k:k + 1], W10, _Request(1e-9, 100_000),
+                order, (False, True))
             assert np.array_equal(got[:, k], one[:, 0])
             assert np.array_equal(err[:, k], one_err[:, 0])
 
@@ -712,12 +722,12 @@ class TestLockStepKernel:
         material = request.getfixturevalue(reflector)
         z = zt_to_z(np.geomspace(0.05, 30.0, 7))
         for order in (0, 1):
-            got, err = greens._trace_e_imag_axis(material, z, W10, 1e-9,
-                                                 100_000, order)
+            got, err = greens._trace_e_imag_axis(
+                material, z, W10, _Request(1e-9, 100_000), order)
             assert not err.any()
             for k, zk in enumerate(z.tolist()):
-                one, _ = greens._trace_e_imag_axis(material, zk, [W10],
-                                                   1e-9, 100_000, order)
+                one, _ = greens._trace_e_imag_axis(
+                    material, zk, [W10], _Request(1e-9, 100_000), order)
                 assert got[0, k] == one[0, 0]
 
 
@@ -783,10 +793,10 @@ class TestHalfspaceDerivatives:
         z = zt_to_z(zt)
         for xi in W10 * np.array([0.1, 1.0, 3.0]):
             ((d,),), ((err,),) = greens._trace_e_imag_axis(
-                mat, np.array([z]), xi, self.TOL, 100_000, order=1)
+                mat, np.array([z]), xi, _Request(self.TOL, 100_000), order=1)
             fd = self.richardson(lambda zz: greens._trace_e_imag_axis(
-                mat, np.array([zz]), xi, self.TOL, 100_000)[0][0, 0], z,
-                1e-3 * z)
+                mat, np.array([zz]), xi, _Request(self.TOL, 100_000))[0][0, 0],
+                z, 1e-3 * z)
             assert abs(d - fd) <= 1e-8 * abs(fd)
             assert err <= 1e-11 * abs(d)
 
@@ -795,10 +805,11 @@ class TestHalfspaceDerivatives:
     def test_real_axis_order_one(self, lossy_halfspace, zt, dual):
         mat = lossy_halfspace.dual() if dual else lossy_halfspace
         z = zt_to_z(zt)
-        (d,), (err,) = greens._trace_e_real_axis(mat, np.array([z]), W10,
-                                                 self.TOL, 100_000, order=1)
+        (d,), (err,) = greens._trace_e_real_axis(
+            mat, np.array([z]), W10, _Request(self.TOL, 100_000), order=1)
         fd = self.richardson(lambda zz: greens._trace_e_real_axis(
-            mat, np.array([zz]), W10, self.TOL, 100_000)[0][0], z, 1e-3 * z)
+            mat, np.array([zz]), W10, _Request(self.TOL, 100_000))[0][0], z,
+            1e-3 * z)
         assert abs(d - fd) <= 1e-8 * abs(fd)
         assert err <= 1e-11 * abs(d)
 
@@ -810,11 +821,12 @@ class TestHalfspaceDerivatives:
         # as its single-z call
         z = zt_to_z(np.array([0.3, 0.9, 2.5, 7.0, 25.0]))
         tol = 1e-10
-        (te,), (err,) = greens._trace_e_real_axis(lossy_halfspace, z, W10,
-                                                  tol, 100_000, order)
+        (te,), (err,) = greens._trace_e_real_axis(
+            lossy_halfspace, z, W10, _Request(tol, 100_000), order)
         for k, zk in enumerate(z):
             ((t1,),), ((e1,),) = greens._trace_e_real_axis(
-                lossy_halfspace, np.array([zk]), W10, tol, 100_000, order)
+                lossy_halfspace, np.array([zk]), W10, _Request(tol, 100_000),
+                order)
             assert te[k] == t1
             assert err[k] == e1
 
@@ -888,8 +900,8 @@ class TestRealAxisMpmathAudit:
     @pytest.mark.parametrize("zt", [0.1, 1.0, 10.0, 30.0])
     def test_within_reported_error(self, lossy_halfspace, zt, order):
         values, errs = greens._trace_e_real_axis(
-            lossy_halfspace, np.array([zt_to_z(zt)]), W10, 1e-10, 100_000,
-            order, (False, True))
+            lossy_halfspace, np.array([zt_to_z(zt)]), W10,
+            _Request(1e-10, 100_000), order, (False, True))
         for dual, (value,), (err,) in zip((False, True), values, errs):
             assert abs(value - self.REFERENCE[zt, order, dual]) <= err
             assert err <= 1e-10 * abs(value)
@@ -933,8 +945,8 @@ class TestRealAxisMpmathAuditNearBranchPoint:
     @pytest.mark.parametrize("zt", [0.1, 1.0, 10.0])
     def test_within_reported_error(self, zt, order):
         values, errs = greens._trace_e_real_axis(
-            readme_reflector(), np.array([zt_to_z(zt)]), W10, 1e-10,
-            100_000, order, (False, True))
+            readme_reflector(), np.array([zt_to_z(zt)]), W10,
+            _Request(1e-10, 100_000), order, (False, True))
         for dual, (value,), (err,) in zip((False, True), values, errs):
             assert abs(value - self.REFERENCE[zt, order, dual]) <= err
             assert err <= 1e-10 * abs(value)
@@ -978,8 +990,8 @@ class TestRealAxisMpmathAuditSurfaceModePole:
     @pytest.mark.parametrize("zt", [0.1, 1.0, 10.0])
     def test_within_reported_error(self, zt, order):
         values, errs = greens._trace_e_real_axis(
-            plasmonic_reflector(), np.array([zt_to_z(zt)]), W10, 1e-10,
-            100_000, order, (False, True))
+            plasmonic_reflector(), np.array([zt_to_z(zt)]), W10,
+            _Request(1e-10, 100_000), order, (False, True))
         for dual, (value,), (err,) in zip((False, True), values, errs):
             assert abs(value - self.REFERENCE[zt, order, dual]) <= err
             assert err <= 1e-10 * abs(value)
@@ -1017,8 +1029,8 @@ class TestImagAxisMpmathAudit:
     @pytest.mark.parametrize("zt", [0.1, 1.0, 10.0, 30.0])
     def test_within_reported_error(self, lossy_halfspace, zt, order):
         values, errs = greens._trace_e_imag_axis(
-            lossy_halfspace, np.array([zt_to_z(zt)]), W10, 1e-10, 100_000,
-            order, (False, True))
+            lossy_halfspace, np.array([zt_to_z(zt)]), W10,
+            _Request(1e-10, 100_000), order, (False, True))
         for dual, (value,), (err,) in zip((False, True), values, errs):
             assert abs(value - self.REFERENCE[zt, order, dual]) <= err
             assert err <= 1e-10 * abs(value)

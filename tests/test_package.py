@@ -1,6 +1,7 @@
 """The package surface: the union of the modules' public names, the
 physical constants and the runtime's imports."""
 
+import ast
 import json
 import os
 import subprocess
@@ -88,3 +89,20 @@ def test_benchmark_tracer_wraps_every_target_and_leaves_none(monkeypatch):
     assert [resolve(path) for _, path in tracing.TARGETS] == originals
     assert not any(getattr(value, "__traced__", False)
                    for value in bindings())
+
+
+def test_no_private_function_takes_an_evaluation_budget():
+    # below the public functions a tolerance and a budget travel as one
+    # quadrature._Request: no function of the package whose name starts
+    # with an underscore, nested ones included, takes max_evaluations
+    src = Path(planarcp.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name.startswith("_") \
+                    and "max_evaluations" in {
+                        a.arg for a in ast.walk(node.args)
+                        if isinstance(a, ast.arg)}:
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []

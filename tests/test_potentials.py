@@ -38,6 +38,7 @@ from planarcp import (
     resonant_weights,
     total_potential,
 )
+from planarcp.quadrature import _Request
 
 from conftest import D2, W10, rel_diff, zt_to_z
 
@@ -126,12 +127,12 @@ class TestHalfspaceNonresonant:
             or response(atom, xi, magnetic))
         z = [zt_to_z(1.0)]
         potentials_module._nonresonant(excited_atom, lossy_halfspace, z,
-                                       1e-7, 100_000)
+                                       _Request(1e-7, 100_000))
         assert built == []
         assert requested and set(requested) == {False}
         requested.clear()
         potentials_module._nonresonant(magnetoelectric_atom, lossy_halfspace,
-                                       z, 1e-5, 100_000)
+                                       z, _Request(1e-5, 100_000))
         assert built == []
         assert requested.count(False) == requested.count(True) > 0
 
@@ -144,7 +145,7 @@ class TestHalfspaceNonresonant:
         geo = PlanarGeometry(medium, 6e-9)
         res = total_potential(atom, geo)
         (u_nr,), (err_nr,) = potentials_module._nonresonant(
-            atom, medium, [6e-9], 1e-9, 100_000)
+            atom, medium, [6e-9], _Request(1e-9, 100_000))
         tight = nonresonant_potential(atom, geo, rel_tol=1e-11)
         assert res.u_nonresonant == u_nr > 0.0  # excited: repelled
         assert err_nr <= 2e-9 * u_nr
@@ -212,8 +213,8 @@ class TestResonant:
                             boom)
         geo = PlanarGeometry(pec, zt_to_z(1.0))
         assert resonant_potential(ground_atom, geo) == 0.0
-        values, errs = potentials_module._resonant(ground_atom, pec,
-                                                   [geo.z_atom], 1e-9, 1000)
+        values, errs = potentials_module._resonant(
+            ground_atom, pec, [geo.z_atom], _Request(1e-9, 1000))
         assert (values.tolist(), errs.tolist()) == ([0.0], [0.0])
 
     def test_near_field_asymptote(self, excited_atom, pec):
@@ -362,10 +363,10 @@ class TestDualityProperty:
         dual_atom, dual_geo = duality_transform(atom, geo)
         for part in (potentials_module._nonresonant,
                      potentials_module._resonant):
-            (u,), (err,) = part(atom, material, [geo.z_atom], self.TOL,
-                                100_000, order)
+            request = _Request(self.TOL, 100_000)
+            (u,), (err,) = part(atom, material, [geo.z_atom], request, order)
             (ud,), (err_d,) = part(dual_atom, dual_geo.reflector,
-                                   [geo.z_atom], self.TOL, 100_000, order)
+                                   [geo.z_atom], request, order)
             assert abs(u - ud) <= err + err_d
             assert (u == 0.0) == (part is potentials_module._resonant
                                   and atom.is_ground_state)
@@ -396,7 +397,8 @@ class TestTwoLevelProperties:
         z = zt_to_z(zt)
         for part in (potentials_module._nonresonant,
                      potentials_module._resonant):
-            values, _ = part(atom, vacuum, [z], self.TOL, 100_000, order)
+            values, _ = part(atom, vacuum, [z], _Request(self.TOL, 100_000),
+                             order)
             assert values.tolist() == [0.0]
         w = abs(transition.omega_nk)
         for freq in (w, 1j * w):
@@ -418,10 +420,10 @@ class TestTwoLevelProperties:
                              transition.magnetic_sq)
         (u,), (err,) = potentials_module._nonresonant(
             AtomModel("drawn", (transition,)), material, [zt_to_z(zt)],
-            self.TOL, 100_000, order)
+            _Request(self.TOL, 100_000), order)
         (uf,), (err_f,) = potentials_module._nonresonant(
             AtomModel("flipped", (flipped,)), material, [zt_to_z(zt)],
-            self.TOL, 100_000, order)
+            _Request(self.TOL, 100_000), order)
         assert u != 0.0
         assert abs(u + uf) <= err + err_f
 
@@ -478,7 +480,7 @@ class TestKappaRoute:
                                     mu_oscillators=mu)
         z = zt_to_z(10.0**log_zt)
         (u,), (err,) = potentials_module._nonresonant(
-            atom, material, [z], self.TOL, 100_000, order)
+            atom, material, [z], _Request(self.TOL, 100_000), order)
         nested, nested_err = _nested_route(atom, material, z, order,
                                            self.TOL)
         assert abs(u - nested) <= err + nested_err
@@ -532,7 +534,7 @@ class TestKappaRoute:
         reference = self._reference(z, (osc.strength, osc.resonance,
                                         osc.damping), D2, W10)
         (u,), (err,) = potentials_module._nonresonant(
-            excited_atom, lossy_halfspace, [z], 1e-9, 100_000)
+            excited_atom, lossy_halfspace, [z], _Request(1e-9, 100_000))
         assert abs(u - reference) <= err
         assert rel_diff(u, reference) <= 1e-11
 
@@ -546,12 +548,12 @@ class TestKappaRoute:
                            match=f"^nonresonant kappa-integral at z = "
                                  f"{z:.6g} m: quadrature did not converge"):
             potentials_module._nonresonant(excited_atom, lossy_halfspace,
-                                           [z], 1e-9, 120)
+                                           [z], _Request(1e-9, 120))
         with pytest.raises(QuadratureConvergenceError,
                            match=r"^nonresonant kappa-integral: K\(kappa\) "
                                  r"at kappa = \S+ 1/m: \d+ initial panels"):
             potentials_module._nonresonant(excited_atom, lossy_halfspace,
-                                           [zt_to_z(1.0)], 1e-9, 120)
+                                           [zt_to_z(1.0)], _Request(1e-9, 120))
 
     def test_negative_eps_on_the_imaginary_axis_is_rejected(
             self, excited_atom):
@@ -559,7 +561,8 @@ class TestKappaRoute:
             LorentzOscillator(2.0, W10, 0.1 * W10, amplifying=True),))
         with pytest.raises(ValueError, match="must be positive"):
             potentials_module._nonresonant(excited_atom, gain,
-                                           [zt_to_z(1.0)], 1e-6, 100_000)
+                                           [zt_to_z(1.0)],
+                                           _Request(1e-6, 100_000))
 
     def test_slab_edges_share_their_kappa_nodes(
             self, magnetoelectric_atom, lossy_halfspace, rule_calls):
@@ -567,7 +570,8 @@ class TestKappaRoute:
         # node; the nested route took 308 rule calls, this one takes 4
         z = zt_to_z(np.geomspace(0.5, 22.0, 32))
         potentials_module._nonresonant(magnetoelectric_atom,
-                                       lossy_halfspace, z, 1e-9, 100_000)
+                                       lossy_halfspace, z,
+                                       _Request(1e-9, 100_000))
         assert len(rule_calls) <= 16
 
     def test_readme_point_takes_one_kappa_round(self, rule_calls):
@@ -579,8 +583,8 @@ class TestKappaRoute:
         medium = MaterialResponse("drude-lorentz", eps_oscillators=(
             LorentzOscillator(strength=1.0, resonance=1e16, damping=1e14),
         ))
-        potentials_module._nonresonant(atom, medium, [zt_to_z(0.1)], 1e-9,
-                                       100_000)
+        potentials_module._nonresonant(atom, medium, [zt_to_z(0.1)],
+                                       _Request(1e-9, 100_000))
         assert len(rule_calls) <= 2
 
     def test_inner_batch_does_not_grow_with_the_distances(
@@ -593,7 +597,7 @@ class TestKappaRoute:
             rule_calls.clear()
             potentials_module._nonresonant(
                 magnetoelectric_atom, lossy_halfspace,
-                zt_to_z(np.geomspace(0.05, 60.0, n)), 1e-9, 100_000)
+                zt_to_z(np.geomspace(0.05, 60.0, n)), _Request(1e-9, 100_000))
             largest.append(max(rule_calls))
         assert largest[1] <= min(70_000, 1.5 * largest[0])
 
@@ -649,7 +653,7 @@ class TestSharedRoutine:
                             or outer[-1])
         z = [zt_to_z(zt) for zt in self.ZTS]
         values, errs = potentials_module._nonresonant(
-            atom, material, z, 1e-7, 100_000, order)
+            atom, material, z, _Request(1e-7, 100_000), order)
         if halfspace:
             assert len(outer) == 1
             outer_values, outer_errs = outer[0]
@@ -669,7 +673,7 @@ class TestSharedRoutine:
                 potentials_module._ROUNDING_FLOOR * abs(values[k]))
         for k, zk in enumerate(z):
             (v,), (e,) = potentials_module._nonresonant(
-                atom, material, [zk], 1e-7, 100_000, order)
+                atom, material, [zk], _Request(1e-7, 100_000), order)
             assert (values[k], errs[k]) == (v, e)
 
     @pytest.mark.parametrize("order", [0, 1])
@@ -684,10 +688,10 @@ class TestSharedRoutine:
         material = request.getfixturevalue(reflector)
         z = [zt_to_z(zt) for zt in self.ZTS]
         values, errs = potentials_module._resonant(
-            atom, material, z, 1e-9, 100_000, order)
+            atom, material, z, _Request(1e-9, 100_000), order)
         for k, zk in enumerate(z):
             (v,), (e,) = potentials_module._resonant(
-                atom, material, [zk], 1e-9, 100_000, order)
+                atom, material, [zk], _Request(1e-9, 100_000), order)
             assert abs(values[k] - v) <= errs[k] + e
             assert (v == 0.0) == atom.is_ground_state
 
@@ -734,7 +738,7 @@ class TestSharedRoutine:
         geo = PlanarGeometry(lossy_halfspace, zt_to_z(0.7))
         res = total_potential(magnetoelectric_atom, geo, rel_tol=1e-7)
         parts = [part(magnetoelectric_atom, lossy_halfspace, [geo.z_atom],
-                      1e-7, 100_000)
+                      _Request(1e-7, 100_000))
                  for part in (potentials_module._nonresonant,
                               potentials_module._resonant)]
         (u_nr,), (err_nr,) = parts[0]

@@ -1,5 +1,7 @@
 """Adaptive quadrature: analytic values, error contract, oracle checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -283,8 +285,8 @@ def _rows(x, rate):
 
 def _batch(f, edges, tol=1e-9, max_evaluations=DEFAULT_MAX_EVALUATIONS,
            point=None):
-    return quadrature._integrate_points(f, edges, tol, max_evaluations,
-                                        point)
+    return quadrature._integrate_points(
+        f, edges, quadrature._Request(tol, max_evaluations), point)
 
 
 def _by_row(i):
@@ -486,6 +488,31 @@ def test_empty_panels_of_a_row_are_dropped():
     assert np.array_equal(padded.abs_error_estimate,
                           plain.abs_error_estimate)
     assert np.array_equal(padded.evaluations, plain.evaluations)
+
+
+@pytest.mark.parametrize("edges", [[[0.0, 1.0], [1.0, 1.0]],
+                                   [[1.0, 1.0], [0.0, 1.0]],
+                                   [[1.0, 1.0], [2.0, 2.0]]])
+def test_a_row_without_panels_is_a_zero_integral(edges):
+    # a row whose panels are all empty is an integral of 0 with error 0
+    # after 0 evaluations, whichever its place and however hard the
+    # other rows' integrals are to converge
+    edges = np.array(edges)
+    hard = lambda x, index: np.sqrt(x)  # noqa: E731
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _batch(hard, edges, tol=1e-12)
+    alone = [integrate_finite(np.sqrt, lo, hi, tol=1e-12)
+             for lo, hi in edges]
+    assert res.value.shape == res.abs_error_estimate.shape == (2,)
+    assert res.value.tolist() == [r.value for r in alone]
+    assert res.abs_error_estimate.tolist() \
+        == [r.abs_error_estimate for r in alone]
+    assert res.evaluations.tolist() == [r.evaluations for r in alone]
+    # the row with panels needs rounds of refinement, each of which
+    # takes every row's share of its target
+    assert all(n > 15 for n, (lo, hi) in zip(res.evaluations, edges)
+               if hi > lo)
 
 
 def test_batch_non_finite_integrand():
