@@ -184,13 +184,13 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
     error; a QuadratureConvergenceError names the part and the slab.
     The nonresonant part is asked at _Request.nested(), rel_tol / 10.
     """
+    request = _Request(rel_tol, max_evaluations)
     material = scenario.geometry.reflector
     a, b = scenario.z, scenario.z + scenario.d
     # the slab edge z + d, reached as z exp(log1p(d / z)), is rounded to
     # a few eps (z + d); the force inherits that as a relative error
     # (z + d) / d larger, unseen by quadrature
     rounding = _ROUNDING_FLOOR * b / (b - a)
-    request = _Request(rel_tol, max_evaluations)
 
     def slab_integral(part, inner, panels, name):
         """-eta Int_a^b dU/dz of one potential part and its error, from
@@ -245,6 +245,7 @@ def force_decomposition(scenario, z_grid, rel_tol=DEFAULT_POTENTIAL_TOL,
 
     Returns a list of ForceResult in grid order.
     """
+    request = _Request(rel_tol, max_evaluations)
     z_grid = _distances(z_grid)
     if (np.diff(z_grid) <= 0.0).any():
         raise ValueError("grid must be strictly increasing")
@@ -252,7 +253,6 @@ def force_decomposition(scenario, z_grid, rel_tol=DEFAULT_POTENTIAL_TOL,
                              return_inverse=True)
     lo, hi = np.split(index, 2)
     material = scenario.geometry.reflector
-    request = _Request(rel_tol, max_evaluations)
     u_nr, err_nr = _nonresonant(scenario.atom, material, edges, request)
     u_r, err_r = _resonant(scenario.atom, material, edges, request)
     err, eta = err_nr + err_r, scenario.eta

@@ -189,11 +189,14 @@ def _validate_freq(freq):
 
 
 def _distances(z_atom):
-    """z_atom, a float or a 1-d array of distances in m, as a 1-d float
-    array; every entry must satisfy 0 < z < inf, which NaN does not."""
+    """z_atom, a float or a nonempty 1-d array of distances in m, as a
+    1-d float array; every entry must satisfy 0 < z < inf, which NaN
+    does not."""
     z = np.atleast_1d(np.asarray(z_atom, dtype=float))
     if z.ndim > 1:
         raise ValueError("distances must be a float or a 1-d array")
+    if z.size == 0:
+        raise ValueError("distances must not be an empty array")
     bad = ~((z > 0.0) & (z < math.inf))
     if bad.any():
         raise ValueError(

@@ -37,11 +37,11 @@ with B_e = r_s - (2 v^2 - 1) r_p and B_m its dual (r_s and r_p
 exchanged); dU_nr/dz multiplies the integrand by -2 kappa.  K does not
 depend on z, so the distances of a call share it: each is one
 kappa-integral of a lock-step batch, mapped at the power of two S at or
-above max(omega_max / c, 1 / 2z) and started from panels graded toward
-the decay of e^{-2 kappa z}, so that distances of one octave of S start
-from the same nodes and most converge in one round.  Each round
-evaluates K once per distinct node, as one batch of inner integrals at
-rel_tol / 10, by _Request.nested.  The reported error is the
+above min(max(omega_max / c, 1 / 2z), _SCALE_CAP / 2z) and started from
+panels graded toward the decay of e^{-2 kappa z}, so that distances of
+one octave of S start from the same nodes and most converge in one
+round.  Each round evaluates K once per distinct node, as one batch of
+inner integrals at rel_tol / 10, by _Request.nested.  The reported error is the
 kappa-integral's plus rel_tol |U| for the inner ones.
 
 Forces follow from F = -dU/dz (the force module integrates that over a
@@ -63,7 +63,9 @@ from .greens import _distances, _like
 from .materials import AtomModel, Transition, _response_ixi, resonant_weights
 from .quadrature import (
     DEFAULT_MAX_EVALUATIONS,
+    QuadratureConvergenceError,
     _integrate_points,
+    _named,
     _Request,
     integrate_semi_infinite,
 )
@@ -82,6 +84,13 @@ DEFAULT_POTENTIAL_TOL = 1e-9
 # closed-form parts are exact up to floating-point evaluation; their
 # reported error carries this rounding floor instead of zero
 _ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
+
+# largest ratio of a nonresonant route's map scale to its decay scale,
+# c / 2z in xi or 1 / 2z in kappa.  Far beyond the atomic scale
+# (2 omega_max z / c >> 1) a map at omega_max would put every first node
+# where e^{-2 xi z / c} has died, K15 and G7 would agree on about 0 and
+# the floor would accept it; at this cap the first node sees about e^{-1}
+_SCALE_CAP = 2.0**10
 
 # initial panel edges in t of a kappa-integral, kappa = S t / (1 - t):
 # kappa = 0, S/7, S/3, S, 3S, 7S, 15S, infinity.  With S >= 1/2z the
@@ -132,7 +141,9 @@ def _nonresonant(atom, material, z_values, request, order=0):
 
 def _xi_integrals(atom, material, z_values, request, order):
     """U_nr (or dU_nr/dz) of a perfect mirror or vacuum and its xi-error,
-    one adaptive xi-integral per distance.
+    one adaptive xi-integral per distance, mapped at
+    min(max(omega_max, c / 2z), _SCALE_CAP c / 2z); a failure names the
+    integral and its distance.
 
     Each integrand call asks the imaginary-axis kernel for the
     reflector's own column only, xi^2 trace_e at unit scale, and applies
@@ -158,9 +169,15 @@ def _xi_integrals(atom, material, z_values, request, order):
 
         # the integrand dies off beyond both the largest transition
         # frequency (atomic response) and c/2z (reflection phase)
-        res = integrate_semi_infinite(
-            integrand, scale=max(omega_max, C_LIGHT / (2.0 * z)),
-            tol=request.rel_tol, max_evaluations=request.budget)
+        decay = C_LIGHT / (2.0 * z)
+        try:
+            res = integrate_semi_infinite(
+                integrand, scale=min(max(omega_max, decay),
+                                     _SCALE_CAP * decay),
+                tol=request.rel_tol, max_evaluations=request.budget)
+        except QuadratureConvergenceError as exc:
+            where = f"nonresonant xi-integral at z = {z:.6g} m: "
+            raise _named(exc, where) from exc
         values[i] = pref * res.value
         errs[i] = pref * res.abs_error_estimate
     return values, errs
@@ -171,14 +188,16 @@ def _kappa_integrals(atom, material, z_values, request, order):
     kappa-error, in the kappa-first form of the module docstring: one
     lock-step batch of kappa-integrals, kappa = S t / (1 - t) from the
     seven initial panels of _KAPPA_PANELS, which depend on z only
-    through S.  Each round evaluates K once per distinct node at which
-    some distance's e^{-2 kappa z} is nonzero; a node's K does not
-    depend on the other nodes, so an entry of an array call has the
-    bits of a single call.
+    through S = 2^ceil(log2 min(max(omega_max / c, 1 / 2z),
+    _SCALE_CAP / 2z)).  Each round evaluates K once per distinct node at
+    which some distance's e^{-2 kappa z} is nonzero; a node's K does not
+    depend on the other nodes, so an entry of an array call has the bits
+    of a single call.
     """
     omega_max = max(abs(t.omega_nk) for t in atom.transitions)
-    scale = np.exp2(np.ceil(np.log2(np.maximum(omega_max / C_LIGHT,
-                                               0.5 / z_values))))
+    decay = 0.5 / z_values
+    scale = np.exp2(np.ceil(np.log2(np.minimum(
+        np.maximum(omega_max / C_LIGHT, decay), _SCALE_CAP * decay))))
 
     def integrand(t, index):
         one_minus = 1.0 - t

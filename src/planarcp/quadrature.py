@@ -1,32 +1,23 @@
 """Adaptive numerical integration with certified error estimates.
 
 All potentials and forces in this package reduce to one-dimensional
-integrals: semi-infinite imaginary-frequency integrals, finite spatial
-integrals across a slab, and transverse-wavevector integrals for the
-half-space Green tensor.  They are all evaluated by one adaptive
-Gauss-Kronrod (G7/K15) engine, which refines n independent integrals of
-K columns each.
+integrals (over imaginary frequency, across a slab, over the transverse
+wavevector), all evaluated by one adaptive Gauss-Kronrod (G7/K15)
+engine that refines n independent integrals of K columns each.
 
-Integrands must be vectorised: they are called with a 1-d numpy array
-of abscissae and return either one value per abscissa (a scalar
-integral) or a row of K values per abscissa, shape (N, K) (K integrals
-on one shared partition).  Values may be real or complex.  The
-abscissae of one call come panel by panel, PANEL_NODES consecutive
-nodes per panel.  The engine has one entry, _integrate_points, which
-runs n integrals in lock-step, each from the panels between the
-consecutive edges of its own row: its integrand also receives, for
-every abscissa, the index of the integral it belongs to.
-integrate_finite and integrate_semi_infinite take the same path as a
-batch of one.
+Integrands are vectorised: called with a 1-d numpy array of abscissae,
+PANEL_NODES consecutive nodes per panel, they return one value (K = 1)
+or a row of K values per abscissa, real or complex.  The engine's one
+entry, _integrate_points, runs n integrals in lock-step, each from the
+panels between the consecutive edges of its own row, and also passes
+the integrand the integral of every abscissa; integrate_finite and
+integrate_semi_infinite take the same path as a batch of one.
 
-Refinement is batched: all initial panels are evaluated in one
-integrand call, and every round bisects, again in one call, each panel
-whose error in any unconverged column exceeds that column's equal
-share of its integral's target, (tol * |value_k| + floor) / panels.
-An integral whose columns all meet their targets has no such panel, so
-it is neither split nor evaluated again and its result stays as it is;
-a round costs one call whatever n is, and a batch as many rounds as
-its slowest integral.
+Each round bisects, in one integrand call for the whole batch, every
+panel whose error in an unconverged column exceeds that column's equal
+share of its integral's target, (tol * |value_k| + floor) / panels.  A
+converged integral has no such panel, so it is not evaluated again and
+its result stays as it is; a batch costs the rounds of its slowest.
 
 The error contract holds for every column k of every integral: on
 success the reported absolute error estimate satisfies
@@ -36,18 +27,21 @@ success the reported absolute error estimate satisfies
 and non-convergence within the evaluation budget raises
 :class:`QuadratureConvergenceError` carrying the best value and the
 achieved estimate of the integral that ran out.  A silently truncated
-result is never returned.  `evaluations` counts the abscissae of an
-integral's partition (one abscissa evaluates all K columns), initial
-panels included, and the budget caps each integral of a batch on its
-own; when it runs short, the panels of largest error are bisected
-first.  An integral nested inside an integrand has its own budget and a
-tenth of the outer tolerance, by _Request.nested(), the rule's one place.
+result is never returned.  A _Request holds the tolerance and the
+budget and checks both when it is made, so that every public call
+rejects a bad one before any other work.  One ledger per integral
+counts its panels and their abscissae (one abscissa evaluates all K
+columns), initial panels included: that count is `evaluations`, and
+the budget caps it for each integral of a batch on its own; when it
+runs short, the panels of largest error are bisected first.  An
+integral nested inside an integrand has its own budget and a tenth of
+the outer tolerance, by _Request.nested(), the rule's one place.
 
 The floor is the engine constant 1e-30, in the units of the result.  It
-binds only where a whole integral is about floor / tol or less: the
-slab integrals of dU/dz, in J, of the force module, of which a third
-stop on the floor rather than on tol in the mirror-slab benchmark
-(README, numerical notes); the reported error still bounds the deviation.
+binds only where a whole integral is about floor / tol or less, as for
+a third of the force module's slab integrals of dU/dz, in J, in the
+mirror-slab benchmark (README, numerical notes); the reported error
+still bounds the deviation.
 """
 
 from __future__ import annotations
@@ -157,8 +151,8 @@ def _gk15(f, lo, hi, owner, spent):
 
     Returns the K15 values and the |K15 - G7| error estimates, each of
     shape (panels, K), and whether the integrand is scalar (K = 1).
-    spent() gives the per-integral evaluation counts to report when a
-    panel is not finite.
+    spent, the ledger's per-integral abscissae, this call's included,
+    gives the count to report when a panel is not finite.
     """
     half = 0.5 * (hi - lo)
     x = (0.5 * (hi + lo))[:, None] + half[:, None] * _XK
@@ -174,7 +168,7 @@ def _gk15(f, lo, hi, owner, spent):
         i = np.argmin(np.isfinite(y).all(axis=(1, 2)))
         raise NonFiniteIntegrandError(
             f"integrand returned a non-finite value on [{lo[i]}, {hi[i]}]",
-            np.nan, np.inf, int(spent()[owner[i]]), int(owner[i]))
+            np.nan, np.inf, int(spent[owner[i]]), int(owner[i]))
     val_k = half[:, None] * (_WK @ y)
     val_g = half[:, None] * (_WG @ y[:, 1::2])  # Gauss nodes: odd slots
     # |K15 - G7| estimates the G7 error and so bounds the K15 error
@@ -184,37 +178,26 @@ def _gk15(f, lo, hi, owner, spent):
 
 
 def _adapt(f, lo, hi, owner, n, request):
-    """Lock-step G7/K15 refinement of n >= 1 integrals from their
-    initial panels [lo_j, hi_j].
-
-    owner holds the integral 0..n-1 that each initial panel belongs to;
-    an integral that owns none is 0 with error 0 after 0 evaluations.
-    The integrand is f(x, index), index holding the integral of each
-    abscissa.  Returns the QuadratureResult of _integrate_points.
+    """Lock-step G7/K15 refinement of n >= 1 integrals through f(x,
+    index) from the initial panels [lo_j, hi_j] of integral owner_j
+    (0..n-1; one that owns none is 0 with error 0 after 0 evaluations).
+    Returns the QuadratureResult of _integrate_points.
     """
     tol, budget = request.rel_tol, request.budget
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"relative tolerance must be in (0, 1), got {tol}")
-    if not budget >= 1:  # NaN too
-        raise ValueError(f"evaluation budget must be >= 1, got {budget}")
-    initial = np.bincount(owner, minlength=n)
-
-    def evaluations():
-        # initial panels once, then two panels a bisection
-        return PANEL_NODES * (2 * np.bincount(owner, minlength=n) - initial)
+    # the ledger, per integral: panels, and abscissae spent on them
+    panels = np.bincount(owner, minlength=n)
+    spent = PANEL_NODES * panels
 
     def failure(message, i):
         return QuadratureConvergenceError(
             message, _unpack(total_val[i], scalar),
-            _unpack(total_err[i], scalar), int(evaluations()[i]), int(i))
+            _unpack(total_err[i], scalar), int(spent[i]), int(i))
 
-    if PANEL_NODES * initial.max() > budget:
+    if spent.max() > budget:
         raise QuadratureConvergenceError(
-            f"{initial.max()} initial panels exceed the evaluation budget",
-            np.nan, np.inf, 0, int(np.argmax(initial)))
-    val, err, scalar = _gk15(f, lo, hi, owner, evaluations)
-    # abscissae of all integrals: exact for one, a bound on each of many
-    spent = PANEL_NODES * lo.size
+            f"{panels.max()} initial panels exceed the evaluation budget",
+            np.nan, np.inf, 0, int(np.argmax(panels)))
+    val, err, scalar = _gk15(f, lo, hi, owner, spent)
     while True:
         total_val = _per_integral(val, owner, n)
         total_err = _per_integral(err, owner, n)
@@ -224,15 +207,14 @@ def _adapt(f, lo, hi, owner, n, request):
             break
         # a failing column has at least one panel above its equal share;
         # a converged or empty integral has none, so it is never split
-        panels = np.maximum(np.bincount(owner, minlength=n), 1)
-        share = target / panels[:, None]
+        share = target / np.maximum(panels, 1)[:, None]
         ratio = np.where(failing[owner], err / share[owner], 0.0)
         split = (ratio > 1.0).any(axis=1)
-        if spent + 2 * PANEL_NODES * np.count_nonzero(split) > budget:
+        if spent.max() + 2 * PANEL_NODES * np.count_nonzero(split) > budget:
             # the budget may run short for some integral: bisect its
             # worst panels that fit, or give up when none fits
             wanted = np.bincount(owner[split], minlength=n)
-            room = (budget - evaluations()) // (2 * PANEL_NODES)
+            room = (budget - spent) // (2 * PANEL_NODES)
             for i in np.flatnonzero(wanted > room):
                 if room[i] == 0:
                     raise failure("quadrature did not converge within the "
@@ -251,24 +233,25 @@ def _adapt(f, lo, hi, owner, n, request):
         # kept panels first, then the left and the right halves, so each
         # integral's panels stay in order for the sums above
         keep = ~split
+        parent = owner[split]
+        grown = np.bincount(parent, minlength=n)  # a bisection adds one
+        panels += grown
+        spent += 2 * PANEL_NODES * grown
         new_lo = np.concatenate([left, mid])
         new_hi = np.concatenate([mid, right])
-        parent = owner[split]
         new_owner = np.concatenate([parent, parent])
         owner = np.concatenate([owner[keep], new_owner])
-        new_val, new_err, _ = _gk15(f, new_lo, new_hi, new_owner,
-                                    evaluations)
+        new_val, new_err, _ = _gk15(f, new_lo, new_hi, new_owner, spent)
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
-        spent += PANEL_NODES * new_lo.size
 
     if np.iscomplexobj(total_val) and not np.any(total_val.imag):
         total_val = total_val.real
     if scalar:
         total_val, total_err = total_val[:, 0], total_err[:, 0]
-    return QuadratureResult(total_val, total_err, evaluations())
+    return QuadratureResult(total_val, total_err, spent)
 
 
 def _per_integral(a, owner, n):
@@ -284,17 +267,24 @@ def _per_integral(a, owner, n):
 
 def _unpack(column_values, scalar):
     """Python scalar for a scalar integrand, else the ndarray itself."""
-    if not scalar:
-        return column_values
-    return column_values[0].item()
+    return column_values[0].item() if scalar else column_values
 
 
 @dataclass(frozen=True)
 class _Request:
-    """Tolerance and budget of abscissae (QUADPACK's `limit`) per integral."""
+    """Tolerance and budget of abscissae (QUADPACK's `limit`) per
+    integral, both checked when the request is made."""
 
     rel_tol: float
     budget: float
+
+    def __post_init__(self):
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ValueError(
+                f"relative tolerance must be in (0, 1), got {self.rel_tol}")
+        if not self.budget >= 1:  # NaN too
+            raise ValueError(
+                f"evaluation budget must be >= 1, got {self.budget}")
 
     def nested(self):
         """An inner integral's request: a tenth of this one's tolerance."""
@@ -310,9 +300,9 @@ def _integrate_points(integrand, edges, request, point=None):
     (n, K) with an ndarray of the n per-integral counts, each integral
     converged to the request's tolerance within its own budget.
 
-    The one place where the engine's QuadratureConvergenceError is
-    re-raised: without an index, named by point(index) when `point` is
-    given (index None for a failure nested inside the integrand)."""
+    The engine's QuadratureConvergenceError is re-raised by _named,
+    named by point(index) when `point` is given (index None for a
+    failure nested inside the integrand)."""
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     owner = np.arange(edges.shape[0]).repeat(edges.shape[1] - 1)
     keep = hi > lo
@@ -321,8 +311,14 @@ def _integrate_points(integrand, edges, request, point=None):
                       edges.shape[0], request)
     except QuadratureConvergenceError as exc:
         where = "" if point is None else f"{point(exc.index)}: "
-        raise type(exc)(where + exc.reason, exc.value,
-                        exc.abs_error_estimate, exc.evaluations) from exc
+        raise _named(exc, where) from exc
+
+
+def _named(exc, where):
+    """exc, a QuadratureConvergenceError, without an index and its
+    message prefixed by `where`: the one way a failure is re-raised."""
+    return type(exc)(where + exc.reason, exc.value, exc.abs_error_estimate,
+                     exc.evaluations)
 
 
 def _single(f, edges, request):
@@ -366,6 +362,7 @@ def integrate_finite(f, a, b, tol=1e-9,
     QuadratureResult; value and abs_error_estimate are ndarrays of K
     entries when f returns rows.
     """
+    request = _Request(tol, max_evaluations)
     if not (a <= b and np.isfinite(b - a)):
         raise ValueError(f"expected finite a <= b, got a={a}, b={b}")
     if a == b:
@@ -374,7 +371,7 @@ def integrate_finite(f, a, b, tol=1e-9,
     # deceptively small error estimate; callers that know the phase span
     # request enough initial panels to resolve it
     edges = np.linspace(a, b, max(int(initial_intervals), 1) + 1)
-    return _single(f, edges, _Request(tol, max_evaluations))
+    return _single(f, edges, request)
 
 
 def integrate_semi_infinite(f, scale=1.0, tol=1e-9,
@@ -393,16 +390,16 @@ def integrate_semi_infinite(f, scale=1.0, tol=1e-9,
     -------
     QuadratureResult
     """
+    request = _Request(tol, max_evaluations)
     if not 0.0 < scale < np.inf:
         raise ValueError(f"decay scale must be finite and positive, got "
                          f"{scale}")
 
     def g(t):
         one_minus = 1.0 - t
-        x = scale * t / one_minus
-        y = np.asarray(f(x))
+        y = np.asarray(f(scale * t / one_minus))
         # the Jacobian as a column, for integrands that return rows
         jacobian = scale / one_minus**2
         return y * (jacobian if y.ndim == 1 else jacobian[:, None])
 
-    return _single(g, _HALF_LINE, _Request(tol, max_evaluations))
+    return _single(g, _HALF_LINE, request)

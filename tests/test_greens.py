@@ -20,14 +20,17 @@ from planarcp import (
     LorentzOscillator,
     MaterialResponse,
     PlanarGeometry,
+    SlabScenario,
     d_dz_traces,
+    force_decomposition,
     halfspace_green_traces,
     mirror_curlcurl_trace,
     mirror_green_components,
     mirror_trace_e,
+    total_potential,
 )
 
-from conftest import W10, rel_diff, zt_to_z
+from conftest import ETA, W10, rel_diff, zt_to_z
 
 # sin(1)/(4 pi) to 20 digits; Re G_xx(zt=1) = this * w / c
 SIN1_OVER_4PI = 0.066962133350290946577
@@ -455,6 +458,19 @@ class TestDistances:
         with pytest.raises(ValueError, match="1-d"):
             halfspace_green_traces(PlanarGeometry(pec, 1e-7), W10,
                                    z_atom=np.full((2, 2), 1e-7))
+
+    @pytest.mark.parametrize("reflector", ["pec", "lossy_halfspace"])
+    def test_an_empty_distance_array_is_rejected(self, request, reflector,
+                                                 excited_atom):
+        # one answer on every reflector: a half-space used to fail in a
+        # numpy reduction and a mirror to return empty arrays
+        geo = PlanarGeometry(request.getfixturevalue(reflector), 1e-7)
+        slab = SlabScenario(1e-7, 1e-7, ETA, excited_atom, geo)
+        for call in (lambda: total_potential(excited_atom, geo, z_atom=[]),
+                     lambda: halfspace_green_traces(geo, W10, z_atom=[]),
+                     lambda: force_decomposition(slab, [])):
+            with pytest.raises(ValueError, match="must not be an empty"):
+                call()
 
 
 class TestFresnel:

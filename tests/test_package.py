@@ -2,12 +2,15 @@
 physical constants and the runtime's imports."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
 import scipy.constants
 
 import planarcp
@@ -106,3 +109,58 @@ def test_no_private_function_takes_an_evaluation_budget():
                         if isinstance(a, ast.arg)}:
                 found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == []
+
+
+
+# every public function that integrates: its request is checked before
+# any other work, on every reflector and for every atom, whether or not
+# an integral runs
+INTEGRATING = (
+    "nonresonant_potential", "resonant_potential", "total_potential",
+    "halfspace_green_traces", "d_dz_traces", "plate_force_quadrature",
+    "force_decomposition", "integrate_finite", "integrate_semi_infinite",
+)
+
+
+def _parameters(name):
+    return set(inspect.signature(getattr(planarcp, name)).parameters)
+
+
+def test_the_integrating_functions_are_the_ones_with_a_request():
+    assert set(INTEGRATING) == {
+        name for name in planarcp.__all__
+        if inspect.isfunction(getattr(planarcp, name))
+        and {"rel_tol", "tol", "max_evaluations"} & _parameters(name)}
+
+
+@pytest.mark.parametrize("tol, budget", [(5.0, 1000), (float("nan"), 1000),
+                                         (1e-6, 0)])
+@pytest.mark.parametrize("atom", ["ground_atom", "excited_atom"])
+def test_every_integrating_function_checks_its_request_first(
+        request, monkeypatch, pec, atom, tol, budget):
+    def unreachable(*args):
+        raise AssertionError("the quadrature rule was reached")
+
+    monkeypatch.setattr(quadrature, "_gk15", unreachable)
+    atom = request.getfixturevalue(atom)
+    geo = planarcp.PlanarGeometry(pec, 1e-7)
+    slab = planarcp.SlabScenario(1e-7, 1e-7, 1e20, atom, geo)
+    args = {
+        "nonresonant_potential": (atom, geo),
+        "resonant_potential": (atom, geo),
+        "total_potential": (atom, geo),
+        "halfspace_green_traces": (geo, 1e15),
+        "d_dz_traces": (geo, 1e15),
+        "plate_force_quadrature": (slab,),
+        "force_decomposition": (slab, [1e-7, 2e-7]),
+        # a zero-width interval needs no integral
+        "integrate_finite": (np.sin, 1.0, 1.0),
+        "integrate_semi_infinite": (lambda x: np.exp(-x),),
+    }
+    message = ("relative tolerance must be in" if budget
+               else "evaluation budget must be >= 1")
+    for name in INTEGRATING:
+        tol_name = "tol" if "tol" in _parameters(name) else "rel_tol"
+        with pytest.raises(ValueError, match=message):
+            getattr(planarcp, name)(*args[name], **{
+                tol_name: tol, "max_evaluations": budget})

@@ -80,8 +80,12 @@ class TestNonresonant:
             assert nonresonant_potential(
                 ground_atom, PlanarGeometry(pec, zt_to_z(zt))) < 0.0
 
-    def test_retarded_textbook_limit(self, ground_atom, pec):
-        z = zt_to_z(200.0)
+    @pytest.mark.parametrize("zt", [200.0, 1e5, 1e6])
+    def test_retarded_textbook_limit(self, ground_atom, pec, zt):
+        # far beyond zt ~ 1e3 the xi map's scale must stay near the decay
+        # scale c / 2z (potentials._SCALE_CAP): at omega_max every first
+        # node would sit where the integrand has died
+        z = zt_to_z(zt)
         u = nonresonant_potential(ground_atom, PlanarGeometry(pec, z))
         alpha0 = 2.0 * D2 / (3.0 * hbar * W10)
         u_casimir_polder = -3.0 * hbar * C_LIGHT * alpha0 \
@@ -109,6 +113,19 @@ class TestNonresonant:
 
 
 class TestHalfspaceNonresonant:
+    @pytest.mark.parametrize("atom", ["ground_atom", "excited_atom"])
+    def test_far_field_holds_its_plateau(self, request, atom,
+                                         lossy_halfspace):
+        # U z^4 tends to a constant at zt >> 1, which the kappa map
+        # resolves only with its scale near 1 / 2z (_SCALE_CAP)
+        z = zt_to_z(np.array([1e5, 1e6]))
+        u, err = potentials_module._nonresonant(
+            request.getfixturevalue(atom), lossy_halfspace, z,
+            _Request(1e-9, 100_000))
+        plateau = u * z**4
+        assert rel_diff(plateau[1], plateau[0]) <= 1e-5
+        assert (err <= 2e-9 * np.abs(u)).all()
+
     def test_electric_atom_never_builds_the_dual_reflector(
             self, excited_atom, magnetoelectric_atom, lossy_halfspace,
             monkeypatch):
@@ -539,7 +556,8 @@ class TestKappaRoute:
         assert rel_diff(u, reference) <= 1e-11
 
     def test_a_failure_names_its_layer_and_point(self, excited_atom,
-                                                 lossy_halfspace):
+                                                 lossy_halfspace, pec,
+                                                 vacuum):
         # a budget of 120 abscissae, above the 105 of the seven initial
         # kappa panels: the far distance runs out in its kappa-integral,
         # the nearer one in an inner integral at a node
@@ -554,6 +572,22 @@ class TestKappaRoute:
                                  r"at kappa = \S+ 1/m: \d+ initial panels"):
             potentials_module._nonresonant(excited_atom, lossy_halfspace,
                                            [zt_to_z(1.0)], _Request(1e-9, 120))
+        # a mirror or vacuum takes one xi-integral per distance: 30
+        # abscissae do not hold its four initial panels, and at 1e-13 the
+        # mirror runs out of 100
+        z = 1e-7
+        for reflector in (pec, vacuum):
+            with pytest.raises(QuadratureConvergenceError,
+                               match=f"^nonresonant xi-integral at z = "
+                                     f"{z:.6g} m: 4 initial panels exceed"):
+                nonresonant_potential(excited_atom,
+                                      PlanarGeometry(reflector, z),
+                                      max_evaluations=30)
+        with pytest.raises(QuadratureConvergenceError,
+                           match=f"^nonresonant xi-integral at z = {z:.6g} "
+                                 "m: quadrature did not converge"):
+            nonresonant_potential(excited_atom, PlanarGeometry(pec, z),
+                                  rel_tol=1e-13, max_evaluations=100)
 
     def test_negative_eps_on_the_imaginary_axis_is_rejected(
             self, excited_atom):
