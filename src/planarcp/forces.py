@@ -194,8 +194,13 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
 
     def slab_integral(part, inner, panels, name):
         """-eta Int_a^b dU/dz of one potential part and its error, from
-        the images in u of `panels` equal panels in z; all the abscissae
-        of a refinement round are taken in one call."""
+        the images in u of `panels` equal panels in z, checked against
+        the budget before their edges are built; all the abscissae of a
+        refinement round are taken in one call."""
+        def point(index):
+            return f"{name} slab integral over [{a:.6g}, {b:.6g}] m"
+
+        request.check_panels(panels, point=point)
         inner_err = 0.0
 
         def integrand(u, index):
@@ -206,9 +211,7 @@ def plate_force_quadrature(scenario, rel_tol=DEFAULT_POTENTIAL_TOL,
             return z_values * vals
 
         edges = np.log1p(np.linspace(0.0, scenario.d / a, panels + 1))
-        res = _integrate_points(
-            integrand, edges[None], request,
-            lambda i: f"{name} slab integral over [{a:.6g}, {b:.6g}] m")
+        res = _integrate_points(integrand, edges[None], request, point)
         return (-scenario.eta * res.value[0],
                 scenario.eta * (res.abs_error_estimate[0]
                                 + (b - a) * inner_err))

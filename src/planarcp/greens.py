@@ -58,8 +58,9 @@ absorbing reflector (_trace_e_real_axis).  Every distance of a kernel
 call is its own integral of one lock-step batch, all at the call's one
 eps and mu (quadrature._integrate_points, on the engine's _adapt): each
 round refines the failing panels of all distances in one integrand
-call, so a call costs the rounds of its slowest distance, and a
-failure names its distance.
+call, so a call costs the rounds of its slowest distance, a failure
+names its distance, and every distance has the bits of its call alone
+at any length of the call (_ray_integrals).
 
 Which kernel feeds which potential: the real-axis kernel gives every
 resonant part, and the imaginary-axis kernel the nonresonant part of
@@ -225,17 +226,19 @@ def _mirror_rows(value, duals):
 
 def _pec_phase_polynomial(zt, order):
     """e^{i zt} zt^(3+n) Q_n(zt) at real zt, the pole-free numerator of
-    the electric mirror's real-axis closed form (module docstring)."""
+    the electric mirror's real-axis closed form (module docstring), with
+    the bits of one distance at any length of zt (np.multiply, as in
+    _ray_integrals)."""
     phase = np.exp(1j * zt)
     if order == 0:
-        return phase * (2.0 - 2j * zt - zt * zt)
-    return phase * (-1j * zt**3 + 3.0 * zt * zt + 6j * zt - 6.0)
+        return np.multiply(phase, 2.0 - 2j * zt - zt * zt)
+    return np.multiply(phase, -1j * zt**3 + 3.0 * zt * zt + 6j * zt - 6.0)
 
 
-def _fresnel(eps, mu, v, v1, em1=None):
+def _fresnel(eps, mu, v, v1, em1):
     """(r_s, r_p) = (a v - v1) / (a v + v1) for a = mu and a = eps, with
-    v1^2 = em1 + v^2 and em1 = eps mu - 1 unless given, in the
-    rationalised form
+    v1^2 = em1 + v^2 and em1 = eps mu - 1, which the caller holds once
+    for all its abscissae, in the rationalised form
 
         ((a^2 - 1) v^2 - em1) / (a v + v1)^2,
 
@@ -244,8 +247,6 @@ def _fresnel(eps, mu, v, v1, em1=None):
     v = 1, v1 = sqrt(1 + em1 s^2) with em1 s^2 in place of em1 gives the
     pair at v = 1 / s, finite down to s = 0.  The dual reflector (eps
     and mu exchanged) has the same v1 and the pair swapped, (r_p, r_s)."""
-    if em1 is None:
-        em1 = eps * mu - 1.0
     v2 = v * v
 
     def r(a):
@@ -304,8 +305,14 @@ def _ray_integrals(phi, d, eps, mu, order, duals, request, point):
         Int_0^inf ds gamma^n e^{phi gamma} [r_s + (1 - 2 gamma^2) r_p],
 
     with the Fresnel pair of _fresnel at v = gamma,
-    v1 = sqrt(eps mu - 1 + gamma^2); the dual's bracket swaps r_s and
-    r_p.  phi is an array over the distances, d = -|phi| / phi, so that
+    v1 = sqrt(em1 + gamma^2) and em1 = eps mu - 1 computed once per
+    call; the dual's bracket swaps r_s and r_p, and only the requested
+    brackets are built.  Each is multiplied by its weight through
+    np.multiply, weight first: an operator product of a temporary is
+    computed in place from 16,384 entries on, with the operands
+    swapped, and numpy's complex product is not commutative in the last
+    bit, so a distance's bits would depend on the size of its batch.
+    phi is an array over the distances, d = -|phi| / phi, so that
     |e^{phi gamma}| decays as e^{-rate s} with rate = |phi|; eps and mu
     are one scalar each, the medium at the call's frequency.  Each
     distance is mapped by s = S t / (1 - t) with S = max(1/rate, 1) and
@@ -325,10 +332,11 @@ def _ray_integrals(phi, d, eps, mu, order, duals, request, point):
         if order:
             weight *= gamma
         g2 = gamma * gamma
-        rs, rp = _fresnel(eps, mu, gamma, np.sqrt(em1 + g2))
+        rs, rp = _fresnel(eps, mu, gamma, np.sqrt(em1 + g2), em1)
         pw = 1.0 - 2.0 * g2
-        return np.column_stack([weight * (rp + pw * rs) if dual
-                                else weight * (rs + pw * rp)
+        # np.multiply never swaps operands to reuse a temporary (README)
+        return np.column_stack([np.multiply(weight, rp + pw * rs if dual
+                                            else rs + pw * rp)
                                 for dual in duals])
 
     return _integrate_points(integrand, _sommerfeld_panels(rate), request,

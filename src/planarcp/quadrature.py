@@ -29,7 +29,9 @@ and non-convergence within the evaluation budget raises
 achieved estimate of the integral that ran out.  A silently truncated
 result is never returned.  A _Request holds the tolerance and the
 budget and checks both when it is made, so that every public call
-rejects a bad one before any other work.  One ledger per integral
+rejects a bad one before any other work; a caller that computes its
+count of initial panels checks it against the budget (check_panels)
+before it builds their edges.  One ledger per integral
 counts its panels and their abscissae (one abscissa evaluates all K
 columns), initial panels included: that count is `evaluations`, and
 the budget caps it for each integral of a batch on its own; when it
@@ -194,9 +196,8 @@ def _adapt(f, lo, hi, owner, n, request):
             _unpack(total_err[i], scalar), int(spent[i]), int(i))
 
     if spent.max() > budget:
-        raise QuadratureConvergenceError(
-            f"{panels.max()} initial panels exceed the evaluation budget",
-            np.nan, np.inf, 0, int(np.argmax(panels)))
+        most = np.argmax(panels)
+        request.check_panels(panels[most], int(most))
     val, err, scalar = _gk15(f, lo, hi, owner, spent)
     while True:
         total_val = _per_integral(val, owner, n)
@@ -222,7 +223,7 @@ def _adapt(f, lo, hi, owner, n, request):
                 mine = np.flatnonzero(owner == i)
                 worst = np.argsort(ratio[mine].max(axis=1), kind="stable")
                 split[mine] = False
-                split[mine[worst[-room[i]:]]] = True
+                split[mine[worst[-int(room[i]):]]] = True
         left, right = lo[split], hi[split]
         mid = 0.5 * (left + right)
         stalled = (mid == left) | (mid == right)
@@ -285,6 +286,18 @@ class _Request:
         if not self.budget >= 1:  # NaN too
             raise ValueError(
                 f"evaluation budget must be >= 1, got {self.budget}")
+
+    def check_panels(self, panels, index=None, point=None):
+        """Raise the budget failure of `panels` initial panels of the
+        integral `index` when they need more abscissae than the budget:
+        _adapt's before its first round, and a caller's before it builds
+        their edges, named by point(index) as _integrate_points names a
+        failure when `point` is given."""
+        if PANEL_NODES * panels > self.budget:
+            where = "" if point is None else f"{point(index)}: "
+            raise QuadratureConvergenceError(
+                f"{where}{panels} initial panels exceed the evaluation "
+                "budget", np.nan, np.inf, 0, index)
 
     def nested(self):
         """An inner integral's request: a tenth of this one's tolerance."""
@@ -370,8 +383,9 @@ def integrate_finite(f, a, b, tol=1e-9,
     # an oscillatory integrand can fool a single G7/K15 panel into a
     # deceptively small error estimate; callers that know the phase span
     # request enough initial panels to resolve it
-    edges = np.linspace(a, b, max(int(initial_intervals), 1) + 1)
-    return _single(f, edges, request)
+    panels = max(int(initial_intervals), 1)
+    request.check_panels(panels)
+    return _single(f, np.linspace(a, b, panels + 1), request)
 
 
 def integrate_semi_infinite(f, scale=1.0, tol=1e-9,

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,24 @@ class TestQuadratureRoute:
                            match=r"resonant slab integral over \[") as exc:
             plate_force_quadrature(sc, max_evaluations=290)
         assert exc.value.index is None
+
+    def test_slab_panels_are_checked_before_their_edges_are_built(
+            self, excited_atom, pec):
+        # 2 w d / c = 999,999.5 pi asks for a million initial panels: the
+        # named budget failure comes before their 16 MB of edges exist
+        sc = make_scenario(excited_atom, pec, 1.0, (1e6 - 0.5) * np.pi / 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureConvergenceError,
+                               match=r"^resonant slab integral over \[.*\] m: "
+                                     "1000000 initial panels exceed the "
+                                     "evaluation budget") as exc:
+                plate_force_quadrature(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.index is None and exc.value.evaluations == 0
+        assert peak < 1e6
 
     def test_halfspace_resonant_slab_abscissae(
             self, magnetoelectric_atom, lossy_halfspace, monkeypatch,

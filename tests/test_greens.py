@@ -416,19 +416,28 @@ class TestDistances:
     every entry point shares one distance check, 0 < z < inf."""
 
     ZT = np.array([0.3, 1.0, 4.0])
+    # 256 distances: a real-axis half-space call then evaluates more than
+    # 16,384 complex entries a round, from which numpy computes an
+    # operator product of a temporary in place, with its operands swapped
+    SWEEP = np.geomspace(0.1, 20.0, 256)
 
+    @pytest.mark.parametrize("zt, step", [(ZT, 1), (SWEEP, 17)],
+                             ids=["3", "256"])
     @pytest.mark.parametrize("freq", [W10, 1j * W10])
     @pytest.mark.parametrize("reflector", ["pec", "pmc", "lossy_halfspace"])
     @pytest.mark.parametrize("traces", [halfspace_green_traces, d_dz_traces])
     def test_scalar_and_array_calls_agree_bit_for_bit(self, request, traces,
-                                                      reflector, freq):
+                                                      reflector, freq, zt,
+                                                      step):
+        # every step-th distance of the sweep against its own call
         material = request.getfixturevalue(reflector)
         geo = PlanarGeometry(material, zt_to_z(5.0))
-        z = zt_to_z(self.ZT)
+        z = zt_to_z(zt)
         sweep = traces(geo, freq, z_atom=z)
         assert sweep.trace_e.shape == sweep.err_m.shape == z.shape
         value_type = float if freq.imag else complex
-        for k, zk in enumerate(z.tolist()):
+        for k in range(0, z.size, step):
+            zk = z[k].item()
             one = traces(geo, freq, z_atom=zk)
             assert one == traces(PlanarGeometry(material, zk), freq)
             parts = (one.trace_e, one.trace_m, one.err_e, one.err_m)
@@ -483,7 +492,7 @@ class TestFresnel:
         for v in (0.3 * rng.random(20), 1.0 + 3.0 * rng.random(20),
                   1j * rng.random(20)):
             v1 = np.sqrt(eps * mu - 1.0 + v * v)
-            rs, rp = greens._fresnel(eps, mu, v, v1)
+            rs, rp = greens._fresnel(eps, mu, v, v1, eps * mu - 1.0)
             assert np.allclose(rs, (mu * v - v1) / (mu * v + v1),
                                rtol=1e-12, atol=1e-15)
             assert np.allclose(rp, (eps * v - v1) / (eps * v + v1),
@@ -494,7 +503,8 @@ class TestFresnel:
         # 2 log10(v) digits in the plain quotient
         mu = 2.4
         v = np.geomspace(1e2, 1e8, 7)
-        _, rp = greens._fresnel(1.0, mu, v, np.sqrt(mu - 1.0 + v * v))
+        _, rp = greens._fresnel(1.0, mu, v, np.sqrt(mu - 1.0 + v * v),
+                                mu - 1.0)
         with mp.workdps(40):
             for vk, rk in zip(v, rp):
                 vk = mp.mpf(vk)
@@ -734,7 +744,10 @@ class TestLockStepKernel:
     @pytest.mark.parametrize("reflector", ["pec", "pmc", "vacuum"])
     def test_broadcast_z_closed_forms(self, request, reflector):
         # a sweep of z gives each point's bits: the mirror powers of z are
-        # those of a Python float
+        # those of a Python float.  On the real axis also at 20,000
+        # distances, the slab edges of a 10,000-point plate-force, past
+        # the 16,384 complex entries from which numpy computes an
+        # operator product of a temporary in place
         material = request.getfixturevalue(reflector)
         z = zt_to_z(np.geomspace(0.05, 30.0, 7))
         for order in (0, 1):
@@ -744,6 +757,15 @@ class TestLockStepKernel:
             for k, zk in enumerate(z.tolist()):
                 one, _ = greens._trace_e_imag_axis(
                     material, zk, [W10], _Request(1e-9, 100_000), order)
+                assert got[0, k] == one[0, 0]
+        z = zt_to_z(np.geomspace(0.1, 20.0, 20_000))
+        for order in (0, 1):
+            got, err = greens._trace_e_real_axis(
+                material, z, W10, _Request(1e-9, 100_000), order)
+            assert not err.any()
+            for k in range(0, z.size, 997):
+                one, _ = greens._trace_e_real_axis(
+                    material, z[k:k + 1], W10, _Request(1e-9, 100_000), order)
                 assert got[0, k] == one[0, 0]
 
 

@@ -666,6 +666,12 @@ class TestSharedRoutine:
     order; an array call must equal calls at one distance each."""
 
     ZTS = (0.3, 1.0, 4.0)
+    # 256 distances: the real-axis kernel then evaluates more than 16,384
+    # complex entries a round, from which numpy computes an operator
+    # product of a temporary in place, with its operands swapped
+    SWEEP = tuple(np.geomspace(0.1, 20.0, 256))
+    SWEEPS = pytest.mark.parametrize("zts, step", [(ZTS, 1), (SWEEP, 17)],
+                                     ids=["3", "256"])
 
     @pytest.mark.parametrize("order", [0, 1])
     @pytest.mark.parametrize("reflector", ["pec", "pmc", "vacuum",
@@ -710,33 +716,36 @@ class TestSharedRoutine:
                 atom, material, [zk], _Request(1e-7, 100_000), order)
             assert (values[k], errs[k]) == (v, e)
 
+    @SWEEPS
     @pytest.mark.parametrize("order", [0, 1])
     @pytest.mark.parametrize("reflector", ["pec", "pmc", "lossy_halfspace"])
     @pytest.mark.parametrize("atom", ["excited_atom", "ground_atom",
                                       "magnetoelectric_atom"])
     def test_resonant_array_agrees_within_reported_errors(
-            self, request, atom, reflector, order):
-        # distances of one chunk share a partition of the Sommerfeld
-        # integrals, so half-space values move within their errors
+            self, request, atom, reflector, order, zts, step):
+        # every distance is its own Sommerfeld integral, so the sweep and
+        # the single calls agree to the bit: every step-th value and
+        # reported error is that of its own call
         atom = request.getfixturevalue(atom)
         material = request.getfixturevalue(reflector)
-        z = [zt_to_z(zt) for zt in self.ZTS]
+        z = [zt_to_z(zt) for zt in zts]
         values, errs = potentials_module._resonant(
             atom, material, z, _Request(1e-9, 100_000), order)
-        for k, zk in enumerate(z):
+        for k in range(0, len(z), step):
             (v,), (e,) = potentials_module._resonant(
-                atom, material, [zk], _Request(1e-9, 100_000), order)
-            assert abs(values[k] - v) <= errs[k] + e
+                atom, material, [z[k]], _Request(1e-9, 100_000), order)
+            assert (values[k], errs[k]) == (v, e)
             assert (v == 0.0) == atom.is_ground_state
 
+    @SWEEPS
     @pytest.mark.parametrize("reflector", ["pec", "pmc", "lossy_halfspace"])
     def test_public_scalar_and_array_calls_agree_bit_for_bit(
-            self, request, magnetoelectric_atom, reflector):
-        # one array call against one call per distance: the same values
-        # and errors, Python floats for a scalar distance
+            self, request, magnetoelectric_atom, reflector, zts, step):
+        # one array call against one call per step-th distance: the same
+        # values and errors, Python floats for a scalar distance
         material = request.getfixturevalue(reflector)
         geo = PlanarGeometry(material, zt_to_z(5.0))
-        z = np.array([zt_to_z(zt) for zt in self.ZTS])
+        z = np.array([zt_to_z(zt) for zt in zts])
         kw = dict(rel_tol=1e-7)
         sweep = total_potential(magnetoelectric_atom, geo, z_atom=z, **kw)
         parts = {part: part(magnetoelectric_atom, geo, z_atom=z, **kw)
@@ -744,7 +753,8 @@ class TestSharedRoutine:
         assert np.array_equal(parts[nonresonant_potential],
                               sweep.u_nonresonant)
         assert np.array_equal(parts[resonant_potential], sweep.u_resonant)
-        for k, zk in enumerate(z.tolist()):
+        for k in range(0, z.size, step):
+            zk = z[k].item()
             one = total_potential(magnetoelectric_atom, geo, z_atom=zk, **kw)
             assert one == total_potential(
                 magnetoelectric_atom, PlanarGeometry(material, zk), **kw)

@@ -1,5 +1,6 @@
 """Adaptive quadrature: analytic values, error contract, oracle checks."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -141,6 +142,37 @@ def test_initial_panels_count_against_the_budget():
         integrate_finite(np.cos, 0.0, 1.0, max_evaluations=1000,
                          initial_intervals=20000)
     assert err.value.evaluations <= 1000
+
+
+def test_initial_panels_are_checked_before_their_edges_are_built():
+    # a million panels would cost 15 million abscissae: the budget
+    # failure comes before their 8 MB of edges exist
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureConvergenceError,
+                           match="^1000000 initial panels exceed the "
+                                 "evaluation budget") as err:
+            integrate_finite(np.cos, 0.0, 1.0, initial_intervals=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.evaluations == 0
+    assert peak < 1e6
+
+
+def test_a_float_budget_runs_short_as_its_integer():
+    # the budget trim once sliced with a float count of panels, a
+    # TypeError in place of the budget failure
+    failures = []
+    for budget in (1000, 1000.0):
+        with pytest.raises(QuadratureConvergenceError) as err:
+            integrate_finite(np.cos, 0.0, 100.0, tol=1e-14,
+                             max_evaluations=budget)
+        failures.append(err.value)
+    assert failures[1].reason == "quadrature did not converge within " \
+                                 "the evaluation budget"
+    assert str(failures[1]) == str(failures[0])
+    assert failures[1].evaluations == failures[0].evaluations <= 1000
 
 
 def test_a_panel_at_floating_point_resolution_stalls():
